@@ -7,12 +7,10 @@ A row is flagged if the rate exceeds bound + 3 binomial standard errors.
 """
 
 import argparse
-import math
 
 import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
-import qdistill.security_bounds as sb
 
 
 def main():
@@ -27,24 +25,20 @@ def main():
     ap.add_argument("--seed", type=int, default=20240817)
     args = ap.parse_args()
 
-    xi = (args.n_pairs - math.isqrt(args.n_pairs)) / 2 ** (2 * args.rounds + 2)
     print(f"{'beta':>6} {'f':>7} {'rate':>8} {'ci_high':>9} "
           f"{'bound':>9}  verdict")
     for beta in args.betas:
         for f in args.fidelities:
-            f_min = fp.bbpssw_two_qubit_fixed_points(f)[0]
             cfg = mc.ProtocolConfig(
                 n_pairs=args.n_pairs, beta=beta,
                 noise=nm.TwoQubitCorrelatedNoise(f), rounds=args.rounds,
-                f_min=f_min, seed=args.seed, trials=args.trials)
-            est = mc.estimate_abort_probability(cfg)
-            bound = sb.robustness_bound(sb.RobustnessInput(
-                beta, f_min, args.n_pairs, args.rounds, xi)).value
-            se = math.sqrt(max(est.rate * (1 - est.rate), 0.0) / args.trials)
-            ok = est.rate <= bound + 3 * se
+                f_min=fp.bbpssw_two_qubit_fixed_points(f)[0], seed=args.seed,
+                trials=args.trials)
+            check = mc.check_robustness(cfg)
+            est = check.estimate
             print(f"{beta:>6.3f} {f:>7.4f} {est.rate:>8.5f} "
-                  f"{est.ci_high:>9.5f} {min(bound, 1.0):>9.5f}  "
-                  f"{'ok' if ok else 'VIOLATED'}")
+                  f"{est.ci_high:>9.5f} {min(check.bound.value, 1.0):>9.5f}  "
+                  f"{'ok' if check.holds else 'VIOLATED'}")
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from . import noise_models as nm
 from . import recurrence as rec
 from . import security_bounds as sb
 from . import steering_verify as sv
+from .quantum_core import CORRELATED_SUPPORT
 
 FIGURE_NAMES = (
     "dejmps-convergence",
@@ -154,8 +155,7 @@ def _protocol_map(protocol: str, model, full: bool = False):
         dist = nm.distribution_from(model)
         if full:
             p0 = np.zeros(16)
-            for pos, (i, j) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):
-                p0[((i * 2 + j) * 2 + i) * 2 + j] = _WERNER9[pos]
+            p0[CORRELATED_SUPPORT] = _WERNER9
             return rec.noisy_dejmps_map(dist), p0
         return rec.reduced_dejmps_map(dist), np.array(_WERNER9)
     if protocol == "binary":
@@ -387,11 +387,8 @@ def _mc_config(args, cfg) -> mc.ProtocolConfig:
 
 def _cmd_montecarlo(args, cfg) -> int:
     config = _mc_config(args, cfg)
-    est = mc.estimate_abort_probability(config)
-    k = config.n_pairs
-    xi = (k - math.sqrt(k)) / 2 ** (2 * config.rounds + 2)
-    res = sb.robustness_bound(sb.RobustnessInput(
-        config.beta, config.f_min, k, config.rounds, xi))
+    check = mc.check_robustness(config)
+    est, res = check.estimate, check.bound
     payload = {
         "config_hash": mc.config_hash(config),
         "trials": est.trials,
@@ -399,7 +396,7 @@ def _cmd_montecarlo(args, cfg) -> int:
         "ci": [est.ci_low, est.ci_high],
         "bound": {"value": res.value, "vacuous": res.vacuous,
                   "undistillable": res.undistillable, "margin": res.margin,
-                  "xi": xi},
+                  "xi": check.xi},
         "seed": config.seed,
         "meta": {"config": config.as_dict()},
     }
@@ -431,6 +428,9 @@ def _cmd_trace(args, cfg) -> int:
         p0 = np.array([float(x) for x in args.p0.split(",")])
         if p0.size != rmap.dim:
             raise ValueError(f"--p0 must have {rmap.dim} entries")
+        if not (np.isfinite(p0).all() and p0.min() >= 0 and p0.sum() > 0):
+            raise ValueError("--p0 entries must be finite and nonnegative"
+                             " with a positive sum")
     with _open_out(args.out) as fh:
         rec.write_trace_csv(rmap, p0, args.rounds, fh)
     return 0

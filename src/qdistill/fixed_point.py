@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .recurrence import RecurrenceMap, reduced_dejmps_map, dejmps_noisy_step
-from .quantum_core import BELL_ORDER
+from .quantum_core import CORRELATED_SUPPORT
 
 __all__ = [
     "NonConvergenceError",
@@ -98,8 +98,7 @@ def _step_norm(rmap, p):
 
 
 def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
-                           maxiter: int = 10000, h: float = 1e-6,
-                           compute_stability: bool = True) -> FixedPointReport:
+                           maxiter: int = 10000) -> FixedPointReport:
     """Iterate a recurrence map until successive iterates differ by < tol
     in 1-norm.
 
@@ -116,12 +115,8 @@ def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
         p = nxt
         if delta < tol:
             residual = float(np.abs(_step_norm(rmap, p) - p).sum())
-            lam = None
-            if compute_stability:
-                lam, _ = jacobian_spectral_radius(rmap, p, h=h,
-                                                  residual_tol=max(100 * tol, 1e-8))
-            return FixedPointReport(p, residual, (lam < 1.0) if lam is not None else True,
-                                    lam, it)
+            lam, _ = jacobian_spectral_radius(rmap, p, residual_tol=max(100 * tol, 1e-8))
+            return FixedPointReport(p, residual, lam < 1.0, lam, it)
     residual = float(np.abs(_step_norm(rmap, p) - p).sum())
     return FixedPointReport(p, residual, None, None, maxiter)
 
@@ -350,8 +345,7 @@ def reduced_noisy_dejmps_fixed_point(noise, u=None, tol: float = 1e-13,
     if not converged:
         raise NonConvergenceError("reduced fixed-point iteration did not converge")
     p = np.zeros(16)
-    for pos, (i, j) in enumerate(BELL_ORDER):
-        p[((i * 2 + j) * 2 + i) * 2 + j] = q[pos]
+    p[CORRELATED_SUPPORT] = q
     full, _ = dejmps_noisy_step(p, noise, u)
     resid = float(np.abs(full - p).sum())
     if resid > 1e-10:

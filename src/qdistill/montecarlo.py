@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,16 +26,19 @@ from .quantum_core import BellDiagonalState, LabeledEnsembleState
 from .noise_models import apply_channel_phi, distribution_from, noise_to_config
 from .recurrence import dejmps_noisy_step
 from .fixed_point import reduced_noisy_dejmps_fixed_point
+from .security_bounds import RobustnessInput, RobustnessResult, robustness_bound
 
 __all__ = [
     "ProtocolConfig",
     "RunOutcome",
     "AbortEstimate",
+    "RobustnessCheck",
     "TrajectoryRow",
     "config_hash",
     "trial_rng",
     "simulate_run",
     "estimate_abort_probability",
+    "check_robustness",
     "fidelity_trajectory",
 ]
 
@@ -151,26 +155,25 @@ class RunOutcome:
         return self.flag == "ok"
 
 
-_TRAJ_CACHE: dict = {}
-
-
 def _round_trajectory(config: ProtocolConfig):
     """Deterministic ensemble evolution: (marginals, success probabilities)
     for rounds 1..M, shared by every trial of a campaign."""
-    noise_cfg = noise_to_config(config.noise)
-    key = (config.beta, noise_cfg["kind"], noise_cfg["parameter"], config.rounds)
-    if key not in _TRAJ_CACHE:
-        dist = distribution_from(config.noise)
-        state = LabeledEnsembleState.from_bell_diagonal(config.channel_state(),
-                                                        flags="zero")
-        marginals = [state.bell_marginal().p]
-        successes = []
-        for _ in range(config.rounds):
-            state, n = dejmps_noisy_step(state, dist)
-            marginals.append(state.bell_marginal().p)
-            successes.append(n)
-        _TRAJ_CACHE[key] = (marginals, successes)
-    return _TRAJ_CACHE[key]
+    return _trajectory(config.beta, config.noise, config.rounds)
+
+
+@lru_cache(maxsize=64)
+def _trajectory(beta: float, noise, rounds: int):
+    dist = distribution_from(noise)
+    state = LabeledEnsembleState.from_bell_diagonal(
+        apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])), beta),
+        flags="zero")
+    marginals = [state.bell_marginal().p]
+    successes = []
+    for _ in range(rounds):
+        state, n = dejmps_noisy_step(state, dist)
+        marginals.append(state.bell_marginal().p)
+        successes.append(n)
+    return tuple(marginals), tuple(successes)
 
 
 def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome:
@@ -248,6 +251,36 @@ def estimate_abort_probability(config: ProtocolConfig) -> AbortEstimate:
             aborts += 1
     lo, hi = _wilson_interval(aborts, config.trials)
     return AbortEstimate(config.trials, aborts, aborts / config.trials, lo, hi)
+
+
+@dataclass(frozen=True)
+class RobustnessCheck:
+    """A campaign's abort estimate beside the robustness bound at its pair
+    budget xi = (k - sqrt(k)) / 2^(2M+2), k = n_pairs."""
+
+    estimate: AbortEstimate
+    xi: float
+    bound: RobustnessResult
+
+    @property
+    def se(self) -> float:
+        """Binomial standard error of the abort rate."""
+        rate = self.estimate.rate
+        return math.sqrt(max(rate * (1 - rate), 0.0) / self.estimate.trials)
+
+    @property
+    def holds(self) -> bool:
+        """The abort rate is at most the bound plus 3 standard errors."""
+        return self.estimate.rate <= self.bound.value + 3 * self.se
+
+
+def check_robustness(config: ProtocolConfig) -> RobustnessCheck:
+    """Run the campaign and set its abort rate beside the robustness bound."""
+    k = config.n_pairs
+    xi = (k - math.sqrt(k)) / 2 ** (2 * config.rounds + 2)
+    bound = robustness_bound(RobustnessInput(config.beta, config.f_min, k,
+                                             config.rounds, xi))
+    return RobustnessCheck(estimate_abort_probability(config), xi, bound)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import PAULI_ORDER, BellDiagonalState, DensityMatrix, bell_vector
+from .quantum_core import BellDiagonalState, DensityMatrix, _probabilities, bell_vector
 
 __all__ = [
     "NoiseDistribution",
@@ -53,33 +53,16 @@ def _check_unit_interval(value: float, name: str) -> float:
 class NoiseDistribution:
     """16 probabilities f~_{a1 b1 a2 b2} over two-pair Pauli labels.
 
-    Index order is lexicographic over (a1, b1, a2, b2); the per-pair label
-    (a, b) follows the fixed Pauli order (id, sx, sz, sy) = (00, 01, 10, 11).
+    Index order is lexicographic over (a1, b1, a2, b2), the flat order of
+    :meth:`qdistill.quantum_core.LabeledEnsembleState.index`; the per-pair
+    label (a, b) follows the fixed Pauli order (id, sx, sz, sy) =
+    (00, 01, 10, 11).
     """
 
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float).copy()
-        if f.shape != (16,):
-            raise ValueError(f"expected 16 probabilities, got shape {f.shape}")
-        if f.min() < 0:
-            raise ValueError(f"negative probability {f.min():.3e}")
-        if abs(f.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {f.sum()!r}, not 1")
-        f.flags.writeable = False
-        object.__setattr__(self, "f", f)
-
-    @staticmethod
-    def index(a1: int, b1: int, a2: int, b2: int) -> int:
-        return ((a1 * 2 + b1) * 2 + a2) * 2 + b2
-
-    def first_pair_marginal(self) -> np.ndarray:
-        """4-vector over (a1, b1), second pair summed out."""
-        return self.f.reshape(4, 4).sum(axis=1)
-
-    def second_pair_marginal(self) -> np.ndarray:
-        return self.f.reshape(4, 4).sum(axis=0)
+        object.__setattr__(self, "f", _probabilities(self.f, 16, floor=0.0))
 
 
 @dataclass(frozen=True)

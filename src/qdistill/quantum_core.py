@@ -17,8 +17,9 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "PAULI",
     "BellDiagonalState",
     "LabeledEnsembleState",
+    "CORRELATED_SUPPORT",
     "DensityMatrix",
     "bell_vector",
     "bell_basis",
@@ -84,20 +86,14 @@ def pauli_string(labels) -> np.ndarray:
     return reduce(np.kron, (_PAULI_LIST[k] for k in labels))
 
 
+@cache
 def _pauli_strings(num_qubits: int):
     """All 4^q Pauli strings for q qubits, cached per qubit count."""
-    cached = _pauli_strings._cache.get(num_qubits)
-    if cached is None:
-        idx = np.indices((4,) * num_qubits).reshape(num_qubits, -1).T
-        cached = (
-            [tuple(row) for row in idx],
-            np.stack([pauli_string(tuple(row)) for row in idx]),
-        )
-        _pauli_strings._cache[num_qubits] = cached
-    return cached
-
-
-_pauli_strings._cache = {}
+    idx = np.indices((4,) * num_qubits).reshape(num_qubits, -1).T
+    return (
+        [tuple(row) for row in idx],
+        np.stack([pauli_string(tuple(row)) for row in idx]),
+    )
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -106,6 +102,32 @@ def _as_matrix(state) -> np.ndarray:
     if isinstance(state, (BellDiagonalState, LabeledEnsembleState)):
         return state.to_density_matrix().mat
     return np.asarray(state, dtype=complex)
+
+
+def _probabilities(p, size: int, floor: float = -1e-10) -> np.ndarray:
+    """Validated read-only copy of a probability vector of ``size`` entries.
+
+    Every entry must be finite and at least ``floor``; entries between the
+    floor and zero are clipped to zero, and the sum must then be one within
+    ``TRACE_TOL``.
+    """
+    p = np.array(p, dtype=float)
+    if p.shape != (size,):
+        raise ValueError(f"expected {size} probabilities, got shape {p.shape}")
+    total = p.sum()
+    # A NaN or infinite entry makes the sum NaN or infinite.
+    if not math.isfinite(total):
+        raise ValueError("probabilities must be finite")
+    low = p.min()
+    if low < floor:
+        raise ValueError(f"negative probability {low:.3e}")
+    if low < 0:
+        p[p < 0] = 0.0
+        total = p.sum()
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    p.flags.writeable = False
+    return p
 
 
 @dataclass(frozen=True)
@@ -119,16 +141,7 @@ class BellDiagonalState:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
-        if p.shape != (4,):
-            raise ValueError(f"expected 4 probabilities, got shape {p.shape}")
-        if p.min() < -1e-10:
-            raise ValueError(f"negative probability {p.min():.3e}")
-        p[p < 0] = 0.0
-        if abs(p.sum() - 1.0) > TRACE_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _probabilities(self.p, 4))
 
     @property
     def fidelity(self) -> float:
@@ -159,16 +172,7 @@ class LabeledEnsembleState:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
-        if p.shape != (16,):
-            raise ValueError(f"expected 16 probabilities, got shape {p.shape}")
-        if p.min() < -1e-10:
-            raise ValueError(f"negative probability {p.min():.3e}")
-        p[p < 0] = 0.0
-        if abs(p.sum() - 1.0) > TRACE_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _probabilities(self.p, 16))
 
     @staticmethod
     def index(i: int, j: int, k: int, l: int) -> int:
@@ -183,14 +187,14 @@ class LabeledEnsembleState:
         already reflects the Bell label); ``flags="zero"`` sets
         p_{ij,00} = p_ij (fresh register, nothing recorded yet).
         """
+        if flags == "correlated":
+            support = CORRELATED_SUPPORT
+        elif flags == "zero":
+            support = [cls.index(i, j, 0, 0) for (i, j) in BELL_ORDER]
+        else:
+            raise ValueError(f"unknown flag initialization {flags!r}")
         p = np.zeros(16)
-        for pos, (i, j) in enumerate(BELL_ORDER):
-            if flags == "correlated":
-                p[cls.index(i, j, i, j)] = state.p[pos]
-            elif flags == "zero":
-                p[cls.index(i, j, 0, 0)] = state.p[pos]
-            else:
-                raise ValueError(f"unknown flag initialization {flags!r}")
+        p[support] = state.p
         return cls(p)
 
     @classmethod
@@ -214,32 +218,35 @@ class LabeledEnsembleState:
 
     def cross_mass(self) -> float:
         """Total weight on labels with (i,j) != (k,l)."""
-        total = 0.0
-        for i in (0, 1):
-            for j in (0, 1):
-                for k in (0, 1):
-                    for l in (0, 1):
-                        if (i, j) != (k, l):
-                            total += self.p[self.index(i, j, k, l)]
-        return total
+        return float(self.p.reshape(4, 4)[~np.eye(4, dtype=bool)].sum())
 
     def to_density_matrix(self) -> "DensityMatrix":
         """Bell-diagonal pair ⊗ computational flag register (dim 16)."""
-        basis = bell_basis()
-        mat = np.zeros((16, 16), dtype=complex)
-        for i in (0, 1):
-            for j in (0, 1):
-                b = basis[:, BELL_ORDER.index((i, j))]
-                bb = np.outer(b, b.conj())
-                for k in (0, 1):
-                    for l in (0, 1):
-                        w = self.p[self.index(i, j, k, l)]
-                        if w == 0.0:
-                            continue
-                        flag = np.zeros((4, 4), dtype=complex)
-                        flag[2 * k + l, 2 * k + l] = 1.0
-                        mat += w * np.kron(bb, flag)
-        return DensityMatrix(mat)
+        blocks = zip(_bell_projectors(), self.p.reshape(4, 4))
+        return DensityMatrix(sum(np.kron(bb, np.diag(w)) for bb, w in blocks))
+
+
+#: Flat indices of p_{ij,ij} for (i, j) in ``BELL_ORDER``: the correlated
+#: support, on which the demon's flag equals the Bell label.
+CORRELATED_SUPPORT = np.array([LabeledEnsembleState.index(i, j, i, j)
+                               for (i, j) in BELL_ORDER])
+CORRELATED_SUPPORT.flags.writeable = False
+
+# Bell-label row 2i+j and flag column 2k+l of each flat index
+# ``LabeledEnsembleState.index(i, j, k, l)``.
+_LABEL, _FLAG = np.divmod(np.arange(16), 4)
+
+
+def _bell_vectors() -> np.ndarray:
+    """|B_ij> stacked in lexicographic (i, j) order, the row order of
+    ``LabeledEnsembleState.p.reshape(4, 4)``."""
+    return np.array([bell_vector(i, j) for i in (0, 1) for j in (0, 1)])
+
+
+def _bell_projectors() -> np.ndarray:
+    """|B_ij><B_ij| stacked in lexicographic (i, j) order."""
+    v = _bell_vectors()
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -400,32 +407,16 @@ def asymptotic_state(fix) -> DensityMatrix:
     purifying label register are both attached:
     sum p_ijkl |B_ij><B_ij| ⊗ |kl><kl|_L ⊗ |ijkl><ijkl|_E.
     """
-    basis = bell_basis()
     if isinstance(fix, BellDiagonalState):
-        mat = np.zeros((16, 16), dtype=complex)
-        for pos, (i, j) in enumerate(BELL_ORDER):
-            b = basis[:, pos]
-            flag = np.zeros((4, 4), dtype=complex)
-            flag[2 * i + j, 2 * i + j] = 1.0
-            mat += fix.p[pos] * np.kron(np.outer(b, b.conj()), flag)
-        return DensityMatrix(mat)
+        return LabeledEnsembleState.from_bell_diagonal(fix).to_density_matrix()
     if isinstance(fix, LabeledEnsembleState):
-        mat = np.zeros((256, 256), dtype=complex)
-        for i in (0, 1):
-            for j in (0, 1):
-                bb = np.outer(basis[:, BELL_ORDER.index((i, j))],
-                              basis[:, BELL_ORDER.index((i, j))].conj())
-                for k in (0, 1):
-                    for l in (0, 1):
-                        w = fix.p[fix.index(i, j, k, l)]
-                        if w == 0.0:
-                            continue
-                        lflag = np.zeros((4, 4), dtype=complex)
-                        lflag[2 * k + l, 2 * k + l] = 1.0
-                        eflag = np.zeros((16, 16), dtype=complex)
-                        eflag[fix.index(i, j, k, l), fix.index(i, j, k, l)] = 1.0
-                        mat += w * np.kron(np.kron(bb, lflag), eflag)
-        return DensityMatrix(mat)
+        # Axes (pair, L, E) x (pair, L, E); each flat index t = (ijkl) fills
+        # the block |B_ij><B_ij| at L = kl and E = t on both sides.
+        t = np.arange(16)
+        mat = np.zeros((4, 4, 16) * 2, dtype=complex)
+        blocks = fix.p[:, None, None] * _bell_projectors()[_LABEL]
+        mat[:, _FLAG, t, :, _FLAG, t] = blocks
+        return DensityMatrix(mat.reshape(256, 256))
     raise TypeError(f"unsupported fixed-point type {type(fix)!r}")
 
 
@@ -437,21 +428,10 @@ def ensemble_purification(state: LabeledEnsembleState) -> np.ndarray:
     the pair subsystem occupies the first two qubits, as
     :func:`secret_twirl` expects.
     """
-    psi = np.zeros(256, dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            b = bell_vector(i, j)
-            for k in (0, 1):
-                for l in (0, 1):
-                    w = state.p[state.index(i, j, k, l)]
-                    if w == 0.0:
-                        continue
-                    lv = np.zeros(4)
-                    lv[2 * k + l] = 1.0
-                    ev = np.zeros(16)
-                    ev[state.index(i, j, k, l)] = 1.0
-                    psi += np.sqrt(w) * np.kron(np.kron(b, lv), ev)
-    return psi
+    amplitudes = np.sqrt(state.p)[:, None] * _bell_vectors()[_LABEL]
+    psi = np.zeros((4, 4, 16), dtype=complex)  # axes (pair, L, E)
+    psi[:, _FLAG, np.arange(16)] = amplitudes.T
+    return psi.reshape(256)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

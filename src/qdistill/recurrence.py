@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .quantum_core import BELL_ORDER, BellDiagonalState, LabeledEnsembleState
+from .quantum_core import CORRELATED_SUPPORT, BellDiagonalState, LabeledEnsembleState
 from .noise_models import NoiseDistribution
 
 __all__ = [
@@ -91,13 +92,6 @@ def conjunctive_flag_update() -> FlagUpdateFunction:
     return FlagUpdateFunction("and", lambda k1, l1, k2, l2: (k1 & k2, l1 & l2))
 
 
-def _idx(i, j, k, l):
-    return ((i * 2 + j) * 2 + k) * 2 + l
-
-
-_TABLE_CACHE: dict = {}
-
-
 def _index_table(u: FlagUpdateFunction):
     """Precomputed summation table for the 16-dim noisy recurrence.
 
@@ -107,41 +101,30 @@ def _index_table(u: FlagUpdateFunction):
     noise (a,b) shifts both the Bell and flag bits of the stored index.
     2048 terms total.  Returned as (OUT, F, A, B) int arrays plus list form
     for the exact-arithmetic path.
+
+    Cached on the truth table rather than on ``u``: every
+    :func:`default_flag_update` call builds a new function object.
     """
-    key = u.truth_table()
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    OUT, F, A, B = [], [], [], []
-    for d0 in (0, 1):
-        for d1 in (0, 1):
-            for g0 in (0, 1):
-                for g1 in (0, 1):
-                    out = _idx(d0, d1, g0, g1)
-                    for i1 in (0, 1):
-                        j1 = d1 ^ i1
-                        i2 = d0 ^ i1
-                        j2 = d0 ^ d1 ^ i1
-                        for k1 in (0, 1):
-                            for l1 in (0, 1):
-                                for k2 in (0, 1):
-                                    for l2 in (0, 1):
-                                        if tuple(u(k1, l1, k2, l2)) != (g0, g1):
-                                            continue
-                                        for a1 in (0, 1):
-                                            for b1 in (0, 1):
-                                                for a2 in (0, 1):
-                                                    for b2 in (0, 1):
-                                                        OUT.append(out)
-                                                        F.append(_idx(a1, b1, a2, b2))
-                                                        A.append(_idx(i1 ^ a1, j1 ^ b1,
-                                                                      k1 ^ a1, l1 ^ b1))
-                                                        B.append(_idx(i2 ^ a2, j2 ^ b2,
-                                                                      k2 ^ a2, l2 ^ b2))
-    arrays = tuple(np.array(x, dtype=np.intp) for x in (OUT, F, A, B))
-    cached = (arrays, (OUT, F, A, B))
-    _TABLE_CACHE[key] = cached
-    return cached
+    return _table_for(u.truth_table())
+
+
+@cache
+def _table_for(truth_table: tuple):
+    bits = np.indices((2,) * 13).reshape(13, -1)
+    d0, d1, g0, g1, i1, k1, l1, k2, l2, a1, b1, a2, b2 = bits
+    idx = LabeledEnsembleState.index
+    u = np.array(truth_table)[idx(k1, l1, k2, l2)]
+    keep = (u[:, 0] == g0) & (u[:, 1] == g1)
+    j1, i2, j2 = d1 ^ i1, d0 ^ i1, d0 ^ d1 ^ i1
+    arrays = tuple(x[keep].astype(np.intp) for x in (
+        idx(d0, d1, g0, g1),
+        idx(a1, b1, a2, b2),
+        idx(i1 ^ a1, j1 ^ b1, k1 ^ a1, l1 ^ b1),
+        idx(i2 ^ a2, j2 ^ b2, k2 ^ a2, l2 ^ b2),
+    ))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays, tuple(a.tolist() for a in arrays)
 
 
 def _is_exact(*arrays) -> bool:
@@ -316,8 +299,7 @@ class RecurrenceMap:
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
 
-    def step(self, p):
-        return self.fn(np.asarray(p, dtype=float))
+    step = __call__
 
 
 def noiseless_dejmps_map() -> RecurrenceMap:
@@ -342,10 +324,9 @@ def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> Recurrence
 
     def fn(q):
         p = np.zeros(16)
-        for pos, (i, j) in enumerate(BELL_ORDER):
-            p[_idx(i, j, i, j)] = q[pos]
+        p[CORRELATED_SUPPORT] = q
         out16, n_full = dejmps_noisy_step(p, noise, u)
-        raw = np.array([out16[_idx(i, j, i, j)] for (i, j) in BELL_ORDER])
+        raw = out16[CORRELATED_SUPPORT]
         s = raw.sum()
         if s == 0:
             raise DegenerateStepError("no weight remains on the correlated support")

@@ -241,23 +241,20 @@ def test_criterion_09_footnote_postselection_crossing_sign():
 def test_criterion_10_robustness_dominance():
     t0 = time.perf_counter()
     n_pairs, rounds, trials = 2 ** 14, 4, 10 ** 4
-    xi = (n_pairs - math.isqrt(n_pairs)) / 2 ** (2 * rounds + 2)
     lines = []
     ok = True
     for beta in (0.95, 0.98, 1.0):
         for f in (0.99, 0.999, 1.0):
-            f_min = fp.bbpssw_two_qubit_fixed_points(f)[0]
             cfg = mc.ProtocolConfig(
                 n_pairs=n_pairs, beta=beta,
                 noise=nm.TwoQubitCorrelatedNoise(f), rounds=rounds,
-                f_min=f_min, seed=20240817, trials=trials)
-            est = mc.estimate_abort_probability(cfg)
-            bound = sb.robustness_bound(sb.RobustnessInput(
-                beta, f_min, n_pairs, rounds, xi)).value
-            se = math.sqrt(max(est.rate * (1 - est.rate), 0.0) / trials)
-            cell_ok = est.rate <= bound + 3 * se
+                f_min=fp.bbpssw_two_qubit_fixed_points(f)[0], seed=20240817,
+                trials=trials)
+            check = mc.check_robustness(cfg)
+            rate, bound = check.estimate.rate, check.bound.value
+            cell_ok = rate <= bound + 3 * check.se
             ok = ok and cell_ok
-            lines.append(f"b={beta} f={f}: rate={est.rate:.4f} "
+            lines.append(f"b={beta} f={f}: rate={rate:.4f} "
                          f"bound={bound:.4f}")
             assert cell_ok, lines[-1]
     elapsed = time.perf_counter() - t0

@@ -275,6 +275,18 @@ def test_trace_csv_round_zero_is_input(capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("p0", ["nan,0,0,0", "inf,0,0,0", "-0.5,1,0,0.5",
+                                "0,0,0,0"])
+def test_trace_p0_must_be_a_finite_nonnegative_weight(p0, capsys):
+    code = cli.run(["trace", "--protocol", "dejmps", "--noise", "white:0.99",
+                    "--rounds", "1", f"--p0={p0}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--p0" in captured.err
+
+
 def test_every_figure_emits_rows(capsys):
     for name in cli.FIGURE_NAMES:
         code = cli.run(["trace", "--figure", name])

@@ -52,6 +52,14 @@ def test_distribution_normalization_and_negativity_guard():
         bad = np.zeros(16)
         bad[0], bad[1] = 1.5, -0.5
         nm.NoiseDistribution(bad)
+    with pytest.raises(ValueError, match="negative"):
+        nm.NoiseDistribution(np.array([1.0, -5e-13] + [0.0] * 14))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        nm.NoiseDistribution(np.array([bad] + [0.0] * 15))
 
 
 def test_worstcase_noise_has_no_pauli_mixture():

@@ -85,6 +85,23 @@ def test_bell_diagonal_rejects_bad_mass():
         BellDiagonalState([0.5, 0.2, 0.2, 0.2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_probabilities_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BellDiagonalState([bad, 0, 0, 0])
+    with pytest.raises(ValueError, match="finite"):
+        LabeledEnsembleState([bad] + [0] * 15)
+
+
+def test_state_probabilities_clip_tiny_negatives():
+    s = BellDiagonalState([1.0, -5e-13, 0.0, 0.0])
+    assert s.p[1] == 0.0
+    t = LabeledEnsembleState([1.0, -5e-13] + [0.0] * 14)
+    assert t.p[1] == 0.0
+    with pytest.raises(ValueError, match="negative"):
+        BellDiagonalState([1.0 + 2e-10, -2e-10, 0.0, 0.0])
+
+
 @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
 def test_bell_diagonal_density_matrix_diagonal_in_bell_basis(raw):
     p = np.array(raw) / sum(raw)
