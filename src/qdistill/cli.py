@@ -24,6 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from decimal import Decimal
+from functools import cache
 
 import numpy as np
 
@@ -34,19 +35,6 @@ from . import recurrence as rec
 from . import security_bounds as sb
 from . import steering_verify as sv
 from .quantum_core import CORRELATED_SUPPORT
-
-FIGURE_NAMES = (
-    "dejmps-convergence",
-    "lambda-max",
-    "p0000-fixed",
-    "bbpssw-convergence",
-    "discriminant",
-    "gfix",
-    "worstcase-attractivity",
-    "binary-postselect",
-)
-
-_WERNER9 = (0.9, 1.0 / 30.0, 1.0 / 30.0, 1.0 / 30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +129,6 @@ def _resolve_noise(args, cfg):
     raise ValueError("a --noise spec (or [noise] config section) is required")
 
 
-def _noise_meta(model) -> dict:
-    return nm.noise_to_config(model)
-
-
 def _protocol_map(protocol: str, model, full: bool = False):
     """Map a (protocol, noise model) pair onto a recurrence map and a
     default start vector."""
@@ -155,9 +139,9 @@ def _protocol_map(protocol: str, model, full: bool = False):
         dist = nm.distribution_from(model)
         if full:
             p0 = np.zeros(16)
-            p0[CORRELATED_SUPPORT] = _WERNER9
+            p0[CORRELATED_SUPPORT] = fp.DEJMPS_START
             return rec.noisy_dejmps_map(dist), p0
-        return rec.reduced_dejmps_map(dist), np.array(_WERNER9)
+        return rec.reduced_dejmps_map(dist), np.array(fp.DEJMPS_START)
     if protocol == "binary":
         if not isinstance(model, nm.BinaryNoise):
             raise ValueError("binary expects binary:f0 noise")
@@ -183,7 +167,7 @@ def _cmd_fixed_point(args, cfg) -> int:
                                        maxiter=args.maxiter)
     payload = {
         "protocol": args.protocol,
-        "noise": _noise_meta(model),
+        "noise": nm.noise_to_config(model),
         "location": list(report.location),
         "residual": report.residual,
         "attracting": report.attracting,
@@ -210,6 +194,15 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.arange(lo, hi + step / 2, step)
 
 
+def _reduced_solution(model) -> tuple:
+    """The reduced DEJMPS fixed point under a noise model and the spectral
+    radius of the reduced map there."""
+    dist = nm.distribution_from(model)
+    q = fp.reduced_noisy_dejmps_fixed_point(dist)
+    radius, _ = fp.jacobian_spectral_radius(rec.reduced_dejmps_map(dist), q)
+    return q, radius
+
+
 def _cmd_scan(args, cfg) -> int:
     grid = _parse_grid(args.noise_grid)
     rows = []
@@ -226,11 +219,8 @@ def _cmd_scan(args, cfg) -> int:
     else:
         header = (args.noise_kind + "_parameter", "q00_fixed", "spectral_radius")
         for val in grid:
-            model = nm.noise_from_config({"kind": args.noise_kind,
-                                          "parameter": float(val)})
-            dist = nm.distribution_from(model)
-            q = fp.reduced_noisy_dejmps_fixed_point(dist)
-            radius, _ = fp.jacobian_spectral_radius(rec.reduced_dejmps_map(dist), q)
+            q, radius = _reduced_solution(nm.noise_from_config(
+                {"kind": args.noise_kind, "parameter": float(val)}))
             rows.append((val, q[0], radius))
     with _open_out(args.out) as fh:
         if args.emit == "csv":
@@ -249,66 +239,74 @@ def _cmd_scan(args, cfg) -> int:
     return 0
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ValueError(
-            f"--{', --'.join(missing)} required for chain {args.chain!r}")
+def _postselection_report(a) -> dict:
+    report = sb.bound_report("postselection", {"n": a.n, "epsilon_P": a.epsP},
+                             sb.postselection_bound(a.n, a.epsP))
+    report["log_value"] = sb.postselection_bound_log(a.n, a.epsP)
+    return report
+
+
+def _lift_report(a, value) -> dict:
+    return sb.bound_report(a.chain, {"epsilon": a.eps}, value)
+
+
+def _robustness_report(a) -> dict:
+    res = sb.robustness_bound(
+        sb.RobustnessInput(a.beta, a.f_min, a.k, a.M, a.xi))
+    return sb.bound_report(
+        "robustness",
+        {"beta": a.beta, "f_min": a.f_min, "k": a.k, "M": a.M, "xi": a.xi,
+         "margin": res.margin, "undistillable": res.undistillable,
+         "budget_consistent": res.budget_consistent},
+        res.value, res.chain_terms)
+
+
+def _pair_budget_report(a) -> dict:
+    pb = sb.pair_budget(a.M, a.xi)
+    return {"bound_name": "pair-budget", "inputs": {"M": a.M, "xi": a.xi},
+            "c": pb.c, "distillation_pairs": pb.distillation_pairs,
+            "k_exact": pb.k_exact, "k_ceil": pb.k_ceil,
+            "residual": pb.residual()}
+
+
+def _crossing_gap_report(a) -> dict:
+    lam = fp.binary_lambda_max(Decimal(a.f0))
+    gap = sb.postselect_crossing_gap(lam)
+    return {"bound_name": "crossing-gap", "inputs": {"f0": a.f0},
+            "lambda": float(lam), "gap_bits": gap, "nontrivial": gap > 0}
+
+
+# chain -> (required flags, report builder).  The builders look each bound
+# function up on ``sb`` at call time, so wrappers installed on the module
+# (perfbench's tracer) see every call.
+_BOUNDS = {
+    "definetti": (("n", "k", "epsP"), lambda a: sb.bound_report(
+        "definetti", {"n": a.n, "k": a.k, "epsilon_P": a.epsP},
+        sb.definetti_bound(a.n, a.k, a.epsP))),
+    "postselection": (("n", "epsP"), _postselection_report),
+    "leak": (("eps",), lambda a: _lift_report(a, sb.leak_bound(a.eps))),
+    "localstates": (("eps",),
+                    lambda a: _lift_report(a, sb.localstates_lift(a.eps))),
+    "purification": (("eps",),
+                     lambda a: _lift_report(a, sb.purification_lift(a.eps))),
+    "postselection-chain": (
+        ("eps",), lambda a: _lift_report(a, sb.postselection_chain(a.eps))),
+    "hoeffding": (("eta", "k"), lambda a: sb.bound_report(
+        "hoeffding", {"eta": a.eta, "k": a.k},
+        sb.hoeffding_pe_abort(a.eta, a.k))),
+    "robustness": (("beta", "f-min", "k", "M", "xi"), _robustness_report),
+    "pair-budget": (("M", "xi"), _pair_budget_report),
+    "crossing-gap": (("f0",), _crossing_gap_report),
+}
 
 
 def _cmd_bounds(args, cfg) -> int:
-    chain = args.chain
-    if chain == "definetti":
-        _require(args, "n", "k", "epsP")
-        report = sb.bound_report(
-            "definetti", {"n": args.n, "k": args.k, "epsilon_P": args.epsP},
-            sb.definetti_bound(args.n, args.k, args.epsP))
-    elif chain == "postselection":
-        _require(args, "n", "epsP")
-        report = sb.bound_report(
-            "postselection", {"n": args.n, "epsilon_P": args.epsP},
-            sb.postselection_bound(args.n, args.epsP))
-        report["log_value"] = sb.postselection_bound_log(args.n, args.epsP)
-    elif chain in ("leak", "localstates", "purification", "postselection-chain"):
-        _require(args, "eps")
-        fn = {"leak": sb.leak_bound, "localstates": sb.localstates_lift,
-              "purification": sb.purification_lift,
-              "postselection-chain": sb.postselection_chain}[chain]
-        report = sb.bound_report(chain, {"epsilon": args.eps}, fn(args.eps))
-    elif chain == "hoeffding":
-        _require(args, "eta", "k")
-        report = sb.bound_report("hoeffding", {"eta": args.eta, "k": args.k},
-                                 sb.hoeffding_pe_abort(args.eta, args.k))
-    elif chain == "robustness":
-        _require(args, "beta", "f-min", "k", "M", "xi")
-        inp = sb.RobustnessInput(args.beta, args.f_min, args.k, args.M, args.xi)
-        res = sb.robustness_bound(inp)
-        report = sb.bound_report(
-            "robustness",
-            {"beta": args.beta, "f_min": args.f_min, "k": args.k,
-             "M": args.M, "xi": args.xi, "margin": res.margin,
-             "undistillable": res.undistillable,
-             "budget_consistent": res.budget_consistent},
-            res.value, res.chain_terms)
-    elif chain == "pair-budget":
-        _require(args, "M", "xi")
-        pb = sb.pair_budget(args.M, args.xi)
-        report = {"bound_name": "pair-budget",
-                  "inputs": {"M": args.M, "xi": args.xi},
-                  "c": pb.c, "distillation_pairs": pb.distillation_pairs,
-                  "k_exact": pb.k_exact, "k_ceil": pb.k_ceil,
-                  "residual": pb.residual()}
-    elif chain == "crossing-gap":
-        _require(args, "f0")
-        f0 = Decimal(args.f0)
-        lam = fp.binary_lambda_max(f0)
-        gap = sb.postselect_crossing_gap(lam)
-        report = {"bound_name": "crossing-gap",
-                  "inputs": {"f0": args.f0},
-                  "lambda": float(lam), "gap_bits": gap,
-                  "nontrivial": gap > 0}
-    else:
-        raise ValueError(f"unknown chain {chain!r}")
+    flags, build = _BOUNDS[args.chain]
+    missing = [f for f in flags if getattr(args, f.replace("-", "_")) is None]
+    if missing:
+        raise ValueError(
+            f"--{', --'.join(missing)} required for chain {args.chain!r}")
+    report = build(args)
     with _open_out(args.out) as fh:
         emit_json(report, fh)
     return 0
@@ -323,25 +321,20 @@ def _random_density(rng, dim: int) -> np.ndarray:
 def _cmd_steering_audit(args, cfg) -> int:
     seed = resolve_seed(args, cfg)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    audits = []
-    worst_slack = math.inf
-    violations = 0
-    for i in range(args.states):
-        verdict = sv.product_form_check(_random_density(rng, 16),
-                                        state_id=f"random-{i}")
-        audits.append(verdict.as_audit_dict())
-        worst_slack = min(worst_slack, verdict.slack)
-        violations += 0 if verdict.holds else 1
-    for i in range(args.states):
-        rho = np.kron(_random_density(rng, 4), _random_density(rng, 4))
-        verdict = sv.product_form_check(rho, state_id=f"product-{i}")
-        audits.append(verdict.as_audit_dict())
-        worst_slack = min(worst_slack, verdict.slack)
-        violations += 0 if verdict.holds else 1
+    # All random states first, then all products: the order of the draws.
+    draws = {
+        "random": lambda: _random_density(rng, 16),
+        "product": lambda: np.kron(_random_density(rng, 4),
+                                   _random_density(rng, 4)),
+    }
+    verdicts = [sv.product_form_check(draw(), state_id=f"{kind}-{i}")
+                for kind, draw in draws.items() for i in range(args.states)]
     payload = {
-        "audits": audits,
-        "summary": {"count": len(audits), "violations": violations,
-                    "min_slack": worst_slack,
+        "audits": [v.as_audit_dict() for v in verdicts],
+        "summary": {"count": len(verdicts),
+                    "violations": sum(not v.holds for v in verdicts),
+                    "min_slack": min((v.slack for v in verdicts),
+                                     default=math.inf),
                     "t_inverse_norm": sv.t_inverse_norm(),
                     "constant": sv.steering_constant()},
         "meta": {"seed": seed, "states": args.states},
@@ -405,8 +398,7 @@ def _cmd_montecarlo(args, cfg) -> int:
             w = csv.writer(fh)
             w.writerow(["trial", "flag", "abort_stage", "rounds_completed",
                         "fidelity_estimate", "final_pairs"])
-            for t in range(config.trials):
-                o = mc.simulate_run(config, mc.trial_rng(config.seed, t))
+            for t, o in enumerate(est.outcomes):
                 w.writerow([t, o.flag, o.abort_stage or "",
                             o.rounds_completed, _fmt(o.fidelity_estimate),
                             o.pair_counts[-1]])
@@ -446,7 +438,7 @@ def _reduced_series(f_values, kind, rounds):
             {"kind": kind, "parameter": f}))
         rmap = rec.reduced_dejmps_map(dist)
         q_fix = fp.reduced_noisy_dejmps_fixed_point(dist)
-        q = np.array(_WERNER9)
+        q = np.array(fp.DEJMPS_START)
         errs = []
         for _ in range(rounds):
             q, _n = rmap(q)
@@ -467,15 +459,24 @@ def _fig_dejmps_convergence(fh):
         w.writerow([r + 1] + [_fmt(series[i][r]) for i in range(len(fs))])
 
 
+@cache
+def _white_noise_solutions() -> tuple:
+    """(1 - f, q00 of the fixed point, spectral radius) of the reduced map
+    at 25 white-noise strengths, shared by the lambda-max and p0000
+    figures."""
+    rows = []
+    for x in np.logspace(-4, -1, 25):
+        q, radius = _reduced_solution(nm.SingleQubitWhiteNoise(1.0 - x))
+        rows.append((x, q[0], radius))
+    return tuple(rows)
+
+
 def _fig_lambda_max(fh):
     fh.write("# lambda-max: reduced-map spectral radius vs white-noise"
              " strength\n")
     w = csv.writer(fh)
     w.writerow(["one_minus_f", "spectral_radius"])
-    for x in np.logspace(-4, -1, 25):
-        dist = nm.distribution_from(nm.SingleQubitWhiteNoise(1.0 - x))
-        q = fp.reduced_noisy_dejmps_fixed_point(dist)
-        radius, _ = fp.jacobian_spectral_radius(rec.reduced_dejmps_map(dist), q)
+    for x, _q00, radius in _white_noise_solutions():
         w.writerow([_fmt(x), _fmt(radius)])
 
 
@@ -484,10 +485,8 @@ def _fig_p0000_fixed(fh):
              " strength\n")
     w = csv.writer(fh)
     w.writerow(["one_minus_f", "p0000"])
-    for x in np.logspace(-4, -1, 25):
-        dist = nm.distribution_from(nm.SingleQubitWhiteNoise(1.0 - x))
-        q = fp.reduced_noisy_dejmps_fixed_point(dist)
-        w.writerow([_fmt(x), _fmt(q[0])])
+    for x, q00, _radius in _white_noise_solutions():
+        w.writerow([_fmt(x), _fmt(q00)])
 
 
 def _fig_bbpssw_convergence(fh):
@@ -561,6 +560,8 @@ _FIGURES = {
     "binary-postselect": _fig_binary_postselect,
 }
 
+FIGURE_NAMES = tuple(_FIGURES)
+
 
 def emit_figure_data(name: str, fh) -> None:
     """Write one figure's data series as commented CSV; deterministic."""
@@ -602,11 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound arithmetic")
     common(p)
-    p.add_argument("--chain", required=True,
-                   choices=["definetti", "postselection", "leak",
-                            "localstates", "purification",
-                            "postselection-chain", "hoeffding", "robustness",
-                            "pair-budget", "crossing-gap"])
+    p.add_argument("--chain", required=True, choices=list(_BOUNDS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--epsP", type=float, default=None)

@@ -26,6 +26,7 @@ from .recurrence import RecurrenceMap, reduced_dejmps_map, dejmps_noisy_step
 from .quantum_core import CORRELATED_SUPPORT
 
 __all__ = [
+    "DEJMPS_START",
     "NonConvergenceError",
     "FixedPointReport",
     "ConvergenceFit",
@@ -42,6 +43,11 @@ __all__ = [
     "convergence_exponent",
     "reduced_noisy_dejmps_fixed_point",
 ]
+
+
+#: Default start of the reduced DEJMPS iterations: the Werner state of
+#: fidelity 0.9 on the correlated support, in ``BELL_ORDER``.
+DEJMPS_START = (0.9, 1.0 / 30.0, 1.0 / 30.0, 1.0 / 30.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -248,17 +254,16 @@ def critical_noise() -> float:
     return 0.5 * (lo + hi)
 
 
-def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf, h: float = 1e-6,
+def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf,
                              residual_tol: float = 1e-8) -> tuple:
-    """Spectral radius of the central finite-difference Jacobian of the
-    normalized map at a fixed point, plus the Jacobian itself.
+    """Spectral radius of the central finite-difference Jacobian (step
+    1e-6) of the normalized map at a fixed point, plus the Jacobian itself.
 
     The Jacobian is taken in raw coordinates; normalization is part of the
     differentiated function, so the radial direction contributes a trivial
     zero eigenvalue.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-6
     p = np.asarray(p_inf, dtype=float)
     resid = float(np.abs(_step_norm(rmap, p) - p).sum())
     if resid > residual_tol:
@@ -316,26 +321,24 @@ def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
                           math.sqrt(ss_res / mask.sum()), r2, int(mask.sum()))
 
 
-def reduced_noisy_dejmps_fixed_point(noise, u=None, tol: float = 1e-13,
-                                     maxiter: int = 20000,
-                                     damping: float = 0.5,
-                                     q0=None) -> np.ndarray:
+def reduced_noisy_dejmps_fixed_point(noise) -> np.ndarray:
     """Solve the reduced four-equation fixed-point system of the noisy
-    DEJMPS map on the correlated support.
+    DEJMPS map (XOR flag update) on the correlated support.
 
     Damped iteration q <- (1-d) q + d G(q) with d = 0.5 for robustness near
-    the attractivity boundary, with a plain-iteration fallback.  The result
-    is verified in the full 16-variable map: its correlated embedding must
-    be fixed within 1e-10 in 1-norm, else NonConvergenceError.
+    the attractivity boundary, with a plain-iteration fallback; each starts
+    at :data:`DEJMPS_START`, stops when successive iterates differ by less
+    than 1e-13 in 1-norm, and gives up after 20000 steps.  The result is
+    verified in the full 16-variable map: its correlated embedding must be
+    fixed within 1e-10 in 1-norm, else NonConvergenceError.
     """
-    rmap = reduced_dejmps_map(noise, u)
-    start = np.array([0.9, 1 / 30, 1 / 30, 1 / 30]) if q0 is None else np.asarray(q0, float)
-    for d in (damping, 0.0):
-        q = start.copy()
+    rmap = reduced_dejmps_map(noise)
+    for d in (0.5, 0.0):
+        q = np.array(DEJMPS_START)
         converged = False
-        for _ in range(maxiter):
+        for _ in range(20000):
             g = _step_norm(rmap, q)
-            if np.abs(g - q).sum() < tol:
+            if np.abs(g - q).sum() < 1e-13:
                 q = g
                 converged = True
                 break
@@ -346,7 +349,7 @@ def reduced_noisy_dejmps_fixed_point(noise, u=None, tol: float = 1e-13,
         raise NonConvergenceError("reduced fixed-point iteration did not converge")
     p = np.zeros(16)
     p[CORRELATED_SUPPORT] = q
-    full, _ = dejmps_noisy_step(p, noise, u)
+    full, _ = dejmps_noisy_step(p, noise)
     resid = float(np.abs(full - p).sum())
     if resid > 1e-10:
         raise NonConvergenceError(

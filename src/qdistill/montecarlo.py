@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -50,8 +50,9 @@ _Z99 = 2.5758293035489004
 class ProtocolConfig:
     """Parameters of one protocol campaign.
 
-    ``noise`` is a noise model accepted by
-    :func:`qdistill.noise_models.distribution_from`; ``delta`` of None
+    ``noise`` must be a noise model that
+    :func:`qdistill.noise_models.distribution_from` expands into a Pauli
+    mixture (white, corr2 or binary), else ValueError; ``delta`` of None
     resolves to the default max(0.01, (3 beta - 4 f_min - 1)/4 + 0.01),
     the proof's lower bound on the estimation margin clamped to stay
     positive when that bound is vacuous.
@@ -83,6 +84,11 @@ class ProtocolConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        try:
+            distribution_from(self.noise)
+        except TypeError:
+            raise ValueError(f"{type(self.noise).__name__} has no Pauli-mixture"
+                             " expansion; use white, corr2 or binary noise") from None
 
     @property
     def resolved_delta(self) -> float:
@@ -191,8 +197,10 @@ def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome
     # Parameter estimation on floor(m/2) pairs-of-pairs.  Both correlation
     # measurements return +1 on |B00>; on a Bell-diagonal pair the first
     # succeeds with probability p00+p01' (phase bit 0) and the second with
-    # p00+p10' (amplitude bit 0), independent across the two pairs.
-    p = config.channel_state().p
+    # p00+p10' (amplitude bit 0), independent across the two pairs.  The
+    # trajectory's round-0 marginal is the channel state.
+    marginals, successes = _round_trajectory(config)
+    p = marginals[0]
     p_x = p[0] + p[2]
     p_z = p[0] + p[3]
     mpp = est_pairs.size // 2
@@ -202,7 +210,6 @@ def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome
     if f_hat < config.threshold:
         return RunOutcome("fail", "parameter_estimation", 0, (k_d,), f_hat, None)
 
-    marginals, successes = _round_trajectory(config)
     counts = [k_d]
     for m in range(1, config.rounds + 1):
         cpp = counts[-1] // 2
@@ -229,11 +236,15 @@ def _wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple:
 
 @dataclass(frozen=True)
 class AbortEstimate:
+    """Abort count and rate of a campaign with its 99% Wilson interval;
+    ``outcomes`` holds the simulated trials in order."""
+
     trials: int
     aborts: int
     rate: float
     ci_low: float
     ci_high: float
+    outcomes: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def ci(self) -> tuple:
@@ -245,12 +256,12 @@ def estimate_abort_probability(config: ProtocolConfig) -> AbortEstimate:
     99% Wilson interval; deterministic in the seed."""
     if config.trials < 100:
         raise ValueError("need at least 100 trials for a rate estimate")
-    aborts = 0
-    for t in range(config.trials):
-        if not simulate_run(config, trial_rng(config.seed, t)).ok:
-            aborts += 1
+    outcomes = tuple(simulate_run(config, trial_rng(config.seed, t))
+                     for t in range(config.trials))
+    aborts = sum(not o.ok for o in outcomes)
     lo, hi = _wilson_interval(aborts, config.trials)
-    return AbortEstimate(config.trials, aborts, aborts / config.trials, lo, hi)
+    return AbortEstimate(config.trials, aborts, aborts / config.trials, lo, hi,
+                         outcomes)
 
 
 @dataclass(frozen=True)

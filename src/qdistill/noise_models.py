@@ -1,6 +1,6 @@
 """Noise parameterizations for the distillation recurrences.
 
-Five models:
+Four models:
 
 * ``SingleQubitWhiteNoise`` — independent white noise on each of Alice's two
   qubits, identity with probability f, each other Pauli with (1-f)/3.
@@ -9,8 +9,10 @@ Five models:
 * ``BinaryNoise`` — identity/sigma_x only (bit-flip channel per pair).
 * ``WorstCaseNoise`` — ideal step with probability f_I, a fixed adversarial
   constant-output map otherwise.
-* ``ChannelBeta`` — the transmission depolarizing channel
-  rho -> beta*rho + (1-beta)*I/4.
+
+The transmission depolarizing channel rho -> beta*rho + (1-beta)*I/4 is
+:func:`apply_channel_phi`, with beta a field of the protocol configuration
+rather than a noise model.
 
 Noise acts on Alice's register only; by Bell-state symmetry this loses no
 generality.  Mixtures over Pauli labels are applied as CPTP maps (classical
@@ -31,12 +33,10 @@ __all__ = [
     "TwoQubitCorrelatedNoise",
     "BinaryNoise",
     "WorstCaseNoise",
-    "ChannelBeta",
     "WorstCaseChannel",
     "distribution_from",
     "apply_channel_phi",
     "standard_form_fidelity",
-    "worstcase_map_check",
     "noise_to_config",
     "noise_from_config",
 ]
@@ -109,14 +109,6 @@ class WorstCaseNoise:
         object.__setattr__(self, "f_i", _check_unit_interval(self.f_i, "f_i"))
 
 
-@dataclass(frozen=True)
-class ChannelBeta:
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_unit_interval(self.beta, "beta"))
-
-
 def distribution_from(model) -> NoiseDistribution:
     """Expand a noise model into the 16-entry two-pair Pauli distribution.
 
@@ -164,9 +156,16 @@ def standard_form_fidelity(x: float) -> float:
 @dataclass(frozen=True)
 class WorstCaseChannel:
     """CP decomposition E = f_I * E_ideal + (1 - f_I) * E_error where the
-    error branch ignores its input and outputs |B01><B01| (x) |B00><B00|."""
+    error branch ignores its input and outputs |B01><B01| (x) |B00><B00|.
+
+    The recurrences consume only f_i (see :class:`WorstCaseNoise`); the
+    explicit channel makes the constant-output property checkable.
+    """
 
     f_i: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "f_i", _check_unit_interval(self.f_i, "f_i"))
 
     def error_state(self) -> DensityMatrix:
         b01 = bell_vector(0, 1)
@@ -181,22 +180,11 @@ class WorstCaseChannel:
         return self.error_state()
 
 
-def worstcase_map_check(f_i: float) -> WorstCaseChannel:
-    """Return the worst-case CP-map decomposition as a channel object.
-
-    The error branch is the constant map onto |B01><B01| (x) |B00><B00|; the
-    recurrence module consumes only f_i, but the explicit channel makes the
-    constant-output property checkable.
-    """
-    return WorstCaseChannel(_check_unit_interval(f_i, "f_i"))
-
-
 _CONFIG_KINDS = {
     "white": (SingleQubitWhiteNoise, "f"),
     "corr2": (TwoQubitCorrelatedNoise, "f_tilde"),
     "binary": (BinaryNoise, "f0"),
     "worst": (WorstCaseNoise, "f_i"),
-    "channel": (ChannelBeta, "beta"),
 }
 
 

@@ -197,20 +197,6 @@ class LabeledEnsembleState:
         p[support] = state.p
         return cls(p)
 
-    @classmethod
-    def from_binary(cls, p4) -> "LabeledEnsembleState":
-        """Embed a binary-pair 4-vector (Bell amplitude bit x flag bit).
-
-        The binary setting lives on Bell labels (0, j) and flags (0, l); the
-        4-vector is ordered (p_00, p_01, p_10, p_11) = p_{jl}.
-        """
-        p4 = np.asarray(p4, dtype=float)
-        p = np.zeros(16)
-        for j in (0, 1):
-            for l in (0, 1):
-                p[cls.index(0, j, 0, l)] = p4[2 * j + l]
-        return cls(p)
-
     def bell_marginal(self) -> BellDiagonalState:
         """Trace out the flag register."""
         q = self.p.reshape(2, 2, 4).sum(axis=2)

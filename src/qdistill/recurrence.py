@@ -299,8 +299,6 @@ class RecurrenceMap:
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
 
-    step = __call__
-
 
 def noiseless_dejmps_map() -> RecurrenceMap:
     return RecurrenceMap("dejmps", 4, lambda p: dejmps_noiseless_step(p))

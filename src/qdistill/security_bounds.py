@@ -19,7 +19,6 @@ from fractions import Fraction
 
 __all__ = [
     "DEFINETTI_CONSTANT",
-    "BoundInput",
     "RobustnessInput",
     "RobustnessResult",
     "PairBudget",
@@ -80,27 +79,6 @@ def _resolve_eps(epsilon_P, at, corrected: bool):
     return epsilon_P
 
 
-@dataclass(frozen=True)
-class BoundInput:
-    """Parameters of an i.i.d.-reduction bound.
-
-    n total pairs, k kept pairs, epsilon_P the i.i.d. convergence distance
-    (a number in [0, 2] or a PowerLawEps model); noise is an optional
-    descriptor carried through to reports.
-    """
-
-    n: int
-    k: int
-    epsilon_P: object
-    noise: object = None
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n")
-        if not callable(self.epsilon_P) and not 0 <= self.epsilon_P <= 2:
-            raise ValueError("epsilon_P must lie in [0, 2]")
-
-
 def symmetric_subspace_dimension(n: int) -> int:
     """C(n+15, n): dimension of the symmetric subspace of n copies of a
     two-pair (16-dimensional) system, exact integer."""
@@ -113,11 +91,13 @@ def definetti_bound(n, k, epsilon_P, corrected: bool = False):
     """(34*4^8 + 1) * (64 k / n + eps_P(k)).
 
     Integer/Fraction inputs give an exact Fraction; a PowerLawEps model is
-    evaluated at k.
+    evaluated at k.  eps_P is a trace distance, so it must lie in [0, 2].
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     eps = _resolve_eps(epsilon_P, k, corrected)
+    if not 0 <= eps <= 2:
+        raise ValueError("epsilon_P must lie in [0, 2]")
     if isinstance(eps, (int, Fraction)) and isinstance(n, int) and isinstance(k, int):
         return DEFINETTI_CONSTANT * (Fraction(64 * k, n) + Fraction(eps))
     return DEFINETTI_CONSTANT * (64.0 * k / n + float(eps))

@@ -26,7 +26,6 @@ from .quantum_core import (DensityMatrix, _as_matrix, _pauli_strings, partial_tr
                            trace_norm)
 
 __all__ = [
-    "TMatrix",
     "ProductFormVerdict",
     "single_qubit_block",
     "block_inverse_exact",
@@ -75,33 +74,20 @@ def _tset(num_qubits: int) -> np.ndarray:
     return projs
 
 
-@dataclass(frozen=True)
-class TMatrix:
-    """T[k, a] = <phi_k| sigma_a |phi_k>, outcomes k and Pauli strings a
-    both lexicographic; probabilities are p = 2^{-q} T alpha for the
-    coefficients alpha of rho = 2^{-q} sum alpha_a sigma_a."""
-
-    num_qubits: int
-    mat: np.ndarray
-
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.mat)
-
-    def inverse_induced_norm(self) -> float:
-        """Induced 1-norm (maximum absolute column sum) of T^{-1}."""
-        return float(np.abs(self.inverse()).sum(axis=0).max())
-
-
 def single_qubit_block() -> np.ndarray:
     """The 4x4 block B[s, a] = tr(phi_s sigma_a), states ordered
     (+, +i, 0, -), Paulis (id, sx, sz, sy); entries are integers."""
-    return build_t_matrix(1).mat
+    return build_t_matrix(1)
 
 
 # A plain function around a cached one, so that perfbench's tracer, which
 # wraps plain functions only, still sees each call.
-def build_t_matrix(num_qubits: int = 4) -> TMatrix:
-    return TMatrix(num_qubits, _t_mat(num_qubits))
+def build_t_matrix(num_qubits: int = 4) -> np.ndarray:
+    """T[k, a] = <phi_k| sigma_a |phi_k>, outcomes k and Pauli strings a
+    both lexicographic; probabilities are p = 2^{-q} T alpha for the
+    coefficients alpha of rho = 2^{-q} sum alpha_a sigma_a.  The returned
+    array is shared and read-only."""
+    return _t_mat(num_qubits)
 
 
 @cache
@@ -138,9 +124,10 @@ def block_inverse_norm_exact() -> Fraction:
 
 
 def t_inverse_norm(num_qubits: int = 4) -> float:
-    """Induced 1-norm of T^{-1}; 2^q by the tensor-product structure
-    (16 for the two-pair case)."""
-    return build_t_matrix(num_qubits).inverse_induced_norm()
+    """Induced 1-norm (maximum absolute column sum) of T^{-1}; 2^q by the
+    tensor-product structure (16 for the two-pair case)."""
+    tinv = np.linalg.inv(build_t_matrix(num_qubits))
+    return float(np.abs(tinv).sum(axis=0).max())
 
 
 def steering_constant(n: int = 2, m: int = 2) -> int:
@@ -163,7 +150,7 @@ def tomographic_probabilities(rho, num_qubits: int = 4) -> np.ndarray:
 
 def recover_pauli_coefficients(probs, num_qubits: int = 4) -> np.ndarray:
     """Invert p = 2^{-q} T alpha; output matches pauli_decompose ordering."""
-    tinv = build_t_matrix(num_qubits).inverse()
+    tinv = np.linalg.inv(build_t_matrix(num_qubits))
     return (2 ** num_qubits) * (tinv @ np.asarray(probs, dtype=float))
 
 

@@ -63,7 +63,7 @@ def test_criterion_02_binary_closed_forms():
         m = rc.binary_map(f0)
         x = np.array([0.95, 0.0, 0.0, 0.05])
         for _ in range(4000):
-            nxt, _ = m.step(x)
+            nxt, _ = m(x)
             if np.abs(nxt - x).max() < 1e-15:
                 x = nxt
                 break

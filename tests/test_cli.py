@@ -5,11 +5,14 @@ import io
 import json
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from qdistill import cli
+from qdistill import fixed_point as fp
+from qdistill import security_bounds as sb
 
 
 def run_json(argv, capsys):
@@ -155,6 +158,97 @@ def test_bounds_definetti(capsys):
     assert doc["value"] == pytest.approx(142829.2225, rel=1e-12)
 
 
+def _pair_budget_payload(M, xi):
+    pb = sb.pair_budget(M, xi)
+    return {"bound_name": "pair-budget", "inputs": {"M": M, "xi": xi},
+            "c": pb.c, "distillation_pairs": pb.distillation_pairs,
+            "k_exact": pb.k_exact, "k_ceil": pb.k_ceil,
+            "residual": pb.residual()}
+
+
+def _crossing_gap_payload(f0):
+    lam = fp.binary_lambda_max(Decimal(f0))
+    gap = sb.postselect_crossing_gap(lam)
+    return {"bound_name": "crossing-gap", "inputs": {"f0": f0},
+            "lambda": float(lam), "gap_bits": gap, "nontrivial": gap > 0}
+
+
+def _postselection_payload(n, eps):
+    report = sb.bound_report("postselection", {"n": n, "epsilon_P": eps},
+                             sb.postselection_bound(n, eps))
+    report["log_value"] = sb.postselection_bound_log(n, eps)
+    return report
+
+
+def _robustness_payload(beta, f_min, k, M, xi):
+    res = sb.robustness_bound(sb.RobustnessInput(beta, f_min, k, M, xi))
+    return sb.bound_report(
+        "robustness",
+        {"beta": beta, "f_min": f_min, "k": k, "M": M, "xi": xi,
+         "margin": res.margin, "undistillable": res.undistillable,
+         "budget_consistent": res.budget_consistent},
+        res.value, res.chain_terms)
+
+
+# Every chain with its flags and the payload built from the library call it
+# wraps; argparse reads --k as a float.
+BOUND_CHAINS = {
+    "definetti": (["--n", "1000000", "--k", "1000", "--epsP", "0.0001"],
+                  lambda: sb.bound_report(
+                      "definetti",
+                      {"n": 1000000, "k": 1000.0, "epsilon_P": 0.0001},
+                      sb.definetti_bound(1000000, 1000.0, 0.0001))),
+    "postselection": (["--n", "20000", "--epsP", "1e-6"],
+                      lambda: _postselection_payload(20000, 1e-6)),
+    "leak": (["--eps", "1e-8"], lambda: sb.bound_report(
+        "leak", {"epsilon": 1e-8}, sb.leak_bound(1e-8))),
+    "localstates": (["--eps", "1e-8"], lambda: sb.bound_report(
+        "localstates", {"epsilon": 1e-8}, sb.localstates_lift(1e-8))),
+    "purification": (["--eps", "1e-8"], lambda: sb.bound_report(
+        "purification", {"epsilon": 1e-8}, sb.purification_lift(1e-8))),
+    "postselection-chain": (["--eps", "1e-8"], lambda: sb.bound_report(
+        "postselection-chain", {"epsilon": 1e-8},
+        sb.postselection_chain(1e-8))),
+    "hoeffding": (["--eta", "0.1", "--k", "1e6"], lambda: sb.bound_report(
+        "hoeffding", {"eta": 0.1, "k": 1e6}, sb.hoeffding_pe_abort(0.1, 1e6))),
+    "robustness": (["--beta", "0.98", "--f-min", "0.52", "--k", "1e6",
+                    "--M", "5", "--xi", "20"],
+                   lambda: _robustness_payload(0.98, 0.52, 1e6, 5, 20.0)),
+    "pair-budget": (["--M", "3", "--xi", "5"],
+                    lambda: _pair_budget_payload(3, 5.0)),
+    "crossing-gap": (["--f0", "0.9999999999999999999"],
+                     lambda: _crossing_gap_payload("0.9999999999999999999")),
+}
+
+
+@pytest.mark.parametrize("chain", list(BOUND_CHAINS))
+def test_bounds_chain_matches_library(chain, capsys):
+    flags, payload = BOUND_CHAINS[chain]
+    code = cli.run(["bounds", "--chain", chain] + flags)
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = io.StringIO()
+    cli.emit_json(payload(), expected)
+    assert out == expected.getvalue()       # same keys, order and digits
+
+
+@pytest.mark.parametrize("chain", list(BOUND_CHAINS))
+def test_bounds_chain_names_missing_flags(chain, capsys):
+    assert cli.run(["bounds", "--chain", chain]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"required for chain {chain!r}" in captured.err
+
+
+def test_bounds_definetti_rejects_trace_distance_above_two(capsys):
+    code = cli.run(["bounds", "--chain", "definetti", "--n", "1000",
+                    "--k", "10", "--epsP", "2.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "epsilon_P must lie in [0, 2]" in captured.err
+
+
 # ------------------------------------------------------------ steering-audit
 
 def test_steering_audit_summary(capsys):
@@ -209,6 +303,17 @@ def test_montecarlo_f_min_auto_requires_corr2(capsys):
          "--n-pairs", "4096", "--rounds", "2", "--f-min", "auto",
          "--trials", "120"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("noise", ["worst:0.97", "channel:0.97"])
+def test_montecarlo_noise_without_pauli_mixture_is_usage_error(noise, capsys):
+    code = cli.run(["montecarlo", "--n-pairs", "64", "--beta", "0.9",
+                    "--noise", noise, "--rounds", "1", "--f-min", "0.5",
+                    "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 # -------------------------------------------------------- config file / seed

@@ -68,6 +68,20 @@ def test_config_as_dict_roundtrips_noise():
     assert d["delta"] == cfg.resolved_delta
 
 
+def test_config_rejects_noise_without_pauli_mixture():
+    with pytest.raises(ValueError, match="Pauli-mixture"):
+        make_config(noise=nm.WorstCaseNoise(0.97))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.65, 0.7, 0.9, 0.98, 1.0])
+def test_trajectory_starts_at_channel_state(beta):
+    # simulate_run estimates from the trajectory's round-0 marginal instead
+    # of rebuilding the channel state; the two must agree bit for bit
+    cfg = make_config(beta=beta, f_min=0.0)
+    marginals, _ = mc._round_trajectory(cfg)
+    assert np.array_equal(marginals[0], cfg.channel_state().p)
+
+
 def test_channel_state_is_isotropic_mix():
     cfg = make_config(beta=0.9)
     p = cfg.channel_state().p
@@ -177,6 +191,22 @@ def test_abort_estimate_wilson_interval():
     assert lo <= est.rate <= hi + 1e-12
     assert hi == pytest.approx(1.0, abs=1e-12)
     assert 0.9 < lo < 1.0
+
+
+def test_abort_estimate_keeps_the_trials_in_order():
+    cfg = mc.ProtocolConfig(n_pairs=256, beta=0.65,
+                            noise=nm.TwoQubitCorrelatedNoise(0.99), rounds=4,
+                            f_min=0.5, seed=5, trials=100)
+    est = mc.estimate_abort_probability(cfg)
+    again = [mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t))
+             for t in range(cfg.trials)]
+    assert len(est.outcomes) == cfg.trials
+    assert [(o.flag, o.abort_stage, o.pair_counts, o.fidelity_estimate)
+            for o in est.outcomes] == [
+        (o.flag, o.abort_stage, o.pair_counts, o.fidelity_estimate)
+        for o in again]
+    assert est.aborts == sum(not o.ok for o in again)
+    assert 0 < est.aborts < cfg.trials
 
 
 def test_abort_estimate_zero_rate_interval():

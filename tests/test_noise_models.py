@@ -96,7 +96,7 @@ def test_standard_form_fidelity_values():
 # ----------------------------------------------------------- worstcase branch
 
 def test_worstcase_channel_error_branch_structure():
-    ch = nm.worstcase_map_check(0.97)
+    ch = nm.WorstCaseChannel(0.97)
     assert ch.f_i == pytest.approx(0.97)
     err = ch.error_state().mat
     # the error branch ignores its input: |B01><B01| (x) |B00><B00|
@@ -120,7 +120,6 @@ def test_worstcase_channel_error_branch_structure():
     nm.TwoQubitCorrelatedNoise(0.85),
     nm.BinaryNoise(0.9),
     nm.WorstCaseNoise(0.97),
-    nm.ChannelBeta(0.98),
 ])
 def test_noise_config_roundtrip(model):
     cfg = nm.noise_to_config(model)
@@ -140,7 +139,7 @@ def test_noise_from_config_rejects_unknown_kind():
     (nm.TwoQubitCorrelatedNoise, -0.1, 1.1),
     (nm.BinaryNoise, -0.1, 1.1),
     (nm.WorstCaseNoise, -0.1, 1.1),
-    (nm.ChannelBeta, -0.1, 1.1),
+    (nm.WorstCaseChannel, -0.1, 1.1),
 ])
 def test_parameter_range_validation(cls, lo, hi):
     with pytest.raises(ValueError):

@@ -135,7 +135,7 @@ def test_reduced_map_matches_embedded_marginal(rng):
             BellDiagonalState(q), flags="correlated")
         full, n_full = rc.dejmps_noisy_step(s.p, WHITE98)
         marg = LabeledEnsembleState(full).bell_marginal().p
-        r, n_red = red.step(q)
+        r, n_red = red(q)
         assert np.abs(marg - r).max() < 1e-14
         assert n_red == pytest.approx(n_full, abs=1e-14)
 
@@ -219,7 +219,7 @@ def test_recurrence_map_metadata_and_call():
     assert m.dim == 4
     assert m.params["f0"] == 0.9
     out, n0 = m(np.array([0.7, 0.1, 0.1, 0.1]))
-    out2, n = m.step(np.array([0.7, 0.1, 0.1, 0.1]))
+    out2, n = m(np.array([0.7, 0.1, 0.1, 0.1]))
     assert np.allclose(out, out2)
     assert n0 == n
     assert 0 < n <= 1

@@ -58,9 +58,11 @@ def test_definetti_input_validation():
     with pytest.raises(ValueError):
         sb.definetti_bound(10, 0, 0.0)       # k < 1
     with pytest.raises(ValueError):
-        sb.BoundInput(10, 1, 2.5)            # trace distance above 2
+        sb.definetti_bound(10, 1, 2.5)       # trace distance above 2
     with pytest.raises(ValueError):
-        sb.BoundInput(10, 1, -0.1)
+        sb.definetti_bound(10, 1, -0.1)
+    with pytest.raises(ValueError):
+        sb.definetti_bound(10, 1, sb.PowerLawEps(3.0, 0.0))
 
 
 # --------------------------------------------------------------- postselection

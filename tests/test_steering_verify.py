@@ -52,9 +52,9 @@ def test_block_inverse_is_really_the_inverse():
 
 def test_t_matrix_is_kron_power_of_block():
     b = sv.single_qubit_block()
-    t2 = sv.build_t_matrix(2).mat
+    t2 = sv.build_t_matrix(2)
     assert np.abs(t2 - np.kron(b, b)).max() < 1e-14
-    t4 = sv.build_t_matrix(4).mat
+    t4 = sv.build_t_matrix(4)
     assert np.abs(t4 - np.kron(np.kron(b, b), np.kron(b, b))).max() < 1e-14
 
 
