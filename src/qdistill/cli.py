@@ -319,6 +319,8 @@ def _random_density(rng, dim: int) -> np.ndarray:
 
 
 def _cmd_steering_audit(args, cfg) -> int:
+    if args.states < 1:
+        raise ValueError("--states must be at least 1")
     seed = resolve_seed(args, cfg)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # All random states first, then all products: the order of the draws.
@@ -333,8 +335,7 @@ def _cmd_steering_audit(args, cfg) -> int:
         "audits": [v.as_audit_dict() for v in verdicts],
         "summary": {"count": len(verdicts),
                     "violations": sum(not v.holds for v in verdicts),
-                    "min_slack": min((v.slack for v in verdicts),
-                                     default=math.inf),
+                    "min_slack": min(v.slack for v in verdicts),
                     "t_inverse_norm": sv.t_inverse_norm(),
                     "constant": sv.steering_constant()},
         "meta": {"seed": seed, "states": args.states},
@@ -646,6 +647,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process for :func:`run`; ``parse_args`` builds a
+    fresh Namespace on each call, so sharing it is safe."""
+    return build_parser()
+
+
 _DISPATCH = {
     "fixed-point": _cmd_fixed_point,
     "scan": _cmd_scan,
@@ -657,9 +665,8 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,13 @@
 """Seeded simulation of the honest-distributor protocol.
 
-One trial: transmit pairs through the depolarizing channel, symmetrize by
-an explicit random permutation, sacrifice ~sqrt(n) pairs for correlation
-measurements (sigma_x ⊗ sigma_x on the first pair of each pair-of-pairs,
-sigma_z ⊗ sigma_z on the second), abort if the fidelity estimate is below
-F_min + delta, then run M distillation rounds with per-pair-of-pairs
-Bernoulli attrition at the round's true success probability.
+One trial: transmit pairs through the depolarizing channel, sacrifice
+~sqrt(n) pairs for correlation measurements (sigma_x ⊗ sigma_x on the first
+pair of each pair-of-pairs, sigma_z ⊗ sigma_z on the second), abort if the
+fidelity estimate is below F_min + delta, then run M distillation rounds
+with per-pair-of-pairs Bernoulli attrition at the round's true success
+probability.  Symmetrization is implicit: the simulated pairs are i.i.d.
+and hence exchangeable, so only the size of the estimation subset matters,
+never which pairs it holds.
 
 All randomness flows from counter-based per-trial streams derived from the
 64-bit seed, so results are reproducible and order-independent across
@@ -187,11 +189,9 @@ def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome
     if rng is None:
         rng = trial_rng(config.seed, trial)
 
-    # Symmetrization: a real permutation of pair indices; its head is the
-    # estimation subset.
-    perm = rng.permutation(config.n_pairs)
+    # Symmetrization is implicit: the pairs are exchangeable, so the
+    # estimation subset may be any m_est of them; only its size matters.
     m_est = math.isqrt(config.n_pairs)
-    est_pairs = perm[:m_est]
     k_d = config.n_pairs - m_est
 
     # Parameter estimation on floor(m/2) pairs-of-pairs.  Both correlation
@@ -203,10 +203,9 @@ def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome
     p = marginals[0]
     p_x = p[0] + p[2]
     p_z = p[0] + p[3]
-    mpp = est_pairs.size // 2
-    wins = int(rng.binomial(mpp, p_x * p_z)) if mpp else 0
-    xbar = wins / mpp if mpp else 0.0
-    f_hat = (3.0 * math.sqrt(xbar) - 1.0) / 2.0
+    mpp = m_est // 2                 # >= 1, since n_pairs >= 4
+    wins = int(rng.binomial(mpp, p_x * p_z))
+    f_hat = (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
     if f_hat < config.threshold:
         return RunOutcome("fail", "parameter_estimation", 0, (k_d,), f_hat, None)
 

@@ -106,12 +106,13 @@ def definetti_bound(n, k, epsilon_P, corrected: bool = False):
 def postselection_bound_log(n, epsilon_P, corrected: bool = False) -> float:
     """Natural log of 4*sqrt(2) * C(n+15, n) * eps_P(n)^(1/4); -inf at
     eps_P = 0.  Always finite otherwise (the binomial log is computed on
-    the exact integer)."""
+    the exact integer).  eps_P is a trace distance, so it must lie in
+    [0, 2]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     eps = float(_resolve_eps(epsilon_P, n, corrected))
-    if eps < 0:
-        raise ValueError("epsilon_P must be nonnegative")
+    if not 0 <= eps <= 2:
+        raise ValueError("epsilon_P must lie in [0, 2]")
     if eps == 0:
         return -math.inf
     return (math.log(4.0) + 0.5 * _LN2
@@ -124,13 +125,13 @@ def postselection_bound(n, epsilon_P, corrected: bool = False) -> float:
 
     Direct product arithmetic for n <= 1e4; beyond that the degree-15
     binomial factor can overflow doubles, so the value is assembled in the
-    log domain (inf if it exceeds float range).
+    log domain (inf if it exceeds float range).  eps_P must lie in [0, 2].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     eps = float(_resolve_eps(epsilon_P, n, corrected))
-    if eps < 0:
-        raise ValueError("epsilon_P must be nonnegative")
+    if not 0 <= eps <= 2:
+        raise ValueError("epsilon_P must lie in [0, 2]")
     if n > 10_000:
         lv = postselection_bound_log(n, eps)
         if lv == -math.inf:

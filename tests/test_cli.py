@@ -232,6 +232,15 @@ def test_bounds_chain_matches_library(chain, capsys):
     assert out == expected.getvalue()       # same keys, order and digits
 
 
+def test_requests_share_a_parser_but_not_their_flags(capsys):
+    # run() reuses one parser; a flag given to one request must not leak
+    # into the next, and build_parser still returns a fresh parser
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.run(["bounds", "--chain", "leak", "--eps", "0.1"]) == 0
+    assert cli.run(["bounds", "--chain", "leak"]) == 2
+    assert "--eps required" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("chain", list(BOUND_CHAINS))
 def test_bounds_chain_names_missing_flags(chain, capsys):
     assert cli.run(["bounds", "--chain", chain]) == 2
@@ -249,6 +258,16 @@ def test_bounds_definetti_rejects_trace_distance_above_two(capsys):
     assert "epsilon_P must lie in [0, 2]" in captured.err
 
 
+def test_bounds_postselection_rejects_trace_distance_above_two(capsys):
+    code = cli.run(["bounds", "--chain", "postselection", "--n", "100",
+                    "--epsP", "2.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "epsilon_P must lie in [0, 2]" in captured.err
+
+
 # ------------------------------------------------------------ steering-audit
 
 def test_steering_audit_summary(capsys):
@@ -260,6 +279,16 @@ def test_steering_audit_summary(capsys):
     assert doc["summary"]["t_inverse_norm"] == 16.0
     assert doc["summary"]["constant"] == 65536
     assert all(a["slack"] >= 0 for a in doc["audits"])
+
+
+@pytest.mark.parametrize("states", ["0", "-1"])
+def test_steering_audit_needs_at_least_one_state(states, capsys):
+    # an empty audit has no minimum slack; it must not print Infinity
+    code = cli.run(["steering-audit", "--states", states, "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --states must be at least 1\n"
 
 
 # ---------------------------------------------------------------- montecarlo

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
+from qdistill.quantum_core import LabeledEnsembleState
+from qdistill.recurrence import dejmps_noisy_step
 
 
 def make_config(**kw):
@@ -172,6 +175,123 @@ def test_tiny_ensembles_abort_in_distillation():
     assert out.flag == "fail"
     assert out.abort_stage == "round 2"      # 2 pairs -> 1 pair -> starved
     assert out.rounds_completed == 1
+
+
+# ------------------------------------------------------------- random stream
+
+def reference_run(cfg, t):
+    """simulate_run rebuilt by hand: (flag, abort_stage, rounds_completed,
+    pair_counts, fidelity_estimate) from the first draws of the trial's
+    stream, one binomial for estimation, then one per round."""
+    rng = mc.trial_rng(cfg.seed, t)
+    p = cfg.channel_state().p
+    m_est = math.isqrt(cfg.n_pairs)
+    mpp = m_est // 2
+    wins = int(rng.binomial(mpp, (p[0] + p[2]) * (p[0] + p[3])))
+    f_hat = (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
+    counts = [cfg.n_pairs - m_est]
+    if f_hat < cfg.threshold:
+        return "fail", "parameter_estimation", 0, tuple(counts), f_hat
+    state = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                    flags="zero")
+    dist = nm.distribution_from(cfg.noise)
+    for m in range(1, cfg.rounds + 1):
+        state, success = dejmps_noisy_step(state, dist)
+        if counts[-1] // 2 == 0:
+            return "fail", f"round {m}", m - 1, tuple(counts), f_hat
+        counts.append(int(rng.binomial(counts[-1] // 2, success)))
+        if counts[-1] == 0:
+            return "fail", f"round {m}", m - 1, tuple(counts), f_hat
+    return "ok", None, cfg.rounds, tuple(counts), f_hat
+
+
+STREAM_CELLS = {
+    "ok": make_config(n_pairs=4096, beta=0.9,
+                      noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
+    "estimation": make_config(n_pairs=256, beta=0.6, rounds=4,
+                              noise=nm.TwoQubitCorrelatedNoise(0.99),
+                              f_min=0.52),
+    "rounds": make_config(n_pairs=16, beta=0.95, rounds=4,
+                          noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
+}
+
+# Outcomes of chosen trials under the current stream.  A change to the
+# stream (draw order, generator, seeding) must update these on purpose and
+# say so, because it moves every seeded Monte Carlo output.
+PINNED_OUTCOMES = [
+    ("ok", 0, ("ok", None, 2, (4032, 1812, 821), 0.9763764763772147)),
+    ("ok", 1, ("ok", None, 2, (4032, 1827, 814), 0.9523687548277815)),
+    ("estimation", 0, ("ok", None, 4, (240, 78, 28, 8, 3), 0.799038105676658)),
+    ("estimation", 25, ("fail", "parameter_estimation", 0, (240,),
+                        0.4185586535436917)),
+    ("estimation", 76, ("fail", "round 4", 3, (240, 71, 14, 1),
+                        0.799038105676658)),
+    ("rounds", 0, ("fail", "round 4", 3, (12, 6, 3, 1), 1.0)),
+    ("rounds", 9, ("fail", "round 3", 2, (12, 5, 1), 1.0)),
+]
+
+
+def outcome_key(o):
+    return o.flag, o.abort_stage, o.rounds_completed, o.pair_counts, \
+        o.fidelity_estimate
+
+
+@pytest.mark.parametrize("cell,trial,expected", PINNED_OUTCOMES)
+def test_pinned_outcomes(cell, trial, expected):
+    cfg = STREAM_CELLS[cell]
+    assert outcome_key(mc.simulate_run(cfg, trial=trial)) == expected
+    assert reference_run(cfg, trial) == expected
+
+
+@pytest.mark.parametrize("cell,stages", [
+    ("ok", {None}),
+    ("estimation", {"parameter_estimation"}),
+    ("rounds", {"round 3", "round 4"}),
+])
+def test_simulate_run_matches_hand_rebuilt_stream(cell, stages):
+    cfg = STREAM_CELLS[cell]
+    seen = set()
+    for t in range(100):
+        out = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t))
+        assert outcome_key(out) == reference_run(cfg, t)
+        seen.add(out.abort_stage)
+    assert stages <= seen                    # the cell reaches its stage
+
+
+def pe_abort_probability(mpp, q, threshold):
+    """Exact P[estimation abort]: wins ~ Binom(mpp, q) and the trial aborts
+    when (3 sqrt(wins/mpp) - 1)/2 falls below the threshold."""
+    return sum(math.comb(mpp, w) * q ** w * (1 - q) ** (mpp - w)
+               for w in range(mpp + 1)
+               if (3.0 * math.sqrt(w / mpp) - 1.0) / 2.0 < threshold)
+
+
+def binomial_band(trials, p, tail):
+    """Smallest [lo, hi] with P[X < lo] <= tail and P[X > hi] <= tail for
+    X ~ Binom(trials, p)."""
+    pmf = [math.comb(trials, k) * p ** k * (1 - p) ** (trials - k)
+           for k in range(trials + 1)]
+    cdf = np.cumsum(pmf)                     # P[X <= k]
+    sf = np.cumsum(pmf[::-1])[::-1]          # P[X >= k]
+    return int(np.argmax(cdf > tail)), int(np.nonzero(sf > tail)[0][-1])
+
+
+@pytest.mark.parametrize("n_pairs", [256, 1024])
+@pytest.mark.parametrize("beta", [0.6, 0.65, 0.7])
+def test_estimation_aborts_follow_exact_binomial(n_pairs, beta):
+    # the estimation sample is floor(isqrt(n)/2) pairs-of-pairs; a wrong
+    # size moves the abort probability far outside this band
+    cfg = mc.ProtocolConfig(
+        n_pairs=n_pairs, beta=beta, noise=nm.TwoQubitCorrelatedNoise(0.99),
+        rounds=4, f_min=fp.bbpssw_two_qubit_fixed_points(0.99)[0],
+        seed=20240817, trials=1000)
+    p = cfg.channel_state().p
+    prob = pe_abort_probability(math.isqrt(n_pairs) // 2,
+                                (p[0] + p[2]) * (p[0] + p[3]), cfg.threshold)
+    lo, hi = binomial_band(cfg.trials, prob, 1e-9)
+    est = mc.estimate_abort_probability(cfg)
+    pe = sum(o.abort_stage == "parameter_estimation" for o in est.outcomes)
+    assert lo <= pe <= hi
 
 
 # ---------------------------------------------------------------- aggregates

@@ -94,6 +94,19 @@ def test_postselection_zero_epsilon():
     assert sb.postselection_bound_log(100, 0.0) == -math.inf
 
 
+@pytest.mark.parametrize("bound", [sb.postselection_bound,
+                                   sb.postselection_bound_log])
+def test_postselection_rejects_trace_distance_outside_zero_two(bound):
+    # eps_P is a trace distance; the check applies to the resolved value,
+    # so a fitted model that evaluates above 2 is rejected as well
+    for eps in (2.5, -0.1, math.nan, sb.PowerLawEps(3.0, 0.0)):
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            bound(100, eps)
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        bound(20_000, 2.5)                   # the log-domain branch too
+    assert math.isfinite(bound(100, 2.0))
+
+
 # --------------------------------------------------------------------- lifts
 
 @given(st.floats(0, 1))
