@@ -415,6 +415,8 @@ def _cmd_trace(args, cfg) -> int:
         with _open_out(args.out) as fh:
             emit_figure_data(args.figure, fh)
         return 0
+    if args.rounds < 0:
+        raise ValueError("--rounds must be nonnegative")
     model = _resolve_noise(args, cfg)
     rmap, p0 = _protocol_map(args.protocol, model, full=args.full)
     if args.p0:

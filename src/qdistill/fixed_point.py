@@ -103,6 +103,18 @@ def _step_norm(rmap, p):
     return out
 
 
+def _iterate(rmap, p0, tol, maxiter, damping=0.0) -> tuple:
+    """Iterate q <- (1 - d) q + d G(q) from p0 until ||G(q) - q||_1 < tol,
+    for at most maxiter steps; returns (the last G(q), steps, converged)."""
+    q = g = np.asarray(p0, dtype=float)
+    for step in range(1, maxiter + 1):
+        g = _step_norm(rmap, q)
+        if np.abs(g - q).sum() < tol:
+            return g, step, True
+        q = (1 - damping) * q + damping * g if damping else g
+    return g, maxiter, False
+
+
 def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
                            maxiter: int = 10000) -> FixedPointReport:
     """Iterate a recurrence map until successive iterates differ by < tol
@@ -110,21 +122,19 @@ def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
 
     On convergence the report carries the finite-difference spectral radius
     and the attractivity verdict; if maxiter is exhausted first, the report
-    records the last residual with attracting=None.
+    records the last residual with attracting=None.  ``tol`` must be finite
+    and positive and ``maxiter`` at least 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    p = np.asarray(p0, dtype=float)
-    for it in range(1, maxiter + 1):
-        nxt = _step_norm(rmap, p)
-        delta = np.abs(nxt - p).sum()
-        p = nxt
-        if delta < tol:
-            residual = float(np.abs(_step_norm(rmap, p) - p).sum())
-            lam, _ = jacobian_spectral_radius(rmap, p, residual_tol=max(100 * tol, 1e-8))
-            return FixedPointReport(p, residual, lam < 1.0, lam, it)
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    if maxiter < 1:
+        raise ValueError("maxiter must be at least 1")
+    p, steps, converged = _iterate(rmap, p0, tol, maxiter)
     residual = float(np.abs(_step_norm(rmap, p) - p).sum())
-    return FixedPointReport(p, residual, None, None, maxiter)
+    if not converged:
+        return FixedPointReport(p, residual, None, None, steps)
+    lam, _ = jacobian_spectral_radius(rmap, p, residual_tol=max(100 * tol, 1e-8))
+    return FixedPointReport(p, residual, lam < 1.0, lam, steps)
 
 
 def binary_fixed_point(f0) -> np.ndarray:
@@ -295,14 +305,7 @@ def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
         p = _step_norm(rmap, p)
         traj.append(p.copy())
     if p_fix is None:
-        q = p
-        for _ in range(rounds + 1000):
-            nxt = _step_norm(rmap, q)
-            if np.abs(nxt - q).sum() < 1e-15:
-                q = nxt
-                break
-            q = nxt
-        p_fix = q
+        p_fix, _, _ = _iterate(rmap, p, 1e-15, rounds + 1000)
     p_fix = np.asarray(p_fix, dtype=float)
     errs = np.array([np.abs(t - p_fix).sum() for t in traj])
     ns = np.arange(1, rounds + 1)
@@ -334,15 +337,7 @@ def reduced_noisy_dejmps_fixed_point(noise) -> np.ndarray:
     """
     rmap = reduced_dejmps_map(noise)
     for d in (0.5, 0.0):
-        q = np.array(DEJMPS_START)
-        converged = False
-        for _ in range(20000):
-            g = _step_norm(rmap, q)
-            if np.abs(g - q).sum() < 1e-13:
-                q = g
-                converged = True
-                break
-            q = (1 - d) * q + d * g if d else g
+        q, _, converged = _iterate(rmap, DEJMPS_START, 1e-13, 20000, d)
         if converged:
             break
     if not converged:

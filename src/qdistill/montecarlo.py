@@ -78,8 +78,8 @@ class ProtocolConfig:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.f_min <= 1:
             raise ValueError("f_min must lie in [0, 1]")
-        if self.resolved_delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.resolved_delta < math.inf:
+            raise ValueError("delta must be finite and positive")
         if self.threshold > 1:
             raise ValueError("f_min + delta must not exceed 1")
         if not 0 <= self.seed < 2 ** 64:

@@ -16,12 +16,17 @@ label combination, u = (k1^k2, k1^l1); it is the unique XOR-linear choice
 under which flag-Bell correlation (p_{ijkl} = 0 unless (i,j) = (k,l)) is
 preserved exactly, for every noise distribution.  ``conjunctive_flag_update``
 is u = (k1&k2, l1&l2); restricted to the binary support it reproduces the
-binary-pair closed formulas of :func:`binary_step` term by term.  The two
-agree on correlated inputs.
+binary-pair closed formulas term by term.  The two agree on correlated
+inputs.
 
-Every step function accepts either floats/ndarrays (fast path) or
-``fractions.Fraction`` entries (exact path, same formulas evaluated in
-rational arithmetic), so test oracles can avoid floating-point ambiguity.
+Every DEJMPS-type step is one quadratic update raw_o = sum f[F] p[A] p[B]
+over a table of (OUT, F, A, B) terms, normalized by N = sum raw, and one
+evaluator serves them all: the noisy step runs the full 2048-term table;
+the reduced, noiseless (identity noise) and binary steps run its
+restriction to their support.  The closed forms of the noiseless and
+binary steps live in the tests, as references.  Floats/ndarrays take a
+vectorised path; ``fractions.Fraction`` entries take an exact path that
+sums the same terms in rational arithmetic, for exact test oracles.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ def conjunctive_flag_update() -> FlagUpdateFunction:
     return FlagUpdateFunction("and", lambda k1, l1, k2, l2: (k1 & k2, l1 & l2))
 
 
-def _index_table(u: FlagUpdateFunction):
+def _index_table(u: FlagUpdateFunction, support=None):
     """Precomputed summation table for the 16-dim noisy recurrence.
 
     For each output label (d0,d1,g0,g1) the contributing terms are indexed by
@@ -102,40 +107,75 @@ def _index_table(u: FlagUpdateFunction):
     2048 terms total.  Returned as (OUT, F, A, B) int arrays plus list form
     for the exact-arithmetic path.
 
-    Cached on the truth table rather than on ``u``: every
+    With ``support`` (a sequence of labels) only the terms whose A, B and
+    OUT all lie on it are kept, those three renumbered to positions in
+    ``support``.  Cached on the truth table rather than on ``u``: every
     :func:`default_flag_update` call builds a new function object.
     """
-    return _table_for(u.truth_table())
+    return _table_for(u.truth_table(),
+                      None if support is None else tuple(map(int, support)))
 
 
 @cache
-def _table_for(truth_table: tuple):
-    bits = np.indices((2,) * 13).reshape(13, -1)
-    d0, d1, g0, g1, i1, k1, l1, k2, l2, a1, b1, a2, b2 = bits
-    idx = LabeledEnsembleState.index
-    u = np.array(truth_table)[idx(k1, l1, k2, l2)]
-    keep = (u[:, 0] == g0) & (u[:, 1] == g1)
-    j1, i2, j2 = d1 ^ i1, d0 ^ i1, d0 ^ d1 ^ i1
-    arrays = tuple(x[keep].astype(np.intp) for x in (
-        idx(d0, d1, g0, g1),
-        idx(a1, b1, a2, b2),
-        idx(i1 ^ a1, j1 ^ b1, k1 ^ a1, l1 ^ b1),
-        idx(i2 ^ a2, j2 ^ b2, k2 ^ a2, l2 ^ b2),
-    ))
+def _table_for(truth_table: tuple, support: tuple | None = None):
+    if support is None:
+        bits = np.indices((2,) * 13).reshape(13, -1)
+        d0, d1, g0, g1, i1, k1, l1, k2, l2, a1, b1, a2, b2 = bits
+        idx = LabeledEnsembleState.index
+        u = np.array(truth_table)[idx(k1, l1, k2, l2)]
+        keep = (u[:, 0] == g0) & (u[:, 1] == g1)
+        j1, i2, j2 = d1 ^ i1, d0 ^ i1, d0 ^ d1 ^ i1
+        arrays = tuple(x[keep].astype(np.intp) for x in (
+            idx(d0, d1, g0, g1),
+            idx(a1, b1, a2, b2),
+            idx(i1 ^ a1, j1 ^ b1, k1 ^ a1, l1 ^ b1),
+            idx(i2 ^ a2, j2 ^ b2, k2 ^ a2, l2 ^ b2),
+        ))
+    else:
+        (OUT, F, A, B), _ = _table_for(truth_table)
+        pos = np.full(16, -1, dtype=np.intp)
+        pos[list(support)] = np.arange(len(support))
+        keep = (pos[OUT] >= 0) & (pos[A] >= 0) & (pos[B] >= 0)
+        arrays = (pos[OUT][keep], F[keep], pos[A][keep], pos[B][keep])
     for a in arrays:
         a.flags.writeable = False
     return arrays, tuple(a.tolist() for a in arrays)
 
 
-def _is_exact(*arrays) -> bool:
-    for a in arrays:
-        if isinstance(a, np.ndarray) and a.dtype == object:
-            return True
-        if isinstance(a, (list, tuple)) and any(isinstance(x, Fraction) for x in a):
-            return True
-        if isinstance(a, Fraction):
-            return True
-    return False
+def _bilinear_step(table, p, f, dim: int):
+    """raw_o = sum over the table's terms of f[F] p[A] p[B]; returns
+    (raw / N, N) with N = sum raw.  Fraction entries in ``p`` or ``f`` (an
+    object array once numpy holds them) take the exact path."""
+    (OUT, F, A, B), lists = table
+    pv, fv = np.asarray(p), np.asarray(f)
+    if pv.dtype == object or fv.dtype == object:
+        pv, fv = pv.tolist(), fv.tolist()
+        raw = [Fraction(0)] * dim
+        for o, x, a, b in zip(*lists):
+            w = fv[x] * pv[a] * pv[b]
+            if w:
+                raw[o] += w
+        n = sum(raw)
+        if n == 0:
+            raise DegenerateStepError("success probability is zero")
+        return [r / n for r in raw], n
+    pv, fv = pv.astype(float, copy=False), fv.astype(float, copy=False)
+    raw = np.bincount(OUT, weights=fv[F] * pv[A] * pv[B], minlength=dim)
+    n = raw.sum()
+    if n == 0:
+        raise DegenerateStepError("success probability is zero")
+    return raw / n, float(n)
+
+
+# Tables of the two fixed-update restrictions, looked up without rebuilding
+# a truth table per step; noise label (0,0,0,0) with certainty; and the
+# binary pair (Bell amplitude bit j, flag bit l) as labels (0, j, 0, l).
+_XOR = default_flag_update().truth_table()
+_AND = conjunctive_flag_update().truth_table()
+_CORRELATED = tuple(map(int, CORRELATED_SUPPORT))
+_NO_NOISE = np.array([1] + [0] * 15)
+_BINARY_SUPPORT = tuple(LabeledEnsembleState.index(0, j, 0, l)
+                        for j in (0, 1) for l in (0, 1))
 
 
 def dejmps_noiseless_step(p):
@@ -143,26 +183,17 @@ def dejmps_noiseless_step(p):
 
     Returns (updated state, success probability N) with
     N = (p00+p11)^2 + (p01+p10)^2.  Accepts a BellDiagonalState or a raw
-    4-vector (Fraction entries take the exact path).
+    4-vector (Fraction entries take the exact path).  This is the reduced
+    map under identity noise.
     """
     wrap = isinstance(p, BellDiagonalState)
-    vec = p.p if wrap else p
-    if _is_exact(vec):
-        v = list(vec)
-        raw = [v[0] * v[0] + v[1] * v[1], 2 * v[2] * v[3],
-               v[2] * v[2] + v[3] * v[3], 2 * v[0] * v[1]]
-        n = sum(raw)
-        if n == 0:
-            raise DegenerateStepError("success probability is zero")
-        return [r / n for r in raw], n
-    v = np.asarray(vec, dtype=float)
-    raw = np.array([v[0] ** 2 + v[1] ** 2, 2 * v[2] * v[3],
-                    v[2] ** 2 + v[3] ** 2, 2 * v[0] * v[1]])
-    n = raw.sum()
-    if n == 0:
-        raise DegenerateStepError("success probability is zero")
-    out = raw / n
-    return (BellDiagonalState(out), float(n)) if wrap else (out, float(n))
+    out, n = _bilinear_step(_table_for(_XOR, _CORRELATED), p.p if wrap else p,
+                            _NO_NOISE, 4)
+    return (BellDiagonalState(out), n) if wrap else (out, n)
+
+
+def _noise_vector(noise):
+    return noise.f if isinstance(noise, NoiseDistribution) else noise
 
 
 def dejmps_noisy_step(p, noise, u: FlagUpdateFunction | None = None):
@@ -172,65 +203,24 @@ def dejmps_noisy_step(p, noise, u: FlagUpdateFunction | None = None):
     select exact arithmetic), ``u`` the flag update (default XOR).  Returns
     (updated probabilities, success N) where N is the pre-normalization sum.
     """
-    if u is None:
-        u = default_flag_update()
     wrap = isinstance(p, LabeledEnsembleState)
-    pvec = p.p if wrap else p
-    fvec = noise.f if isinstance(noise, NoiseDistribution) else noise
-    (OUT, F, A, B), lists = _index_table(u)
-    if _is_exact(pvec, fvec):
-        pv, fv = list(pvec), list(fvec)
-        acc = [Fraction(0)] * 16
-        lo, lf, la, lb = lists
-        for t in range(len(lo)):
-            w = fv[lf[t]] * pv[la[t]] * pv[lb[t]]
-            if w:
-                acc[lo[t]] += w
-        n = sum(acc)
-        if n == 0:
-            raise DegenerateStepError("success probability is zero")
-        return [a / n for a in acc], n
-    pv = np.asarray(pvec, dtype=float)
-    fv = np.asarray(fvec, dtype=float)
-    raw = np.bincount(OUT, weights=fv[F] * pv[A] * pv[B], minlength=16)
-    n = raw.sum()
-    if n == 0:
-        raise DegenerateStepError("success probability is zero")
-    out = raw / n
-    return (LabeledEnsembleState(out), float(n)) if wrap else (out, float(n))
+    out, n = _bilinear_step(_index_table(u or default_flag_update()),
+                            p.p if wrap else p, _noise_vector(noise), 16)
+    return (LabeledEnsembleState(out), n) if wrap else (out, n)
 
 
 def binary_step(p, f0):
     """One round on a binary pair: 4-vector over (Bell amplitude bit j,
     flag bit l) in order (p00, p01, p10, p11), bit-flip noise f0.
 
-    Implements the closed-form update with
-    N = (f0^2+f1^2)((p00+p01)^2+(p10+p11)^2) + 4 f0 f1 (p00+p01)(p10+p11);
-    equivalent to the general map on the binary support with the conjunctive
-    flag update.  Fraction inputs take the exact path.
+    The general map with the conjunctive flag update, restricted to the
+    binary support, under independent bit flips (f0, f1) on both pairs;
+    N = (f0^2+f1^2)((p00+p01)^2+(p10+p11)^2) + 4 f0 f1 (p00+p01)(p10+p11).
+    Fraction inputs take the exact path.
     """
-    exact = _is_exact(p, f0)
-    v = list(p) if exact else np.asarray(p, dtype=float)
-    f1 = (1 - f0) if exact else 1.0 - float(f0)
-    p00, p01, p10, p11 = v[0], v[1], v[2], v[3]
-    r00 = (f0 * f0 * (p00 * p00 + 2 * p00 * p01)
-           + f1 * f1 * (p11 * p11 + 2 * p10 * p11)
-           + 2 * f0 * f1 * (p11 * p00 + p10 * p00 + p11 * p01))
-    r01 = f0 * f0 * p01 * p01 + 2 * f0 * f1 * p10 * p01 + f1 * f1 * p10 * p10
-    r10 = (f0 * f0 * (p10 * p10 + 2 * p10 * p11)
-           + f1 * f1 * (p01 * p01 + 2 * p00 * p01)
-           + 2 * f0 * f1 * (p01 * p10 + p00 * p10 + p01 * p11))
-    r11 = f0 * f0 * p11 * p11 + 2 * f0 * f1 * p00 * p11 + f1 * f1 * p00 * p00
-    if exact:
-        n = r00 + r01 + r10 + r11
-        if n == 0:
-            raise DegenerateStepError("success probability is zero")
-        return [r00 / n, r01 / n, r10 / n, r11 / n], n
-    raw = np.array([r00, r01, r10, r11])
-    n = raw.sum()
-    if n == 0:
-        raise DegenerateStepError("success probability is zero")
-    return raw / n, float(n)
+    flip = (f0, 1 - f0, 0, 0)
+    return _bilinear_step(_table_for(_AND, _BINARY_SUPPORT), p,
+                          [x * y for x in flip for y in flip], 4)
 
 
 def bbpssw_success(p, f):
@@ -313,26 +303,17 @@ def noisy_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMa
 def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
     """The noisy DEJMPS map restricted to the correlated support
     p_{ijkl} = q_{ij} delta_{(ij),(kl)} -- the four-equations-in-four-unknowns
-    reduction.  Under the XOR flag update the support is exactly invariant
-    and the returned N equals the full-map success probability; fixed points
-    and Jacobian spectra of this map are the ones the stability analysis
-    quotes.
+    reduction.  Terms that write off the support are dropped, so N is the
+    success probability with the output post-selected onto the support.
+    Under the XOR flag update the support is exactly invariant, nothing is
+    dropped and N equals the full-map success probability; fixed points and
+    Jacobian spectra of this map are the ones the stability analysis quotes.
     """
     u = u or default_flag_update()
-
-    def fn(q):
-        p = np.zeros(16)
-        p[CORRELATED_SUPPORT] = q
-        out16, n_full = dejmps_noisy_step(p, noise, u)
-        raw = out16[CORRELATED_SUPPORT]
-        s = raw.sum()
-        if s == 0:
-            raise DegenerateStepError("no weight remains on the correlated support")
-        # out16 is already normalized; s is the kept fraction of it, so the
-        # success probability of the reduced step is N_full * s.
-        return raw / s, float(n_full * s)
-
-    return RecurrenceMap("dejmps-reduced", 4, fn, {"u": u.name})
+    table = _index_table(u, CORRELATED_SUPPORT)
+    f = _noise_vector(noise)
+    return RecurrenceMap("dejmps-reduced", 4,
+                         lambda q: _bilinear_step(table, q, f, 4), {"u": u.name})
 
 
 def binary_map(f0) -> RecurrenceMap:

@@ -142,23 +142,23 @@ def postselection_bound(n, epsilon_P, corrected: bool = False) -> float:
 
 def leak_bound(epsilon) -> float:
     """2 sqrt(eps): confidentiality degradation from a leaky apparatus."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     return 2.0 * math.sqrt(epsilon)
 
 
 def localstates_lift(epsilon) -> float:
     """4 sqrt(eps): lift from shared-purification closeness to joint-state
     closeness."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     return 4.0 * math.sqrt(epsilon)
 
 
 def purification_lift(epsilon) -> float:
     """sqrt(eps): purifications of eps-close states are sqrt(eps)-close."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     return math.sqrt(epsilon)
 
 
@@ -176,10 +176,10 @@ def hoeffding_pe_abort(eta, k) -> float:
     exp(-O(sqrt(n))) estimation-abort probability; callers may substitute
     their own value wherever one is consumed.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be finite and positive")
+    if not 1 <= k < math.inf:
+        raise ValueError("k must be finite and >= 1")
     return math.exp(-eta * eta * math.sqrt(k) / 2.0)
 
 
@@ -206,12 +206,12 @@ class RobustnessInput:
             raise ValueError("beta must lie in [0, 1]")
         if not 0 <= self.f_min <= 1:
             raise ValueError("f_min must lie in [0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        if not 1 <= self.k < math.inf:
+            raise ValueError("k must be finite and >= 1")
+        if not 1 <= self.M < math.inf:
+            raise ValueError("M must be finite and >= 1")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be finite and positive")
 
     @property
     def budget_consistent(self) -> bool:
@@ -284,10 +284,10 @@ class PairBudget:
 
 
 def pair_budget(M: int, xi) -> PairBudget:
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    if not 1 <= M < math.inf:
+        raise ValueError("M must be finite and >= 1")
+    if not 0 < xi < math.inf:
+        raise ValueError("xi must be finite and positive")
     c = xi * 2 ** (M + 2)
     pairs = c * 2 ** M
     sqrt_k = (1.0 + math.sqrt(1.0 + 4.0 * pairs)) / 2.0

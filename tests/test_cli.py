@@ -84,6 +84,31 @@ def test_fixed_point_validation_exit_codes(capsys):
     capsys.readouterr()
 
 
+def usage_error(argv, capsys):
+    """Run argv; return its stderr after checking for exit 2, no stdout and
+    a single stderr line."""
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-12"])
+def test_fixed_point_tol_must_be_finite_and_positive(tol, capsys):
+    err = usage_error(["fixed-point", "--protocol", "dejmps",
+                       "--noise", "white:0.99", f"--tol={tol}"], capsys)
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("maxiter", ["-1", "0"])
+def test_fixed_point_maxiter_must_be_positive(maxiter, capsys):
+    err = usage_error(["fixed-point", "--protocol", "dejmps",
+                       "--noise", "white:0.99", f"--maxiter={maxiter}"], capsys)
+    assert "maxiter" in err
+
+
 # ---------------------------------------------------------------------- scan
 
 def test_scan_bbpssw_csv(capsys):
@@ -268,6 +293,28 @@ def test_bounds_postselection_rejects_trace_distance_above_two(capsys):
     assert "epsilon_P must lie in [0, 2]" in captured.err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["--chain", "leak", "--eps", "nan"], "epsilon"),
+    (["--chain", "leak", "--eps", "inf"], "epsilon"),
+    (["--chain", "localstates", "--eps", "nan"], "epsilon"),
+    (["--chain", "purification", "--eps", "nan"], "epsilon"),
+    (["--chain", "postselection-chain", "--eps", "nan"], "epsilon"),
+    (["--chain", "hoeffding", "--eta", "nan", "--k", "100"], "eta"),
+    (["--chain", "hoeffding", "--eta", "0.1", "--k", "nan"], "k"),
+    (["--chain", "robustness", "--beta", "0.9", "--f-min", "0.5",
+      "--k", "nan", "--M", "2", "--xi", "3"], "k"),
+    (["--chain", "robustness", "--beta", "0.9", "--f-min", "0.5",
+      "--k", "1000", "--M", "2", "--xi", "nan"], "xi"),
+    (["--chain", "robustness", "--beta", "0.9", "--f-min", "0.5",
+      "--k", "inf", "--M", "2", "--xi", "3"], "k"),
+    (["--chain", "pair-budget", "--M", "2", "--xi", "nan"], "xi"),
+    (["--chain", "pair-budget", "--M", "2", "--xi", "inf"], "xi"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bounds_reject_non_finite_inputs(argv, name, capsys):
+    err = usage_error(["bounds"] + argv, capsys)
+    assert f"error: {name} must be finite" in err
+
+
 # ------------------------------------------------------------ steering-audit
 
 def test_steering_audit_summary(capsys):
@@ -345,6 +392,15 @@ def test_montecarlo_noise_without_pauli_mixture_is_usage_error(noise, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_montecarlo_delta_must_be_finite(delta, capsys):
+    err = usage_error(["montecarlo", "--n-pairs", "256", "--beta", "0.9",
+                       "--noise", "corr2:0.99", "--rounds", "1",
+                       "--f-min", "0.5", "--trials", "10",
+                       f"--delta={delta}"], capsys)
+    assert "delta must be finite and positive" in err
+
+
 # -------------------------------------------------------- config file / seed
 
 def write_ini(tmp_path):
@@ -419,6 +475,12 @@ def test_trace_p0_must_be_a_finite_nonnegative_weight(p0, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "--p0" in captured.err
+
+
+def test_trace_rounds_must_be_nonnegative(capsys):
+    err = usage_error(["trace", "--protocol", "dejmps", "--noise",
+                       "white:0.99", "--rounds", "-3"], capsys)
+    assert "--rounds" in err
 
 
 def test_every_figure_emits_rows(capsys):

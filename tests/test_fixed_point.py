@@ -156,6 +156,15 @@ def test_iterate_to_fixed_point_nonconvergence_report():
     assert rep.lambda_max is None
 
 
+@pytest.mark.parametrize("kw", [dict(tol=float("nan")), dict(tol=float("inf")),
+                                dict(tol=0.0), dict(maxiter=0),
+                                dict(maxiter=-1)])
+def test_iterate_to_fixed_point_rejects_bad_tol_and_maxiter(kw):
+    with pytest.raises(ValueError):
+        fp.iterate_to_fixed_point(
+            rc.binary_map(0.9), np.array([0.95, 0.0, 0.0, 0.05]), **kw)
+
+
 def test_nonconvergence_error_is_runtime_error():
     assert issubclass(fp.NonConvergenceError, RuntimeError)
 

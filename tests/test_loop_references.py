@@ -1,11 +1,15 @@
-"""The index table and the ensemble embeddings against the explicit loops
-they are computed without.
+"""The index table, the steps it drives and the ensemble embeddings
+against the explicit loops and closed forms they are computed without.
 
-Each reference below is the plain loop version of a vectorised function.
-Where the arithmetic is unchanged the results must be equal; where the
-summation order changed (``cross_mass``) a tolerance of a few units in the
-last place of a unit-sum float64 vector applies.
+Each reference below is the plain loop version of a vectorised function,
+or the hand-written closed form of a step that the one table evaluator
+now computes.  Where the arithmetic is unchanged the results must be
+equal; where the summation order changed (``cross_mass``, the steps) a
+tolerance of a few units in the last place of a unit-sum float64 vector
+applies, and the exact ``Fraction`` paths must agree exactly.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from qdistill.quantum_core import (
     asymptotic_state,
     bell_basis,
     bell_vector,
+    CORRELATED_SUPPORT,
     ensemble_purification,
 )
 
@@ -51,6 +56,52 @@ def loop_index_table(u):
                                                         B.append(idx(i2 ^ a2, j2 ^ b2,
                                                                      k2 ^ a2, l2 ^ b2))
     return OUT, F, A, B
+
+
+def noiseless_raw(v):
+    """Unnormalized noiseless DEJMPS update in BELL_ORDER (00, 11, 01, 10):
+    [p00^2 + p11^2, 2 p01 p10, p01^2 + p10^2, 2 p00 p11]."""
+    return [v[0] * v[0] + v[1] * v[1], 2 * v[2] * v[3],
+            v[2] * v[2] + v[3] * v[3], 2 * v[0] * v[1]]
+
+
+def binary_raw(p, f0):
+    """Unnormalized binary-pair update over (j, l) = 00, 01, 10, 11."""
+    f1 = 1 - f0
+    p00, p01, p10, p11 = p
+    r00 = (f0 * f0 * (p00 * p00 + 2 * p00 * p01)
+           + f1 * f1 * (p11 * p11 + 2 * p10 * p11)
+           + 2 * f0 * f1 * (p11 * p00 + p10 * p00 + p11 * p01))
+    r01 = f0 * f0 * p01 * p01 + 2 * f0 * f1 * p10 * p01 + f1 * f1 * p10 * p10
+    r10 = (f0 * f0 * (p10 * p10 + 2 * p10 * p11)
+           + f1 * f1 * (p01 * p01 + 2 * p00 * p01)
+           + 2 * f0 * f1 * (p01 * p10 + p00 * p10 + p01 * p11))
+    r11 = f0 * f0 * p11 * p11 + 2 * f0 * f1 * p00 * p11 + f1 * f1 * p00 * p00
+    return [r00, r01, r10, r11]
+
+
+def normalized(raw):
+    n = sum(raw)
+    return [r / n for r in raw], n
+
+
+def embedded_reduced_step(q, noise, u):
+    """The reduced map as the embed-step-restrict it is defined by: embed q
+    on the correlated support, run the 16-dim step, keep the support and
+    renormalize; N is the full success probability times the kept share."""
+    p = np.zeros(16)
+    p[CORRELATED_SUPPORT] = q
+    out16, n_full = rc.dejmps_noisy_step(p, noise, u)
+    raw = out16[CORRELATED_SUPPORT]
+    s = raw.sum()
+    return raw / s, n_full * s
+
+
+def restricted_loop_table(u, support):
+    pos = {label: i for i, label in enumerate(support)}
+    return [[pos[o], f, pos[a], pos[b]]
+            for o, f, a, b in zip(*loop_index_table(u))
+            if o in pos and a in pos and b in pos]
 
 
 def loop_cross_mass(p):
@@ -188,3 +239,89 @@ def test_ensemble_purification_matches_loop():
     for s in ensembles():
         assert np.array_equal(ensemble_purification(s),
                               loop_ensemble_purification(s.p))
+
+
+BINARY_SUPPORT = [idx(0, j, 0, l) for j in BITS for l in BITS]
+RESTRICTIONS = [(rc.default_flag_update(), CORRELATED_SUPPORT, 128),
+                (rc.conjunctive_flag_update(), BINARY_SUPPORT, 32)]
+
+
+@pytest.mark.parametrize("u,support,size", RESTRICTIONS,
+                         ids=["xor-correlated", "and-binary"])
+def test_restricted_table_matches_filtered_loop(u, support, size):
+    arrays, lists = rc._index_table(u, support)
+    want = restricted_loop_table(u, list(support))
+    assert len(want) == size
+    assert [list(t) for t in zip(*lists)] == want
+    for got, got_list in zip(arrays, lists):
+        assert got.dtype == np.intp
+        assert got.tolist() == got_list
+        assert not got.flags.writeable
+    assert rc._index_table(u, support) is rc._index_table(u, tuple(support))
+
+
+def test_xor_restriction_drops_no_weight():
+    # Under XOR every full-table term with A and B on the correlated
+    # support writes onto it, so the 128 kept terms are all of them.
+    (OUT, _F, A, B), _ = rc._index_table(rc.default_flag_update())
+    on = np.isin(A, CORRELATED_SUPPORT) & np.isin(B, CORRELATED_SUPPORT)
+    assert on.sum() == 128
+    assert np.isin(OUT[on], CORRELATED_SUPPORT).all()
+
+
+def test_noiseless_step_matches_closed_form_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        v = [Fraction(int(x), 97) for x in rng.integers(0, 40, 4)]
+        v[0] += 1
+        out, n = rc.dejmps_noiseless_step(v)
+        assert (out, n) == normalized(noiseless_raw(v))
+
+
+def test_noiseless_step_matches_closed_form_in_floats():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        v = rng.dirichlet(np.ones(4))
+        want, n_want = normalized(noiseless_raw(v))
+        out, n = rc.dejmps_noiseless_step(v)
+        assert np.abs(out - np.array(want)).max() <= 1e-15
+        assert abs(n - n_want) <= 1e-15
+
+
+@pytest.mark.parametrize("f0", [Fraction(1), Fraction(9, 10), Fraction(3, 4),
+                                Fraction(1, 3), Fraction(0)])
+def test_binary_step_matches_closed_form_exactly(f0):
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        p = [Fraction(int(x), 89) for x in rng.integers(0, 30, 4)]
+        p[0] += 1
+        out, n = rc.binary_step(p, f0)
+        assert (out, n) == normalized(binary_raw(p, f0))
+
+
+def test_binary_step_matches_closed_form_in_floats():
+    rng = np.random.default_rng(14)
+    for f0 in (1.0, 0.99, 0.9, 0.75, 0.5, 0.2):
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(4))
+            want, n_want = normalized(binary_raw(p, f0))
+            out, n = rc.binary_step(p, f0)
+            assert np.abs(out - np.array(want)).max() <= 1e-15
+            assert abs(n - n_want) <= 1e-15
+
+
+@pytest.mark.parametrize("u", [rc.default_flag_update(),
+                               rc.conjunctive_flag_update()],
+                         ids=lambda u: u.name)
+def test_reduced_map_matches_embedded_step(u):
+    # A non-XOR update writes off the support; dropping those terms is the
+    # embedded step restricted and renormalized, with N scaled by the share.
+    rng = np.random.default_rng(15)
+    noise = nm.distribution_from(nm.TwoQubitCorrelatedNoise(0.9))
+    rmap = rc.reduced_dejmps_map(noise, u)
+    for _ in range(20):
+        q = rng.dirichlet(np.ones(4))
+        want, n_want = embedded_reduced_step(q, noise, u)
+        out, n = rmap(q)
+        assert np.abs(out - want).max() <= 1e-15
+        assert abs(n - n_want) <= 1e-15

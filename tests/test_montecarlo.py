@@ -43,6 +43,14 @@ def test_config_validation():
         make_config(f_min=0.999, delta=0.01)  # threshold above 1
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_delta(delta):
+    # a NaN threshold never compares below the estimate, so estimation
+    # would never abort
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        make_config(delta=delta)
+
+
 def test_delta_default_clamps_to_positive():
     # the proof margin (3 beta - 4 f_min - 1)/4 is negative here; the
     # default must still give a usable positive abort margin

@@ -116,6 +116,14 @@ def test_lift_factors(eps):
     assert sb.purification_lift(eps) == pytest.approx(math.sqrt(eps))
 
 
+@pytest.mark.parametrize("lift", [sb.leak_bound, sb.localstates_lift,
+                                  sb.purification_lift, sb.postselection_chain])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+def test_lifts_reject_non_finite_or_negative_epsilon(lift, eps):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        lift(eps)
+
+
 def test_postselection_chain_reference():
     # 4 sqrt(2) eps^(1/4) at eps = 1e-8
     val = sb.postselection_chain(1e-8)
@@ -141,6 +149,13 @@ def test_hoeffding_pe_abort_reference():
 @given(st.floats(0.001, 0.5), st.integers(100, 10 ** 8))
 def test_hoeffding_pe_abort_decreases_with_k(eta, k):
     assert sb.hoeffding_pe_abort(eta, 4 * k) <= sb.hoeffding_pe_abort(eta, k)
+
+
+@pytest.mark.parametrize("eta,k", [(math.nan, 100), (math.inf, 100),
+                                   (0.1, math.nan), (0.1, math.inf)])
+def test_hoeffding_pe_abort_rejects_non_finite_inputs(eta, k):
+    with pytest.raises(ValueError, match="must be finite"):
+        sb.hoeffding_pe_abort(eta, k)
 
 
 # ----------------------------------------------------------------- robustness
@@ -202,6 +217,23 @@ def test_robustness_input_validation():
         sb.RobustnessInput(0.9, 0.5, 100, 0, 1.0)    # no rounds
     with pytest.raises(ValueError):
         sb.RobustnessInput(0.9, 0.5, 100, 2, -1.0)   # negative xi
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", math.nan), ("k", math.inf), ("M", math.nan), ("M", math.inf),
+    ("xi", math.nan), ("xi", math.inf)])
+def test_robustness_input_rejects_non_finite_values(field, value):
+    args = dict(beta=0.9, f_min=0.5, k=100, M=2, xi=1.0)
+    args[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        sb.RobustnessInput(**args)
+
+
+@pytest.mark.parametrize("M,xi", [(math.nan, 1.0), (math.inf, 1.0),
+                                  (2, math.nan), (2, math.inf)])
+def test_pair_budget_rejects_non_finite_values(M, xi):
+    with pytest.raises(ValueError, match="must be finite"):
+        sb.pair_budget(M, xi)
 
 
 # ---------------------------------------------------------------- pair budget
