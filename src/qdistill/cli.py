@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from functools import cache
 
 import numpy as np
@@ -184,14 +184,27 @@ def _cmd_fixed_point(args, cfg) -> int:
     return 0
 
 
+#: Most points a --noise-grid may hold; each point is one solve.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(spec: str) -> np.ndarray:
+    """Noise parameters lo, lo + step, ... up to hi (within step/2), all
+    in [0, 1]: points the half-step slack carries past 1 are set to 1."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid {spec!r} must look like lo:hi:step") from None
-    if step <= 0 or hi < lo:
-        raise ValueError("grid needs step > 0 and hi >= lo")
-    return np.arange(lo, hi + step / 2, step)
+    if not 0 <= lo <= hi <= 1:
+        raise ValueError("grid needs finite bounds with 0 <= lo <= hi <= 1")
+    if not 0 < step < math.inf:
+        raise ValueError("grid needs a finite step > 0")
+    # np.arange's length, before it rounds up to a whole number of points.
+    count = (hi + step / 2 - lo) / step
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
+    return np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
 
 
 def _reduced_solution(model) -> tuple:
@@ -270,7 +283,11 @@ def _pair_budget_report(a) -> dict:
 
 
 def _crossing_gap_report(a) -> dict:
-    lam = fp.binary_lambda_max(Decimal(a.f0))
+    try:
+        f0 = Decimal(a.f0)
+    except InvalidOperation:
+        raise ValueError(f"--f0 {a.f0!r} is not a decimal number") from None
+    lam = fp.binary_lambda_max(f0)
     gap = sb.postselect_crossing_gap(lam)
     return {"bound_name": "crossing-gap", "inputs": {"f0": a.f0},
             "lambda": float(lam), "gap_bits": gap, "nontrivial": gap > 0}

@@ -89,14 +89,6 @@ class ConvergenceFit:
     r_squared: float
     n_used: int
 
-    def power_law(self) -> tuple:
-        """Translate to a per-pair error model eps(N) = a * N**(-b).
-
-        Rounds and pair count are related by n = log2(N), so the per-round
-        decay exp(slope) becomes the power N**(slope/ln 2).
-        """
-        return math.exp(self.intercept), -self.slope / math.log(2.0)
-
 
 def _step_norm(rmap, p):
     out, _ = rmap(p)
@@ -157,9 +149,12 @@ def binary_lambda_max(f0):
     The value is signed (negative on most of the attracting window);
     attractivity is |value| < 1.  Decimal input is computed in 50-digit
     decimal arithmetic, which matters near f0 = 1 where 1 - f0 underflows
-    double precision.
+    double precision.  f0 is a bit-flip weight, so it must be finite and
+    at most 1.
     """
     if isinstance(f0, Decimal):
+        if not f0.is_finite() or f0 > 1:
+            raise ValueError("f0 must be finite and at most 1")
         with localcontext() as ctx:
             ctx.prec = 50
             rad = 4 * f0 - 3
@@ -167,6 +162,8 @@ def binary_lambda_max(f0):
                 raise ValueError("domain requires f0 >= 3/4")
             return (f0 * rad.sqrt() - f0) / (2 * f0 - 1)
     f0 = float(f0)
+    if not f0 <= 1:
+        raise ValueError("f0 must be finite and at most 1")
     if 4 * f0 - 3 < 0:
         raise ValueError("domain requires f0 >= 3/4")
     return (f0 * math.sqrt(4 * f0 - 3) - f0) / (2 * f0 - 1)

@@ -27,7 +27,6 @@ import numpy as np
 from .quantum_core import BellDiagonalState, LabeledEnsembleState
 from .noise_models import apply_channel_phi, distribution_from, noise_to_config
 from .recurrence import dejmps_noisy_step
-from .fixed_point import reduced_noisy_dejmps_fixed_point
 from .security_bounds import RobustnessInput, RobustnessResult, robustness_bound
 
 __all__ = [
@@ -35,13 +34,11 @@ __all__ = [
     "RunOutcome",
     "AbortEstimate",
     "RobustnessCheck",
-    "TrajectoryRow",
     "config_hash",
     "trial_rng",
     "simulate_run",
     "estimate_abort_probability",
     "check_robustness",
-    "fidelity_trajectory",
 ]
 
 # 99% two-sided normal quantile, used by the Wilson interval.
@@ -163,14 +160,10 @@ class RunOutcome:
         return self.flag == "ok"
 
 
-def _round_trajectory(config: ProtocolConfig):
-    """Deterministic ensemble evolution: (marginals, success probabilities)
-    for rounds 1..M, shared by every trial of a campaign."""
-    return _trajectory(config.beta, config.noise, config.rounds)
-
-
 @lru_cache(maxsize=64)
 def _trajectory(beta: float, noise, rounds: int):
+    """Deterministic ensemble evolution: (marginals, success probabilities)
+    for rounds 1..M, shared by every trial of a campaign."""
     dist = distribution_from(noise)
     state = LabeledEnsembleState.from_bell_diagonal(
         apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])), beta),
@@ -199,7 +192,8 @@ def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome
     # succeeds with probability p00+p01' (phase bit 0) and the second with
     # p00+p10' (amplitude bit 0), independent across the two pairs.  The
     # trajectory's round-0 marginal is the channel state.
-    marginals, successes = _round_trajectory(config)
+    marginals, successes = _trajectory(config.beta, config.noise,
+                                       config.rounds)
     p = marginals[0]
     p_x = p[0] + p[2]
     p_z = p[0] + p[3]
@@ -291,31 +285,3 @@ def check_robustness(config: ProtocolConfig) -> RobustnessCheck:
     bound = robustness_bound(RobustnessInput(config.beta, config.f_min, k,
                                              config.rounds, xi))
     return RobustnessCheck(estimate_abort_probability(config), xi, bound)
-
-
-@dataclass(frozen=True)
-class TrajectoryRow:
-    round_index: int
-    marginal: np.ndarray
-    success_probability: float | None
-    pairs: int
-    distance_to_fixed_point: float
-
-
-def fidelity_trajectory(config: ProtocolConfig, rng=None) -> list:
-    """Deterministic per-round Bell-diagonal evolution joined with one
-    trial's stochastic pair counts.
-
-    The distance column is ||q_m - q_inf||_1 against the reduced noisy
-    fixed point (for Bell-diagonal states this equals the trace-norm
-    distance).  Rows stop at the abort round if the trial failed.
-    """
-    outcome = simulate_run(config, rng)
-    marginals, successes = _round_trajectory(config)
-    q_fix = reduced_noisy_dejmps_fixed_point(distribution_from(config.noise))
-    rows = []
-    for m, pairs in enumerate(outcome.pair_counts):
-        rows.append(TrajectoryRow(
-            m, marginals[m], successes[m - 1] if m else None, int(pairs),
-            float(np.abs(marginals[m] - q_fix).sum())))
-    return rows

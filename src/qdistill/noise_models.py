@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import BellDiagonalState, DensityMatrix, _probabilities, bell_vector
+from .quantum_core import BellDiagonalState, _probabilities
 
 __all__ = [
     "NoiseDistribution",
@@ -33,10 +33,8 @@ __all__ = [
     "TwoQubitCorrelatedNoise",
     "BinaryNoise",
     "WorstCaseNoise",
-    "WorstCaseChannel",
     "distribution_from",
     "apply_channel_phi",
-    "standard_form_fidelity",
     "noise_to_config",
     "noise_from_config",
 ]
@@ -126,58 +124,17 @@ def distribution_from(model) -> NoiseDistribution:
     raise TypeError(f"no Pauli-mixture expansion for {type(model).__name__}")
 
 
-def apply_channel_phi(state, beta: float):
-    """Depolarizing transmission channel rho -> beta*rho + (1-beta)*I/4.
+def apply_channel_phi(state: BellDiagonalState, beta: float) -> BellDiagonalState:
+    """Depolarizing transmission channel rho -> beta*rho + (1-beta)*I/4 on a
+    Bell-diagonal state, acting on its four probabilities.
 
-    Accepts a BellDiagonalState (acts on the 4 probabilities) or a two-qubit
-    DensityMatrix; returns the same type.  Linear, trace preserving, and
-    multiplicative under composition: Phi_b1 after Phi_b2 = Phi_{b1*b2}.
+    Linear, trace preserving, and multiplicative under composition:
+    Phi_b1 after Phi_b2 = Phi_{b1*b2}.
     """
     beta = _check_unit_interval(beta, "beta")
-    if isinstance(state, BellDiagonalState):
-        return BellDiagonalState(beta * state.p + (1.0 - beta) / 4.0)
-    if isinstance(state, DensityMatrix):
-        if state.dim != 4:
-            raise ValueError("channel acts on two-qubit states")
-        return DensityMatrix(beta * state.mat + (1.0 - beta) * np.eye(4) / 4.0)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def standard_form_fidelity(x: float) -> float:
-    """Lower bound 1 - 17x on the gate fidelity after depolarization to
-    standard form, valid for gate infidelity x <= 1/17."""
-    if x < 0:
-        raise ValueError(f"infidelity must be nonnegative, got {x!r}")
-    if x > 1.0 / 17.0:
-        raise ValueError("standard form not guaranteed useful (x > 1/17)")
-    return 1.0 - 17.0 * x
-
-
-@dataclass(frozen=True)
-class WorstCaseChannel:
-    """CP decomposition E = f_I * E_ideal + (1 - f_I) * E_error where the
-    error branch ignores its input and outputs |B01><B01| (x) |B00><B00|.
-
-    The recurrences consume only f_i (see :class:`WorstCaseNoise`); the
-    explicit channel makes the constant-output property checkable.
-    """
-
-    f_i: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "f_i", _check_unit_interval(self.f_i, "f_i"))
-
-    def error_state(self) -> DensityMatrix:
-        b01 = bell_vector(0, 1)
-        b00 = bell_vector(0, 0)
-        out = np.kron(np.outer(b01, b01.conj()), np.outer(b00, b00.conj()))
-        return DensityMatrix(out)
-
-    def apply_error_branch(self, rho) -> DensityMatrix:
-        mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        if mat.shape != (16, 16):
-            raise ValueError("worst-case branch acts on two pairs (4 qubits)")
-        return self.error_state()
+    if not isinstance(state, BellDiagonalState):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    return BellDiagonalState(beta * state.p + (1.0 - beta) / 4.0)
 
 
 _CONFIG_KINDS = {

@@ -1,8 +1,8 @@
 """Exact low-dimensional quantum state arithmetic.
 
-Density matrices, Bell-diagonal representations, Pauli decomposition, trace
-norm, partial trace, twirls, purifications, and the asymptotic ("ideal
-output") state construction used by the distillation analysis.
+Density matrices, Bell-diagonal and labeled-ensemble representations,
+Pauli decomposition, trace norm, partial trace, the secret twirl and the
+labeled-ensemble purification used by the distillation analysis.
 
 Conventions fixed here and imported everywhere else:
 
@@ -37,14 +37,8 @@ __all__ = [
     "trace_norm",
     "partial_trace",
     "pauli_decompose",
-    "pauli_reconstruct",
-    "bell_twirl",
     "secret_twirl",
-    "asymptotic_state",
     "ensemble_purification",
-    "purification",
-    "closest_purifications",
-    "fidelity",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -261,26 +255,6 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-    @classmethod
-    def from_pure(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def normalized(cls, mat) -> "DensityMatrix":
-        """Construct after dividing by the trace (for post-channel cleanup)."""
-        mat = np.asarray(mat, dtype=complex)
-        return cls(mat / mat.trace().real)
-
 
 def trace_norm(a, b) -> float:
     """Trace norm of the difference, ||a - b||_1 = sum of singular values.
@@ -344,27 +318,6 @@ def pauli_decompose(rho) -> np.ndarray:
     return np.einsum("aij,ji->a", strings, mat).real
 
 
-def pauli_reconstruct(alpha, num_qubits: int) -> np.ndarray:
-    """Inverse of :func:`pauli_decompose` (returns a raw matrix)."""
-    _, strings = _pauli_strings(num_qubits)
-    return np.einsum("a,aij->ij", np.asarray(alpha, dtype=complex), strings) / 2.0**num_qubits
-
-
-def bell_twirl(rho) -> BellDiagonalState:
-    """Project a two-qubit state onto the Bell-diagonal family.
-
-    The output probabilities are p_ij = <B_ij|rho|B_ij>; the fidelity with
-    each Bell state is preserved, all coherences between Bell states are
-    discarded.  Idempotent and trace preserving.
-    """
-    mat = _as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise ValueError("bell_twirl expects a two-qubit state")
-    basis = bell_basis()
-    p = np.einsum("ik,ij,jk->k", basis.conj(), mat, basis).real
-    return BellDiagonalState(p)
-
-
 def secret_twirl(rho) -> DensityMatrix:
     """Average over {id, K1, K2, K1K2} on the first pair, K1=sx⊗sx, K2=sz⊗sz.
 
@@ -383,29 +336,6 @@ def secret_twirl(rho) -> DensityMatrix:
     return DensityMatrix(out / 4.0)
 
 
-def asymptotic_state(fix) -> DensityMatrix:
-    """Ideal protocol output for a fixed-point distribution.
-
-    For a :class:`BellDiagonalState` this is sum_ij w_ij |B_ij><B_ij| ⊗
-    |eta_ij><eta_ij| with orthonormal flag states (computational basis of a
-    two-qubit register), so tracing the register recovers the input.  For a
-    :class:`LabeledEnsembleState` the demon register L and a 16-dimensional
-    purifying label register are both attached:
-    sum p_ijkl |B_ij><B_ij| ⊗ |kl><kl|_L ⊗ |ijkl><ijkl|_E.
-    """
-    if isinstance(fix, BellDiagonalState):
-        return LabeledEnsembleState.from_bell_diagonal(fix).to_density_matrix()
-    if isinstance(fix, LabeledEnsembleState):
-        # Axes (pair, L, E) x (pair, L, E); each flat index t = (ijkl) fills
-        # the block |B_ij><B_ij| at L = kl and E = t on both sides.
-        t = np.arange(16)
-        mat = np.zeros((4, 4, 16) * 2, dtype=complex)
-        blocks = fix.p[:, None, None] * _bell_projectors()[_LABEL]
-        mat[:, _FLAG, t, :, _FLAG, t] = blocks
-        return DensityMatrix(mat.reshape(256, 256))
-    raise TypeError(f"unsupported fixed-point type {type(fix)!r}")
-
-
 def ensemble_purification(state: LabeledEnsembleState) -> np.ndarray:
     """Purify a labeled ensemble on pair ⊗ demon ⊗ label (dimension 256).
 
@@ -418,42 +348,3 @@ def ensemble_purification(state: LabeledEnsembleState) -> np.ndarray:
     psi = np.zeros((4, 4, 16), dtype=complex)  # axes (pair, L, E)
     psi[:, _FLAG, np.arange(16)] = amplitudes.T
     return psi.reshape(256)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity tr|sqrt(a) sqrt(b)| (in [0, 1])."""
-    m = _psd_sqrt(_as_matrix(a)) @ _psd_sqrt(_as_matrix(b))
-    return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-def purification(rho) -> np.ndarray:
-    """Canonical purification vec(sqrt(rho)) on system ⊗ ancilla."""
-    return _psd_sqrt(_as_matrix(rho)).reshape(-1)
-
-
-def closest_purifications(rho, sigma):
-    """Purifications of rho and sigma with maximal mutual overlap.
-
-    Uses the canonical vec(sqrt(.)) purifications and rotates sigma's ancilla
-    by the SVD-optimal unitary, so |<psi|phi>| equals the Uhlmann fidelity.
-    Consequently ||psi><psi| - |phi><phi||_1 = 2 sqrt(1 - F^2) <=
-    2 sqrt(||rho - sigma||_1): the square-root lift used by the bound chains
-    is realized constructively.
-
-    Returns
-    -------
-    (psi, phi) : pair of vectors on system ⊗ ancilla.
-    """
-    ma, mb = _as_matrix(rho), _as_matrix(sigma)
-    if ma.shape != mb.shape:
-        raise ValueError("dimension mismatch")
-    ra, rb = _psd_sqrt(ma), _psd_sqrt(mb)
-    v, _, wh = np.linalg.svd(ra @ rb)
-    u_t = wh.conj().T @ v.conj().T  # maximizes Re tr(ra rb U^T)
-    return ra.reshape(-1), (rb @ u_t).reshape(-1)

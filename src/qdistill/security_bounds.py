@@ -22,7 +22,6 @@ __all__ = [
     "RobustnessInput",
     "RobustnessResult",
     "PairBudget",
-    "PowerLawEps",
     "symmetric_subspace_dimension",
     "definetti_bound",
     "postselection_bound",
@@ -46,39 +45,6 @@ _LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(float.fromhex("0x1.fffffffffffffp+1023"))
 
 
-@dataclass(frozen=True)
-class PowerLawEps:
-    """Fitted i.i.d.-distance model eps_P(n) = a * n**(-b).
-
-    ``corrected`` evaluation replaces n by n - sqrt(n), accounting for the
-    pairs consumed by parameter estimation.
-    """
-
-    a: float
-    b: float
-
-    def __call__(self, n) -> float:
-        n = float(n)
-        if n <= 0:
-            raise ValueError("model argument must be positive")
-        return self.a * n ** (-self.b)
-
-    def corrected(self, n) -> float:
-        n = float(n)
-        return self(n - math.sqrt(n))
-
-    def as_dict(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
-
-def _resolve_eps(epsilon_P, at, corrected: bool):
-    """Accept a plain number or a fitted model; models are evaluated at the
-    relevant pair count (with the n - sqrt(n) correction when asked)."""
-    if callable(epsilon_P):
-        return epsilon_P.corrected(at) if corrected else epsilon_P(at)
-    return epsilon_P
-
-
 def symmetric_subspace_dimension(n: int) -> int:
     """C(n+15, n): dimension of the symmetric subspace of n copies of a
     two-pair (16-dimensional) system, exact integer."""
@@ -87,30 +53,30 @@ def symmetric_subspace_dimension(n: int) -> int:
     return math.comb(n + 15, n)
 
 
-def definetti_bound(n, k, epsilon_P, corrected: bool = False):
-    """(34*4^8 + 1) * (64 k / n + eps_P(k)).
+def definetti_bound(n, k, epsilon_P):
+    """(34*4^8 + 1) * (64 k / n + eps_P(k)), with eps_P(k) given as a number.
 
-    Integer/Fraction inputs give an exact Fraction; a PowerLawEps model is
-    evaluated at k.  eps_P is a trace distance, so it must lie in [0, 2].
+    Integer/Fraction inputs give an exact Fraction.  eps_P is a trace
+    distance, so it must lie in [0, 2].
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    eps = _resolve_eps(epsilon_P, k, corrected)
-    if not 0 <= eps <= 2:
+    if not 0 <= epsilon_P <= 2:
         raise ValueError("epsilon_P must lie in [0, 2]")
-    if isinstance(eps, (int, Fraction)) and isinstance(n, int) and isinstance(k, int):
-        return DEFINETTI_CONSTANT * (Fraction(64 * k, n) + Fraction(eps))
-    return DEFINETTI_CONSTANT * (64.0 * k / n + float(eps))
+    if (isinstance(epsilon_P, (int, Fraction)) and isinstance(n, int)
+            and isinstance(k, int)):
+        return DEFINETTI_CONSTANT * (Fraction(64 * k, n) + Fraction(epsilon_P))
+    return DEFINETTI_CONSTANT * (64.0 * k / n + float(epsilon_P))
 
 
-def postselection_bound_log(n, epsilon_P, corrected: bool = False) -> float:
+def postselection_bound_log(n, epsilon_P) -> float:
     """Natural log of 4*sqrt(2) * C(n+15, n) * eps_P(n)^(1/4); -inf at
     eps_P = 0.  Always finite otherwise (the binomial log is computed on
     the exact integer).  eps_P is a trace distance, so it must lie in
     [0, 2]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    eps = float(_resolve_eps(epsilon_P, n, corrected))
+    eps = float(epsilon_P)
     if not 0 <= eps <= 2:
         raise ValueError("epsilon_P must lie in [0, 2]")
     if eps == 0:
@@ -120,7 +86,7 @@ def postselection_bound_log(n, epsilon_P, corrected: bool = False) -> float:
             + 0.25 * math.log(eps))
 
 
-def postselection_bound(n, epsilon_P, corrected: bool = False) -> float:
+def postselection_bound(n, epsilon_P) -> float:
     """4*sqrt(2) * C(n+15, n) * eps_P(n)^(1/4).
 
     Direct product arithmetic for n <= 1e4; beyond that the degree-15
@@ -129,7 +95,7 @@ def postselection_bound(n, epsilon_P, corrected: bool = False) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eps = float(_resolve_eps(epsilon_P, n, corrected))
+    eps = float(epsilon_P)
     if not 0 <= eps <= 2:
         raise ValueError("epsilon_P must lie in [0, 2]")
     if n > 10_000:
@@ -163,8 +129,8 @@ def purification_lift(epsilon) -> float:
 
 
 def postselection_chain(epsilon) -> float:
-    """The composed lift localstates(2 * purification(eps)) = 4 sqrt(2) eps^(1/4),
-    the per-copy factor of the post-selection bound."""
+    """The composed lift localstates_lift(2 * purification_lift(eps)) =
+    4 sqrt(2) eps^(1/4), the per-copy factor of the post-selection bound."""
     return localstates_lift(2.0 * purification_lift(epsilon))
 
 

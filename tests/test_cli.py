@@ -135,6 +135,45 @@ def test_scan_binary_json(capsys):
     assert first["lambda_max"] == pytest.approx(-0.2535787471033311, abs=1e-9)
 
 
+@pytest.mark.parametrize("protocol,grid", [("bbpssw", "1.0:2.0:0.5"),
+                                           ("binary", "0.9:1.5:0.2"),
+                                           ("bbpssw", "-0.5:1.0:0.5")])
+def test_scan_grid_must_lie_in_the_unit_interval(protocol, grid, capsys):
+    # every grid is a noise parameter; the closed-form paths never check
+    err = usage_error(["scan", "--protocol", protocol, f"--noise-grid={grid}"],
+                      capsys)
+    assert "0 <= lo <= hi <= 1" in err
+
+
+@pytest.mark.parametrize("grid", ["nan:0.95:0.1", "0.9:inf:0.1",
+                                  "0.9:0.95:nan", "0.9:0.95:inf"])
+def test_scan_grid_must_be_finite(grid, capsys):
+    err = usage_error(["scan", "--protocol", "dejmps", "--noise-grid", grid],
+                      capsys)
+    assert "finite" in err
+
+
+def test_scan_grid_overshoot_stops_at_one(capsys):
+    # the half-step slack of lo:hi:step once carried this grid to f0 = 1.05
+    code, doc = run_json(["scan", "--protocol", "binary", "--noise-grid",
+                          "0.8:1.0:0.125", "--emit", "json"], capsys)
+    assert code == 0
+    f0s = [row[0] for row in doc["rows"]]
+    assert f0s == pytest.approx([0.8, 0.925, 1.0], abs=1e-15)
+    assert f0s[-1] == 1.0
+
+
+def test_scan_grid_size_is_capped_before_allocation(capsys):
+    err = usage_error(["scan", "--protocol", "dejmps",
+                       "--noise-grid", "0.9:0.95:1e-9"], capsys)
+    assert "more than 10000 points" in err
+    with pytest.raises(ValueError, match="more than 10000 points"):
+        cli._parse_grid("0:1:1e-4")            # 10001 points
+    assert cli._parse_grid("0:0.9999:1e-4").size == cli._MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than 10000 points"):
+        cli._parse_grid("0:1:1e-320")          # the count overflows to inf
+
+
 # -------------------------------------------------------------------- bounds
 
 def test_bounds_robustness_report(capsys):
@@ -173,6 +212,22 @@ def test_bounds_crossing_gap_below_domain(capsys):
     assert cli.run(["bounds", "--chain", "crossing-gap",
                     "--f0", "0.5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("f0", ["1.0000000000000000001", "2"])
+def test_bounds_crossing_gap_above_one(f0, capsys):
+    err = usage_error(["bounds", "--chain", "crossing-gap", "--f0", f0],
+                      capsys)
+    assert "at most 1" in err
+
+
+@pytest.mark.parametrize("f0,message", [("nan", "finite"), ("inf", "finite"),
+                                        ("-inf", "finite"),
+                                        ("abc", "not a decimal number")])
+def test_bounds_crossing_gap_rejects_malformed_f0(f0, message, capsys):
+    err = usage_error(["bounds", "--chain", "crossing-gap", f"--f0={f0}"],
+                      capsys)
+    assert message in err
 
 
 def test_bounds_definetti(capsys):

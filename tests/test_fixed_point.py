@@ -4,6 +4,7 @@ Closed-form reference values below were computed independently (exact
 algebra or high-precision arithmetic) before being frozen here.
 """
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -54,6 +55,19 @@ def test_binary_lambda_max_decimal_path():
     lam19 = fp.binary_lambda_max(Decimal(1) - Decimal(10) ** -19)
     assert lam19 < 0
     assert Decimal("1.9e-19") < -lam19 < Decimal("2.1e-19")
+
+
+@pytest.mark.parametrize("f0", [1.5, 1 + 2 ** -52, math.inf, math.nan,
+                                Decimal("1.0000000000000000001"), Decimal(2),
+                                Decimal("Infinity"), Decimal("NaN"),
+                                Decimal("sNaN")], ids=str)
+def test_binary_lambda_max_rejects_weights_above_one(f0):
+    # f0 is a bit-flip weight; both paths once returned a value above 1
+    # (the Decimal path raised InvalidOperation on NaN instead)
+    with pytest.raises(ValueError, match="finite and at most 1"):
+        fp.binary_lambda_max(f0)
+    assert fp.binary_lambda_max(1.0) == 0.0
+    assert fp.binary_lambda_max(Decimal(1)) == 0
 
 
 @given(st.floats(0.78, 1.0))
@@ -228,11 +242,3 @@ def test_convergence_exponent_requires_enough_rounds():
     with pytest.raises(ValueError):
         fp.convergence_exponent(
             rc.binary_map(0.9), np.array([0.95, 0.0, 0.0, 0.05]), rounds=4)
-
-
-def test_power_law_translation():
-    fit = fp.ConvergenceFit(slope=np.log(0.25), intercept=np.log(0.8),
-                            residual=0.0, r_squared=1.0, n_used=12)
-    amp, halvings = fit.power_law()
-    assert amp == pytest.approx(0.8, abs=1e-12)
-    assert halvings == pytest.approx(2.0, abs=1e-12)

@@ -20,7 +20,6 @@ from qdistill.quantum_core import (
     BELL_ORDER,
     BellDiagonalState,
     LabeledEnsembleState,
-    asymptotic_state,
     bell_basis,
     bell_vector,
     CORRELATED_SUPPORT,
@@ -133,37 +132,6 @@ def loop_to_density_matrix(p):
     return mat
 
 
-def loop_asymptotic_bell_diagonal(q):
-    basis = bell_basis()
-    mat = np.zeros((16, 16), dtype=complex)
-    for pos, (i, j) in enumerate(BELL_ORDER):
-        b = basis[:, pos]
-        flag = np.zeros((4, 4), dtype=complex)
-        flag[2 * i + j, 2 * i + j] = 1.0
-        mat += q[pos] * np.kron(np.outer(b, b.conj()), flag)
-    return mat
-
-
-def loop_asymptotic_labeled(p):
-    basis = bell_basis()
-    mat = np.zeros((256, 256), dtype=complex)
-    for i in BITS:
-        for j in BITS:
-            b = basis[:, BELL_ORDER.index((i, j))]
-            bb = np.outer(b, b.conj())
-            for k in BITS:
-                for l in BITS:
-                    w = p[idx(i, j, k, l)]
-                    if w == 0.0:
-                        continue
-                    lflag = np.zeros((4, 4), dtype=complex)
-                    lflag[2 * k + l, 2 * k + l] = 1.0
-                    eflag = np.zeros((16, 16), dtype=complex)
-                    eflag[idx(i, j, k, l), idx(i, j, k, l)] = 1.0
-                    mat += w * np.kron(np.kron(bb, lflag), eflag)
-    return mat
-
-
 def loop_ensemble_purification(p):
     psi = np.zeros(256, dtype=complex)
     for i in BITS:
@@ -222,17 +190,6 @@ def test_to_density_matrix_matches_loop():
     for s in ensembles():
         assert np.array_equal(s.to_density_matrix().mat,
                               loop_to_density_matrix(s.p))
-
-
-def test_asymptotic_state_matches_loop():
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        q = BellDiagonalState(rng.dirichlet(np.ones(4)))
-        assert np.array_equal(asymptotic_state(q).mat,
-                              loop_asymptotic_bell_diagonal(q.p))
-    for s in ensembles():
-        assert np.array_equal(asymptotic_state(s).mat,
-                              loop_asymptotic_labeled(s.p))
 
 
 def test_ensemble_purification_matches_loop():

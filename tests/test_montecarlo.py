@@ -89,7 +89,7 @@ def test_trajectory_starts_at_channel_state(beta):
     # simulate_run estimates from the trajectory's round-0 marginal instead
     # of rebuilding the channel state; the two must agree bit for bit
     cfg = make_config(beta=beta, f_min=0.0)
-    marginals, _ = mc._round_trajectory(cfg)
+    marginals, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
     assert np.array_equal(marginals[0], cfg.channel_state().p)
 
 
@@ -355,20 +355,24 @@ def test_fidelity_trajectory_tracks_deterministic_marginals():
     cfg = mc.ProtocolConfig(n_pairs=2 ** 14, beta=2 / 3,
                             noise=nm.SingleQubitWhiteNoise(1.0), rounds=3,
                             f_min=0.5, seed=11, trials=100)
-    rows = mc.fidelity_trajectory(cfg)
-    assert rows[0].round_index == 0
-    assert rows[0].success_probability is None
-    assert np.allclose(rows[0].marginal, [0.75, 1 / 12, 1 / 12, 1 / 12],
+    marginals, successes = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
+    assert len(marginals) == cfg.rounds + 1
+    assert len(successes) == cfg.rounds
+    assert np.allclose(marginals[0], [0.75, 1 / 12, 1 / 12, 1 / 12],
                        atol=1e-12)
-    assert np.allclose(rows[1].marginal, [41 / 52, 1 / 52, 1 / 52, 9 / 52],
+    assert np.allclose(marginals[1], [41 / 52, 1 / 52, 1 / 52, 9 / 52],
                        atol=1e-12)
-    assert rows[1].success_probability == pytest.approx(13 / 18, abs=1e-12)
+    assert successes[0] == pytest.approx(13 / 18, abs=1e-12)
     # fidelity climbs toward the fixed point, distances shrink
-    dists = [r.distance_to_fixed_point for r in rows]
+    q_fix = fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(cfg.noise))
+    dists = [np.abs(m - q_fix).sum() for m in marginals]
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
-    fids = [r.marginal[0] for r in rows]
+    fids = [m[0] for m in marginals]
     assert all(f2 > f1 for f1, f2 in zip(fids, fids[1:]))
-    # pair counts come from an actual seeded run
-    assert rows[0].pairs == cfg.n_pairs - math.isqrt(cfg.n_pairs)
-    for before, after in zip(rows, rows[1:]):
-        assert after.pairs <= before.pairs // 2
+    # a seeded run follows the trajectory while its pair counts halve
+    outcome = mc.simulate_run(cfg)
+    assert outcome.ok
+    assert np.array_equal(outcome.final_state, marginals[cfg.rounds])
+    counts = outcome.pair_counts
+    assert counts[0] == cfg.n_pairs - math.isqrt(cfg.n_pairs)
+    assert all(after <= before // 2 for before, after in zip(counts, counts[1:]))

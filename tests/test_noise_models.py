@@ -84,35 +84,6 @@ def test_channel_phi_composes_multiplicatively(b1, b2):
     assert np.abs(once.p - joint.p).max() < 1e-14
 
 
-# -------------------------------------------------------------- standard form
-
-def test_standard_form_fidelity_values():
-    assert nm.standard_form_fidelity(0.0) == pytest.approx(1.0)
-    assert nm.standard_form_fidelity(0.01) == pytest.approx(0.83, abs=1e-15)
-    with pytest.raises(ValueError):
-        nm.standard_form_fidelity(0.08)   # above 1/17
-
-
-# ----------------------------------------------------------- worstcase branch
-
-def test_worstcase_channel_error_branch_structure():
-    ch = nm.WorstCaseChannel(0.97)
-    assert ch.f_i == pytest.approx(0.97)
-    err = ch.error_state().mat
-    # the error branch ignores its input: |B01><B01| (x) |B00><B00|
-    assert err.shape == (16, 16)
-    assert np.trace(err).real == pytest.approx(1.0, abs=1e-14)
-    assert np.abs(err - err.conj().T).max() < 1e-15
-    evals = np.linalg.eigvalsh(err)
-    assert evals.max() == pytest.approx(1.0, abs=1e-14)   # pure
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    out = ch.apply_error_branch(rho).mat
-    assert np.abs(out - err).max() < 1e-13
-
-
 # -------------------------------------------------------------- config i/o
 
 @pytest.mark.parametrize("model", [
@@ -139,7 +110,6 @@ def test_noise_from_config_rejects_unknown_kind():
     (nm.TwoQubitCorrelatedNoise, -0.1, 1.1),
     (nm.BinaryNoise, -0.1, 1.1),
     (nm.WorstCaseNoise, -0.1, 1.1),
-    (nm.WorstCaseChannel, -0.1, 1.1),
 ])
 def test_parameter_range_validation(cls, lo, hi):
     with pytest.raises(ValueError):

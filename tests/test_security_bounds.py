@@ -8,10 +8,14 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import qdistill.security_bounds as sb
+from qdistill.quantum_core import partial_trace, trace_norm
+
+from conftest import ginibre_density
 
 
 def test_definetti_constant_exact():
@@ -61,8 +65,6 @@ def test_definetti_input_validation():
         sb.definetti_bound(10, 1, 2.5)       # trace distance above 2
     with pytest.raises(ValueError):
         sb.definetti_bound(10, 1, -0.1)
-    with pytest.raises(ValueError):
-        sb.definetti_bound(10, 1, sb.PowerLawEps(3.0, 0.0))
 
 
 # --------------------------------------------------------------- postselection
@@ -97,9 +99,8 @@ def test_postselection_zero_epsilon():
 @pytest.mark.parametrize("bound", [sb.postselection_bound,
                                    sb.postselection_bound_log])
 def test_postselection_rejects_trace_distance_outside_zero_two(bound):
-    # eps_P is a trace distance; the check applies to the resolved value,
-    # so a fitted model that evaluates above 2 is rejected as well
-    for eps in (2.5, -0.1, math.nan, sb.PowerLawEps(3.0, 0.0)):
+    # eps_P is a trace distance
+    for eps in (2.5, -0.1, math.nan):
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             bound(100, eps)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
@@ -122,6 +123,39 @@ def test_lift_factors(eps):
 def test_lifts_reject_non_finite_or_negative_epsilon(lift, eps):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         lift(eps)
+
+
+def _psd_sqrt(mat):
+    w, v = np.linalg.eigh(mat)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def closest_purifications(rho, sigma):
+    """Purifications vec(sqrt(.)) of rho and sigma on system ⊗ ancilla,
+    sigma's ancilla rotated by the SVD-optimal unitary so that |<psi|phi>|
+    is the Uhlmann fidelity."""
+    ra, rb = _psd_sqrt(rho), _psd_sqrt(sigma)
+    v, _, wh = np.linalg.svd(ra @ rb)
+    u_t = wh.conj().T @ v.conj().T  # maximizes Re tr(ra rb U^T)
+    return ra.reshape(-1), (rb @ u_t).reshape(-1)
+
+
+@given(st.floats(1e-6, 0.05))
+def test_close_states_have_close_purifications(eps):
+    # The purification lift, realized: states d apart in trace norm have
+    # purifications within 2 * purification_lift(d) of each other.
+    rng = np.random.default_rng(1234)
+    rho = ginibre_density(rng, 4)
+    pert = ginibre_density(rng, 4)
+    sigma = (1 - eps / 2) * rho + (eps / 2) * pert
+    d = trace_norm(rho, sigma)
+    assert d <= eps + 1e-12
+    psi, phi = closest_purifications(rho, sigma)
+    for vec, state in ((psi, rho), (phi, sigma)):
+        marginal = partial_trace(np.outer(vec, vec.conj()), [0], [4, 4]).mat
+        assert np.abs(marginal - state).max() < 1e-12
+    lhs = trace_norm(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
+    assert lhs <= 2 * sb.purification_lift(d) + 1e-8
 
 
 def test_postselection_chain_reference():
@@ -280,23 +314,6 @@ def test_crossing_gap_rejects_expanding_rates():
         sb.postselect_crossing_gap(1.5)
     with pytest.raises(ValueError):
         sb.postselect_crossing_gap(Decimal("1.5"))
-
-
-# -------------------------------------------------------------- power-law eps
-
-def test_power_law_eps():
-    pl = sb.PowerLawEps(2.0, 1.5)
-    assert pl(100) == pytest.approx(2.0 * 100 ** -1.5, abs=1e-18)
-    assert pl.corrected(100) == pytest.approx(2.0 * 90 ** -1.5, abs=1e-18)
-    assert pl.as_dict() == {"a": 2.0, "b": 1.5}
-
-
-def test_definetti_with_callable_epsilon():
-    # fitted models are evaluated at the kept-pair count k
-    pl = sb.PowerLawEps(1.0, 1.0)
-    direct = sb.definetti_bound(10 ** 4, 10, pl(10))
-    via_callable = sb.definetti_bound(10 ** 4, 10, pl)
-    assert via_callable == pytest.approx(direct, rel=1e-14)
 
 
 # --------------------------------------------------------------------- report
