@@ -189,8 +189,10 @@ _MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Noise parameters lo, lo + step, ... up to hi (within step/2), all
-    in [0, 1]: points the half-step slack carries past 1 are set to 1."""
+    """Noise parameters lo, lo + step, ... up to hi, all in [0, 1].
+
+    np.arange's lo + i * step may land a rounding error past hi: a point at
+    most step * 1e-6 past hi still counts, and one past 1 is set to 1."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
@@ -204,7 +206,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if count > _MAX_GRID_POINTS:
         raise ValueError(
             f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
-    return np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
+    grid = np.arange(lo, hi + step / 2, step)
+    return np.minimum(grid[grid <= hi + step * 1e-6], 1.0)
 
 
 def _reduced_solution(model) -> tuple:
@@ -335,9 +338,16 @@ def _random_density(rng, dim: int) -> np.ndarray:
     return rho / rho.trace().real
 
 
+#: Most states a steering audit draws of each kind, random and product;
+#: each one is a product-form check.
+_MAX_AUDIT_STATES = 10_000
+
+
 def _cmd_steering_audit(args, cfg) -> int:
     if args.states < 1:
         raise ValueError("--states must be at least 1")
+    if args.states > _MAX_AUDIT_STATES:
+        raise ValueError(f"--states must be at most {_MAX_AUDIT_STATES}")
     seed = resolve_seed(args, cfg)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # All random states first, then all products: the order of the draws.

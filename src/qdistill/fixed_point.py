@@ -129,13 +129,21 @@ def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
     return FixedPointReport(p, residual, lam < 1.0, lam, steps)
 
 
+def _noise_weight(x, name: str) -> float:
+    """x as a float, checked to be a finite noise weight of at most 1."""
+    x = float(x)
+    if not -math.inf < x <= 1:
+        raise ValueError(f"{name} must be finite and at most 1")
+    return x
+
+
 def binary_fixed_point(f0) -> np.ndarray:
     """Distillation fixed point of the binary-pair recurrence,
     (1/2 + sqrt(4 f0 - 3)/(4 f0 - 2), 0, 0, rest); cross entries vanish.
 
-    Real only for f0 >= 3/4.
+    Real only for 3/4 <= f0 <= 1.
     """
-    f0 = float(f0)
+    f0 = _noise_weight(f0, "f0")
     if 4 * f0 - 3 < 0:
         raise ValueError("no real fixed point of this branch for f0 < 3/4")
     q = 0.5 + math.sqrt(4 * f0 - 3) / (4 * f0 - 2)
@@ -161,17 +169,16 @@ def binary_lambda_max(f0):
             if rad < 0:
                 raise ValueError("domain requires f0 >= 3/4")
             return (f0 * rad.sqrt() - f0) / (2 * f0 - 1)
-    f0 = float(f0)
-    if not f0 <= 1:
-        raise ValueError("f0 must be finite and at most 1")
+    f0 = _noise_weight(f0, "f0")
     if 4 * f0 - 3 < 0:
         raise ValueError("domain requires f0 >= 3/4")
     return (f0 * math.sqrt(4 * f0 - 3) - f0) / (2 * f0 - 1)
 
 
 def bbpssw_fixed_point(f) -> float:
-    """BBPSSW Werner-parameter fixed point 2/3 + sqrt(4 - 9/f^2 + 6/f)/3."""
-    f = float(f)
+    """BBPSSW Werner-parameter fixed point 2/3 + sqrt(4 - 9/f^2 + 6/f)/3;
+    f must be finite and at most 1."""
+    f = _noise_weight(f, "f")
     rad = 4 - 9 / f ** 2 + 6 / f
     if rad < 0:
         raise ValueError("no distillation fixed point (negative radicand)")
@@ -180,8 +187,9 @@ def bbpssw_fixed_point(f) -> float:
 
 def bbpssw_fixed_point_slope(f) -> float:
     """Derivative b'(p_inf) of the BBPSSW recurrence at its fixed point,
-    (9 - 3f) / (f (3 + 2 (2 + sqrt(4 - 9/f^2 + 6/f)) f)); 2/3 at f = 1."""
-    f = float(f)
+    (9 - 3f) / (f (3 + 2 (2 + sqrt(4 - 9/f^2 + 6/f)) f)); 2/3 at f = 1.
+    f must be finite and at most 1."""
+    f = _noise_weight(f, "f")
     rad = 4 - 9 / f ** 2 + 6 / f
     if rad < 0:
         raise ValueError("no distillation fixed point (negative radicand)")
@@ -190,8 +198,8 @@ def bbpssw_fixed_point_slope(f) -> float:
 
 def bbpssw_two_qubit_fixed_points(f_tilde) -> tuple:
     """(F_min, F_max) = (3 -+ sqrt(10 - 9/f~^2))/4 of the two-qubit-noise
-    fidelity recurrence; requires f~ >= 3/sqrt(10)."""
-    f_tilde = float(f_tilde)
+    fidelity recurrence; requires 3/sqrt(10) <= f~ <= 1."""
+    f_tilde = _noise_weight(f_tilde, "f_tilde")
     rad = 10 - 9 / f_tilde ** 2
     if rad < 0:
         raise ValueError("domain requires f_tilde >= 3/sqrt(10)")

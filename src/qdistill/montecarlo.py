@@ -11,7 +11,11 @@ never which pairs it holds.
 
 All randomness flows from counter-based per-trial streams derived from the
 64-bit seed, so results are reproducible and order-independent across
-parallel execution.
+parallel execution.  Trial t draws from Philox at counter 0 under the key
+numpy's ``SeedSequence(entropy=seed, spawn_key=(t,))`` generates.  A
+campaign derives its trials' keys in vectorized passes and re-keys one
+generator before each trial, which yields the same stream as building a
+seed sequence and a generator per trial.
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ __all__ = [
 
 # 99% two-sided normal quantile, used by the Wilson interval.
 _Z99 = 2.5758293035489004
+
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875    # entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED    # pool into generated words
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Trials keyed per vectorized pass, so the key arrays stay small however
+# many trials a campaign runs.
+_KEY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,9 @@ class ProtocolConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials >= 2 ** 32:
+            raise ValueError("trials must be below 2**32: a trial index is"
+                             " one 32-bit word of its stream's key")
         try:
             distribution_from(self.noise)
         except TypeError:
@@ -132,10 +148,59 @@ def config_hash(config: ProtocolConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _hash(value, const: int, mult: int):
+    """One hash step of numpy's SeedSequence on 32-bit words (Python ints
+    or wrapping uint32 arrays): the hashed value and the next constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of two 32-bit words; y may be an array."""
+    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _trial_keys(seed: int, t) -> np.ndarray:
+    """Philox key of trial t, or of each trial in a uint32 array t: a
+    uint64 array of shape t.shape + (2,).
+
+    The key of trial t equals ``SeedSequence(entropy=seed,
+    spawn_key=(t,)).generate_state(2, np.uint64)``.  The entropy words are
+    the seed's two 32-bit words, zero-padded to the 4-word pool, then t;
+    numpy hashes them into the pool and the pool into four output words.
+    Everything before the word t is the same for every trial, so it runs
+    once on Python ints, and the rest runs on t's type.
+    """
+    const = _INIT_A
+    pool = []
+    for i in range(4):
+        word, const = _hash(seed >> 32 * i & _MASK32, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for dst in range(4):
+        word, const = _hash(t, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], word)
+    const = _INIT_B
+    words = []
+    for word in pool:
+        word, const = _hash(word, const, _MULT_B)
+        words.append(word)
+    # numpy pairs the words as little-endian uint64s on every platform.
+    return np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent counter-based stream for one trial."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.Philox(ss))
+    if not 0 <= trial < 2 ** 32:
+        raise ValueError("trial must lie in [0, 2**32): the index is one"
+                         " 32-bit word of its stream's key")
+    return np.random.Generator(np.random.Philox(key=_trial_keys(seed, trial)))
 
 
 @dataclass(frozen=True)
@@ -249,8 +314,20 @@ def estimate_abort_probability(config: ProtocolConfig) -> AbortEstimate:
     99% Wilson interval; deterministic in the seed."""
     if config.trials < 100:
         raise ValueError("need at least 100 trials for a rate estimate")
-    outcomes = tuple(simulate_run(config, trial_rng(config.seed, t))
-                     for t in range(config.trials))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    # Counter 0 and an empty output buffer; only the key changes per trial.
+    # The Generator caches binomial set-up constants keyed by (n, p) alone.
+    state = bitgen.state
+    outcomes = []
+    for first in range(0, config.trials, _KEY_BLOCK):
+        t = np.arange(first, min(first + _KEY_BLOCK, config.trials),
+                      dtype=np.uint32)
+        for key in _trial_keys(config.seed, t):
+            state["state"]["key"] = key
+            bitgen.state = state
+            outcomes.append(simulate_run(config, rng))
+    outcomes = tuple(outcomes)
     aborts = sum(not o.ok for o in outcomes)
     lo, hi = _wilson_interval(aborts, config.trials)
     return AbortEstimate(config.trials, aborts, aborts / config.trials, lo, hi,

@@ -154,13 +154,35 @@ def test_scan_grid_must_be_finite(grid, capsys):
 
 
 def test_scan_grid_overshoot_stops_at_one(capsys):
-    # the half-step slack of lo:hi:step once carried this grid to f0 = 1.05
+    # the half-step slack of lo:hi:step once carried this grid to f0 = 1.05,
+    # and later set that point to 1; a point past hi is now dropped
     code, doc = run_json(["scan", "--protocol", "binary", "--noise-grid",
                           "0.8:1.0:0.125", "--emit", "json"], capsys)
     assert code == 0
     f0s = [row[0] for row in doc["rows"]]
-    assert f0s == pytest.approx([0.8, 0.925, 1.0], abs=1e-15)
-    assert f0s[-1] == 1.0
+    assert f0s == pytest.approx([0.8, 0.925], abs=1e-15)
+    # np.arange's last point here is 1.0000000000000002: rounding, kept as 1
+    code, doc = run_json(["scan", "--protocol", "binary", "--noise-grid",
+                          "0.8:1.0:0.05", "--emit", "json"], capsys)
+    assert code == 0
+    assert len(doc["rows"]) == 5
+    assert doc["rows"][-1][0] == 1.0
+
+
+@pytest.mark.parametrize("grid,points", [
+    ("0.8:0.9:0.15", [0.8]),
+    ("0.8:0.95:0.1", [0.8, 0.9]),
+    ("0.1:0.35:0.15", [0.1, 0.25]),
+    ("0.97:0.99:0.01", [0.97, 0.98, 0.99]),
+    ("0.9:0.95:0.04", [0.9, 0.94]),
+    ("0.3:0.3:0.1", [0.3]),
+])
+def test_grid_stays_within_hi(grid, points):
+    # the half-step slack once printed a row at 0.95 for 0.8:0.9:0.15
+    got = cli._parse_grid(grid)
+    assert got.tolist() == pytest.approx(points, abs=1e-15)
+    lo, hi, step = (float(x) for x in grid.split(":"))
+    assert np.array_equal(got, lo + np.arange(len(points)) * step)
 
 
 def test_scan_grid_size_is_capped_before_allocation(capsys):
@@ -393,6 +415,28 @@ def test_steering_audit_needs_at_least_one_state(states, capsys):
     assert captured.err == "error: --states must be at least 1\n"
 
 
+class _Reached(Exception):
+    """Raised by a stub in place of the work a command starts after its
+    input checks."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_steering_audit_states_are_capped(monkeypatch, capsys):
+    # 10^8 states once started an audit that would run for days
+    monkeypatch.setattr(cli.sv, "product_form_check", _reached)
+    with pytest.raises(_Reached):
+        cli.run(["steering-audit", "--states", "10000", "--seed", "7"])
+    for states in ("10001", "100000000"):
+        code = cli.run(["steering-audit", "--states", states, "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --states must be at most 10000\n"
+
+
 # ---------------------------------------------------------------- montecarlo
 
 def test_montecarlo_aggregate_json(capsys):
@@ -454,6 +498,18 @@ def test_montecarlo_delta_must_be_finite(delta, capsys):
                        "--f-min", "0.5", "--trials", "10",
                        f"--delta={delta}"], capsys)
     assert "delta must be finite and positive" in err
+
+
+def test_montecarlo_trials_fit_the_trial_key(monkeypatch, capsys):
+    # a trial index is one 32-bit word of its stream's key; 2^32 trials
+    # once ran for hours and then exhausted memory
+    monkeypatch.setattr(cli.mc, "check_robustness", _reached)
+    argv = ["montecarlo", "--n-pairs", "256", "--beta", "0.9", "--noise",
+            "corr2:0.99", "--rounds", "1", "--f-min", "0.5"]
+    with pytest.raises(_Reached):
+        cli.run(argv + ["--trials", str(2 ** 32 - 1)])
+    err = usage_error(argv + ["--trials", str(2 ** 32)], capsys)
+    assert "trials must be below 2**32" in err
 
 
 # -------------------------------------------------------- config file / seed

@@ -70,6 +70,19 @@ def test_binary_lambda_max_rejects_weights_above_one(f0):
     assert fp.binary_lambda_max(Decimal(1)) == 0
 
 
+@pytest.mark.parametrize("closed_form", [
+    fp.binary_fixed_point, fp.bbpssw_fixed_point, fp.bbpssw_fixed_point_slope,
+    fp.bbpssw_two_qubit_fixed_points], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("weight", [1.5, 1 + 2 ** -52, math.inf, -math.inf,
+                                    math.nan], ids=str)
+def test_closed_forms_reject_weights_above_one(closed_form, weight):
+    # each once returned a value for a noise weight above 1 (bbpssw 1.333
+    # and slope 0.2 at 1.5, F_max 1.362 at 1.5) or NaN for NaN
+    with pytest.raises(ValueError, match="finite and at most 1"):
+        closed_form(weight)
+    closed_form(1.0)
+
+
 @given(st.floats(0.78, 1.0))
 def test_binary_lambda_matches_finite_difference(f0):
     lam = fp.binary_lambda_max(f0)

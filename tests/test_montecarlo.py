@@ -43,6 +43,13 @@ def test_config_validation():
         make_config(f_min=0.999, delta=0.01)  # threshold above 1
 
 
+def test_config_trials_fit_the_trial_key():
+    # a trial index is one 32-bit word of its stream's key
+    with pytest.raises(ValueError, match=r"below 2\*\*32"):
+        make_config(trials=2 ** 32)
+    assert make_config(trials=2 ** 32 - 1).trials == 2 ** 32 - 1
+
+
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_delta(delta):
     # a NaN threshold never compares below the estimate, so estimation
@@ -264,6 +271,66 @@ def test_simulate_run_matches_hand_rebuilt_stream(cell, stages):
         assert outcome_key(out) == reference_run(cfg, t)
         seen.add(out.abort_stage)
     assert stages <= seen                    # the cell reaches its stage
+
+
+KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1] + [
+    int(s) for s in np.random.default_rng(1610).integers(
+        0, 2 ** 64, 6, dtype=np.uint64)]
+
+
+def seed_sequence_rng(seed, t):
+    """The per-trial stream as numpy builds it from a spawned seed sequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_trial_keys_match_seed_sequence(seed):
+    keys = mc._trial_keys(seed, np.arange(1001, dtype=np.uint32))
+    assert keys.shape == (1001, 2) and keys.dtype == np.uint64
+    for t in range(1001):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+        assert np.array_equal(keys[t], ss.generate_state(2, np.uint64)), t
+    # one index at a time, up to the last 32-bit one
+    for t in (0, 1000, 2 ** 31, 2 ** 32 - 1):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+        key = mc._trial_keys(seed, t)
+        assert key.dtype == np.uint64
+        assert np.array_equal(key, ss.generate_state(2, np.uint64)), t
+    assert np.array_equal(mc.trial_rng(seed, 7).integers(0, 2 ** 63, 9),
+                          seed_sequence_rng(seed, 7).integers(0, 2 ** 63, 9))
+
+
+@pytest.mark.parametrize("trial", [-1, 2 ** 32])
+def test_trial_rng_rejects_indices_beyond_32_bits(trial):
+    # the key function takes the index as one 32-bit word
+    with pytest.raises(ValueError, match="trial must lie in"):
+        mc.trial_rng(0, trial)
+
+
+@pytest.mark.parametrize("cell,stages", [
+    ("ok", {None}),
+    ("estimation", {"parameter_estimation"}),
+    ("rounds", {"round 3", "round 4"}),
+])
+@pytest.mark.parametrize("block", [mc._KEY_BLOCK, 7])
+def test_estimate_matches_a_seed_sequence_per_trial(cell, stages, block,
+                                                    monkeypatch):
+    # the campaign re-keys one generator per trial, keying the trials a
+    # block at a time; the stream must be the one a fresh seed sequence
+    # and generator per trial would give
+    monkeypatch.setattr(mc, "_KEY_BLOCK", block)
+    cfg = STREAM_CELLS[cell]
+    est = mc.estimate_abort_probability(cfg)
+    ref = [mc.simulate_run(cfg, seed_sequence_rng(cfg.seed, t))
+           for t in range(cfg.trials)]
+    assert [outcome_key(o) for o in est.outcomes] == [outcome_key(o)
+                                                      for o in ref]
+    for got, want in zip(est.outcomes, ref):
+        assert (got.final_state is None) == (want.final_state is None)
+        if got.final_state is not None:
+            assert np.array_equal(got.final_state, want.final_state)
+    assert stages <= {o.abort_stage for o in ref}
 
 
 def pe_abort_probability(mpp, q, threshold):
