@@ -173,6 +173,7 @@ def _cmd_fixed_point(args, cfg) -> int:
         "attracting": report.attracting,
         "lambda_max": report.lambda_max,
         "iterations_used": report.iterations_used,
+        "newton_steps": report.newton_steps,
         "meta": {"seed": resolve_seed(args, cfg), "tol": args.tol,
                  "maxiter": args.maxiter},
     }

@@ -1,9 +1,11 @@
 """Fixed points of the distillation recurrences and their stability.
 
 Closed-form fixed points where available (binary pairs, BBPSSW, worst case),
-generic fixed-point iteration with residual reporting, finite-difference
-Jacobian spectral radii, log-linear convergence-rate fits, and the reduced
-four-variable solver for the noisy DEJMPS map.
+generic fixed-point iteration (finished by Newton on the exact Jacobian of
+the DEJMPS-type maps) with residual reporting, Jacobian spectral radii
+(exact, or central differences for the scalar maps), log-linear
+convergence-rate fits, and the reduced four-variable solver for the noisy
+DEJMPS map.
 
 Stability statements always refer to the map whose Jacobian is taken.  For
 the noisy DEJMPS protocol that is the reduced correlated-support map
@@ -61,7 +63,10 @@ class FixedPointReport:
     ``residual`` is ||f(p) - p||_1 at the reported location.  ``attracting``
     is None when the iteration did not converge (stability then unknown);
     otherwise it is equivalent to ``lambda_max < 1``, with ``lambda_max`` the
-    finite-difference Jacobian spectral radius (a magnitude).
+    Jacobian spectral radius (a magnitude) from
+    :func:`jacobian_spectral_radius`.  ``iterations_used`` counts the map
+    evaluations of the iteration and of a kept Newton polish;
+    ``newton_steps`` is the polish's share, 0 when none was kept.
     """
 
     location: np.ndarray
@@ -69,6 +74,7 @@ class FixedPointReport:
     attracting: bool | None
     lambda_max: float | None
     iterations_used: int
+    newton_steps: int = 0
 
     @property
     def converged(self) -> bool:
@@ -90,43 +96,74 @@ class ConvergenceFit:
     n_used: int
 
 
-def _step_norm(rmap, p):
-    out, _ = rmap(p)
-    return out
+#: A map with an exact Jacobian switches to Newton once a plain step moves
+#: the iterate by less than this in 1-norm.
+NEWTON_START = 1e-4
+_NEWTON_STEPS = 20
+
+
+def _radius(jac) -> float:
+    return float(np.abs(np.linalg.eigvals(jac)).max())
+
+
+def _newton(rmap, x, tol, budget) -> tuple:
+    """At most ``budget`` Newton steps (I - J) dx = G(x) - x from x.
+    Returns (the last G(x), steps) when ||G(x) - x||_1 < tol is reached at
+    a point of exact spectral radius < 1, else (None, steps)."""
+    eye, step = np.eye(x.size), 0
+    for step in range(1, budget + 1):
+        g, jac = rmap(x)[0], rmap.jac(x)
+        if np.abs(g - x).sum() < tol:
+            return (g if _radius(jac) < 1 else None), step
+        try:
+            x = x + np.linalg.solve(eye - jac, g - x)
+        except np.linalg.LinAlgError:
+            break
+    return None, step
 
 
 def _iterate(rmap, p0, tol, maxiter, damping=0.0) -> tuple:
     """Iterate q <- (1 - d) q + d G(q) from p0 until ||G(q) - q||_1 < tol,
-    for at most maxiter steps; returns (the last G(q), steps, converged)."""
+    for at most maxiter steps; returns (the last G(q), steps, converged,
+    Newton steps).  A map with a ``jac`` tries one Newton polish once a step
+    falls below :data:`NEWTON_START`, counted against maxiter; a refused
+    polish goes uncounted and the plain iteration resumes where it began."""
     q = g = np.asarray(p0, dtype=float)
+    polish = rmap.jac is not None
     for step in range(1, maxiter + 1):
-        g = _step_norm(rmap, q)
-        if np.abs(g - q).sum() < tol:
-            return g, step, True
+        g = rmap(q)[0]
+        diff = np.abs(g - q).sum()
+        if diff < tol:
+            return g, step, True, 0
+        if polish and diff < NEWTON_START:
+            polish = False
+            x, newton = _newton(rmap, g, tol, min(_NEWTON_STEPS, maxiter - step))
+            if x is not None:
+                return x, step + newton, True, newton
         q = (1 - damping) * q + damping * g if damping else g
-    return g, maxiter, False
+    return g, maxiter, False, 0
 
 
 def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
                            maxiter: int = 10000) -> FixedPointReport:
     """Iterate a recurrence map until successive iterates differ by < tol
-    in 1-norm.
+    in 1-norm, finishing with Newton when the map has an exact Jacobian.
 
-    On convergence the report carries the finite-difference spectral radius
-    and the attractivity verdict; if maxiter is exhausted first, the report
-    records the last residual with attracting=None.  ``tol`` must be finite
-    and positive and ``maxiter`` at least 1.
+    On convergence the report carries the Jacobian spectral radius and the
+    attractivity verdict; if maxiter is exhausted first, the report records
+    the last residual with attracting=None.  ``tol`` must be finite and
+    positive and ``maxiter`` at least 1.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     if maxiter < 1:
         raise ValueError("maxiter must be at least 1")
-    p, steps, converged = _iterate(rmap, p0, tol, maxiter)
-    residual = float(np.abs(_step_norm(rmap, p) - p).sum())
+    p, steps, converged, newton = _iterate(rmap, p0, tol, maxiter)
+    residual = float(np.abs(rmap(p)[0] - p).sum())
     if not converged:
         return FixedPointReport(p, residual, None, None, steps)
     lam, _ = jacobian_spectral_radius(rmap, p, residual_tol=max(100 * tol, 1e-8))
-    return FixedPointReport(p, residual, lam < 1.0, lam, steps)
+    return FixedPointReport(p, residual, lam < 1.0, lam, steps, newton)
 
 
 def _noise_weight(x, name: str) -> float:
@@ -271,28 +308,27 @@ def critical_noise() -> float:
 
 def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf,
                              residual_tol: float = 1e-8) -> tuple:
-    """Spectral radius of the central finite-difference Jacobian (step
-    1e-6) of the normalized map at a fixed point, plus the Jacobian itself.
+    """Spectral radius of the Jacobian of the normalized map at a fixed
+    point, plus the Jacobian itself.
 
-    The Jacobian is taken in raw coordinates; normalization is part of the
-    differentiated function, so the radial direction contributes a trivial
-    zero eigenvalue.
+    The Jacobian is the map's exact ``jac`` where it has one, else the
+    central finite difference (step 1e-6).  It is taken in raw coordinates;
+    normalization is part of the differentiated function, so the radial
+    direction contributes a trivial zero eigenvalue.  A point whose
+    residual ||f(p) - p||_1 exceeds ``residual_tol`` is rejected.
     """
-    h = 1e-6
     p = np.asarray(p_inf, dtype=float)
-    resid = float(np.abs(_step_norm(rmap, p) - p).sum())
+    resid = float(np.abs(rmap(p)[0] - p).sum())
     if resid > residual_tol:
         raise ValueError(f"fixed-point residual {resid:.3e} exceeds {residual_tol:.3e}")
-    n = p.size
-    jac = np.zeros((n, n))
-    for c in range(n):
-        pp = p.copy()
-        pm = p.copy()
-        pp[c] += h
-        pm[c] -= h
-        jac[:, c] = (_step_norm(rmap, pp) - _step_norm(rmap, pm)) / (2 * h)
-    radius = float(np.abs(np.linalg.eigvals(jac)).max())
-    return radius, jac
+    jac = rmap.jac(p) if rmap.jac is not None else _fd_jacobian(rmap, p)
+    return _radius(jac), jac
+
+
+def _fd_jacobian(rmap: RecurrenceMap, p, h: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Jacobian of the normalized map at p."""
+    return np.array([(rmap(p + d)[0] - rmap(p - d)[0]) / (2 * h)
+                     for d in h * np.eye(p.size)]).T
 
 
 def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
@@ -307,10 +343,10 @@ def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
     p = np.asarray(p0, dtype=float)
     traj = []
     for _ in range(rounds):
-        p = _step_norm(rmap, p)
+        p = rmap(p)[0]
         traj.append(p.copy())
     if p_fix is None:
-        p_fix, _, _ = _iterate(rmap, p, 1e-15, rounds + 1000)
+        p_fix = _iterate(rmap, p, 1e-15, rounds + 1000)[0]
     p_fix = np.asarray(p_fix, dtype=float)
     errs = np.array([np.abs(t - p_fix).sum() for t in traj])
     ns = np.arange(1, rounds + 1)
@@ -333,16 +369,17 @@ def reduced_noisy_dejmps_fixed_point(noise) -> np.ndarray:
     """Solve the reduced four-equation fixed-point system of the noisy
     DEJMPS map (XOR flag update) on the correlated support.
 
-    Damped iteration q <- (1-d) q + d G(q) with d = 0.5 for robustness near
-    the attractivity boundary, with a plain-iteration fallback; each starts
-    at :data:`DEJMPS_START`, stops when successive iterates differ by less
-    than 1e-13 in 1-norm, and gives up after 20000 steps.  The result is
-    verified in the full 16-variable map: its correlated embedding must be
-    fixed within 1e-10 in 1-norm, else NonConvergenceError.
+    Plain iteration finished by a Newton polish on the exact Jacobian (see
+    :func:`iterate_to_fixed_point`), with a damped fallback q <- (1-d) q +
+    d G(q), d = 0.5; each starts at :data:`DEJMPS_START`, stops when
+    successive iterates differ by less than 1e-13 in 1-norm, and gives up
+    after 20000 steps.  The result is verified in the full 16-variable map:
+    its correlated embedding must be fixed within 1e-10 in 1-norm, else
+    NonConvergenceError.
     """
     rmap = reduced_dejmps_map(noise)
-    for d in (0.5, 0.0):
-        q, _, converged = _iterate(rmap, DEJMPS_START, 1e-13, 20000, d)
+    for d in (0.0, 0.5):
+        q, _, converged, _ = _iterate(rmap, DEJMPS_START, 1e-13, 20000, d)
         if converged:
             break
     if not converged:

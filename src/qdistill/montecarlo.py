@@ -162,17 +162,10 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _trial_keys(seed: int, t) -> np.ndarray:
-    """Philox key of trial t, or of each trial in a uint32 array t: a
-    uint64 array of shape t.shape + (2,).
-
-    The key of trial t equals ``SeedSequence(entropy=seed,
-    spawn_key=(t,)).generate_state(2, np.uint64)``.  The entropy words are
-    the seed's two 32-bit words, zero-padded to the 4-word pool, then t;
-    numpy hashes them into the pool and the pool into four output words.
-    Everything before the word t is the same for every trial, so it runs
-    once on Python ints, and the rest runs on t's type.
-    """
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple:
+    """numpy's SeedSequence pool after hashing in the seed's two 32-bit
+    words, zero-padded to the 4-word pool, and the next hash constant."""
     const = _INIT_A
     pool = []
     for i in range(4):
@@ -183,6 +176,22 @@ def _trial_keys(seed: int, t) -> np.ndarray:
             if src != dst:
                 word, const = _hash(pool[src], const, _MULT_A)
                 pool[dst] = _mix(pool[dst], word)
+    return tuple(pool), const
+
+
+def _trial_keys(seed: int, t) -> np.ndarray:
+    """Philox key of trial t, or of each trial in a uint32 array t: a
+    uint64 array of shape t.shape + (2,).
+
+    The key of trial t equals ``SeedSequence(entropy=seed,
+    spawn_key=(t,)).generate_state(2, np.uint64)``.  The entropy words are
+    the seed's two 32-bit words, zero-padded to the 4-word pool, then t;
+    numpy hashes them into the pool and the pool into four output words.
+    Everything before the word t is the same for every trial, so it runs
+    once per seed (:func:`_seed_pool`), and the rest runs on t's type.
+    """
+    pool, const = _seed_pool(seed)
+    pool = list(pool)
     for dst in range(4):
         word, const = _hash(t, const, _MULT_A)
         pool[dst] = _mix(pool[dst], word)
@@ -192,7 +201,7 @@ def _trial_keys(seed: int, t) -> np.ndarray:
         word, const = _hash(word, const, _MULT_B)
         words.append(word)
     # numpy pairs the words as little-endian uint64s on every platform.
-    return np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    return np.asarray(words, dtype="<u4").T.copy().view("<u8").astype(np.uint64)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

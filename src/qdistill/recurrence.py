@@ -167,6 +167,22 @@ def _bilinear_step(table, p, f, dim: int):
     return raw / n, float(n)
 
 
+def _bilinear_jacobian(table, p, f, dim: int):
+    """Exact Jacobian of p -> raw / N (the float path of
+    :func:`_bilinear_step`): J = (J_R - g 1^T J_R) / N with g = raw / N and
+    J_R[o, c] = d raw_o / d p_c, read off the same table as two bincounts."""
+    (OUT, F, A, B), _ = table
+    pv, fv = np.asarray(p, dtype=float), np.asarray(f, dtype=float)[F]
+    jr = (np.bincount(OUT * dim + A, weights=fv * pv[B], minlength=dim * dim)
+          + np.bincount(OUT * dim + B, weights=fv * pv[A], minlength=dim * dim)
+          ).reshape(dim, dim)
+    raw = jr @ pv / 2  # Euler's identity: raw is homogeneous of degree 2
+    n = raw.sum()
+    if n == 0:
+        raise DegenerateStepError("success probability is zero")
+    return (jr - np.outer(raw / n, jr.sum(axis=0))) / n
+
+
 # Tables of the two fixed-update restrictions, looked up without rebuilding
 # a truth table per step; noise label (0,0,0,0) with certainty; and the
 # binary pair (Bell amplitude bit j, flag bit l) as labels (0, j, 0, l).
@@ -218,9 +234,14 @@ def binary_step(p, f0):
     N = (f0^2+f1^2)((p00+p01)^2+(p10+p11)^2) + 4 f0 f1 (p00+p01)(p10+p11).
     Fraction inputs take the exact path.
     """
-    flip = (f0, 1 - f0, 0, 0)
     return _bilinear_step(_table_for(_AND, _BINARY_SUPPORT), p,
-                          [x * y for x in flip for y in flip], 4)
+                          _binary_noise(f0), 4)
+
+
+def _binary_noise(f0) -> list:
+    """Independent bit flips (f0, 1 - f0) on both pairs as a 16-vector."""
+    flip = (f0, 1 - f0, 0, 0)
+    return [x * y for x in flip for y in flip]
 
 
 def bbpssw_success(p, f):
@@ -278,26 +299,36 @@ class RecurrenceMap:
     length ``dim`` and returns the normalized update plus the
     pre-normalization sum N; all provided maps are homogeneous, so the
     normalized output is well defined on rays.  N is the round's success
-    probability when the input is normalized.
+    probability when the input is normalized.  ``jac``, when set, gives the
+    exact Jacobian of the normalized update at a raw float vector; the table
+    maps set it, the scalar maps leave it None.
     """
 
     variant: str
     dim: int
     fn: Callable
     params: dict = field(default_factory=dict)
+    jac: Callable | None = None
 
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
 
 
+def _table_map(variant, dim, table, f, params=None) -> RecurrenceMap:
+    """The map that runs one bilinear table under noise vector f, with the
+    table's exact Jacobian."""
+    return RecurrenceMap(variant, dim, lambda p: _bilinear_step(table, p, f, dim),
+                         params or {}, lambda p: _bilinear_jacobian(table, p, f, dim))
+
+
 def noiseless_dejmps_map() -> RecurrenceMap:
-    return RecurrenceMap("dejmps", 4, lambda p: dejmps_noiseless_step(p))
+    return _table_map("dejmps", 4, _table_for(_XOR, _CORRELATED), _NO_NOISE)
 
 
 def noisy_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
     u = u or default_flag_update()
-    return RecurrenceMap("dejmps-noisy", 16,
-                         lambda p: dejmps_noisy_step(p, noise, u), {"u": u.name})
+    return _table_map("dejmps-noisy", 16, _index_table(u), _noise_vector(noise),
+                      {"u": u.name})
 
 
 def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
@@ -310,14 +341,13 @@ def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> Recurrence
     Jacobian spectra of this map are the ones the stability analysis quotes.
     """
     u = u or default_flag_update()
-    table = _index_table(u, CORRELATED_SUPPORT)
-    f = _noise_vector(noise)
-    return RecurrenceMap("dejmps-reduced", 4,
-                         lambda q: _bilinear_step(table, q, f, 4), {"u": u.name})
+    return _table_map("dejmps-reduced", 4, _index_table(u, CORRELATED_SUPPORT),
+                      _noise_vector(noise), {"u": u.name})
 
 
 def binary_map(f0) -> RecurrenceMap:
-    return RecurrenceMap("binary", 4, lambda p: binary_step(p, f0), {"f0": f0})
+    return _table_map("binary", 4, _table_for(_AND, _BINARY_SUPPORT),
+                      _binary_noise(f0), {"f0": f0})
 
 
 def _scalar_map(variant, step, **params) -> RecurrenceMap:

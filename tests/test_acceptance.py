@@ -72,12 +72,12 @@ def test_criterion_02_binary_closed_forms():
         rad, _ = fp.jacobian_spectral_radius(m, target)
         worst_rad = max(worst_rad, abs(rad - abs(fp.binary_lambda_max(f0))))
     elapsed = time.perf_counter() - t0
-    ok = worst_fix < 1e-10 and worst_rad < 1e-6 and elapsed < 1.0
+    ok = worst_fix < 1e-10 and worst_rad < 1e-14 and elapsed < 1.0
     report(2, "binary fixed point + lambda closed forms", ok,
            f"fix dev={worst_fix:.2e}, radius dev={worst_rad:.2e}, "
            f"{elapsed:.2f} s")
     assert worst_fix < 1e-10
-    assert worst_rad < 1e-6
+    assert worst_rad < 1e-14
     assert elapsed < 1.0
 
 

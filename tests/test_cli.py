@@ -64,6 +64,23 @@ def test_fixed_point_dejmps_white(capsys):
     assert doc["attracting"] is True
     assert doc["lambda_max"] == pytest.approx(0.146330620788, abs=1e-9)
     assert doc["noise"] == {"kind": "white", "parameter": 0.99}
+    assert 0 < doc["newton_steps"] < doc["iterations_used"]
+
+
+def test_fixed_point_binary_saddle(capsys):
+    # At f0 = 0.6 the iteration converges inside the face it starts on, to
+    # (1/2, 0, 0, 1/2), whose exact eigenvalues are {0, 0, 2/5, 6/5}.  The
+    # Newton polish reaches the same saddle and is refused, so the plain
+    # iteration gives the location and the step count.
+    code, doc = run_json(
+        ["fixed-point", "--protocol", "binary", "--noise", "binary:0.6"],
+        capsys)
+    assert code == 0
+    assert doc["attracting"] is False
+    assert doc["location"] == [0.50000000000019984, 0, 0, 0.49999999999980016]
+    assert doc["iterations_used"] == 31
+    assert doc["newton_steps"] == 0
+    assert doc["lambda_max"] == pytest.approx(6 / 5, abs=1e-12)
 
 
 def test_fixed_point_nonconvergence_exit_code(tmp_path, capsys):

@@ -202,6 +202,51 @@ def test_jacobian_radius_rejects_non_fixed_point():
             rc.binary_map(0.9), np.array([0.7, 0.0, 0.0, 0.3]))
 
 
+@pytest.mark.parametrize("rmap,p", [
+    (rc.reduced_dejmps_map(nm.distribution_from(nm.SingleQubitWhiteNoise(0.99))),
+     fp.DEJMPS_START),
+    (rc.bbpssw_map(0.97), [0.75]),
+], ids=["reduced", "bbpssw"])
+def test_jacobian_radius_rejects_non_fixed_point_of_each_kind(rmap, p):
+    with pytest.raises(ValueError, match="residual"):
+        fp.jacobian_spectral_radius(rmap, np.array(p))
+
+
+def test_iterate_reports_newton_steps():
+    rep = fp.iterate_to_fixed_point(
+        rc.binary_map(0.9), np.array([0.95, 0.0, 0.0, 0.05]))
+    assert 0 < rep.newton_steps < rep.iterations_used
+    plain = fp.iterate_to_fixed_point(
+        rc.bbpssw_map(0.97), np.array([0.75]))
+    assert plain.converged and plain.newton_steps == 0
+
+
+def _plain_steps_to_polish(rmap, p0):
+    """Map evaluations plain iteration takes until a step falls below
+    NEWTON_START."""
+    q = np.asarray(p0, dtype=float)
+    for step in range(1, 100000):
+        g, _ = rmap(q)
+        if np.abs(g - q).sum() < fp.NEWTON_START:
+            return step
+        q = g
+    raise AssertionError("no step fell below NEWTON_START")
+
+
+def test_maxiter_too_small_for_the_polish_is_not_converged():
+    rmap = rc.reduced_dejmps_map(
+        nm.distribution_from(nm.SingleQubitWhiteNoise(0.9002)))
+    start = _plain_steps_to_polish(rmap, fp.DEJMPS_START)
+    rep = fp.iterate_to_fixed_point(rmap, fp.DEJMPS_START, maxiter=start + 1)
+    assert rep.attracting is None
+    assert rep.lambda_max is None
+    assert rep.iterations_used == start + 1
+    full = fp.iterate_to_fixed_point(rmap, fp.DEJMPS_START)
+    assert full.attracting is True
+    assert full.iterations_used == start + full.newton_steps
+    assert full.newton_steps <= 20
+
+
 # ------------------------------------------------- reduced noisy fixed point
 
 REDUCED_CASES = [
@@ -224,6 +269,36 @@ def test_reduced_noisy_fixed_point_reference(model, q00, radius):
     rad, _ = fp.jacobian_spectral_radius(rc.reduced_dejmps_map(dist), q)
     assert rad == pytest.approx(radius, abs=1e-9)
     assert rad < 1.0
+
+
+def _plain_fixed_point(rmap):
+    """Plain iteration from DEJMPS_START until a 1-norm step < 1e-13: the
+    reference the benchmark's stability check uses."""
+    q = np.array(fp.DEJMPS_START)
+    for _ in range(200000):
+        g, _ = rmap(q)
+        if np.abs(g - q).sum() < 1e-13:
+            return g
+        q = g
+    raise AssertionError("plain iteration did not converge")
+
+
+@pytest.mark.parametrize("kind,lo", [("white", 0.75), ("corr2", 0.70)])
+def test_polished_solve_matches_plain_iteration(kind, lo):
+    for value in np.linspace(lo, 1.0, 201):
+        dist = nm.distribution_from(nm.noise_from_config(
+            {"kind": kind, "parameter": float(value)}))
+        q = fp.reduced_noisy_dejmps_fixed_point(dist)
+        ref = _plain_fixed_point(rc.reduced_dejmps_map(dist))
+        assert np.abs(q - ref).sum() < 1e-10, (kind, value)
+
+
+def test_maximally_mixed_basin_fixed_point():
+    dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.88))
+    q = fp.reduced_noisy_dejmps_fixed_point(dist)
+    assert np.abs(q - 0.25).max() < 1e-12
+    rad, _ = fp.jacobian_spectral_radius(rc.reduced_dejmps_map(dist), q)
+    assert rad < 1e-7
 
 
 def test_full_map_transverse_direction_is_expanding():

@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
+from qdistill.fixed_point import _fd_jacobian
 from qdistill.quantum_core import (
     BELL_ORDER,
+    CORRELATED_SUPPORT,
     BellDiagonalState,
     LabeledEnsembleState,
 )
@@ -242,3 +245,62 @@ def test_write_trace_csv_layout():
     # 17 significant digits: the printed text reproduces the stored float
     s = r1[1]
     assert "%.17g" % float(s) == s
+
+
+# ------------------------------------------------------------ exact Jacobian
+
+# A white-noise-like vector with every noise label present, so every term
+# of each table carries weight.
+JAC_NOISE = [Fraction(31, 32)] + [Fraction(1, 480)] * 15
+JAC_TABLES = {
+    # name: (table, dim, noise, columns checked against sympy)
+    "reduced": (rc._index_table(rc.default_flag_update(), CORRELATED_SUPPORT),
+                4, JAC_NOISE, range(4)),
+    "binary": (rc._table_for(rc._AND, rc._BINARY_SUPPORT), 4,
+               rc._binary_noise(Fraction(9, 10)), range(4)),
+    # Two columns on the correlated support and two off it: the symbolic
+    # 2048-term step costs ~0.3 s per column.
+    "noisy16": (rc._index_table(rc.default_flag_update()), 16, JAC_NOISE,
+                (0, 3, 5, 12)),
+}
+
+
+def sympy_jacobian_columns(table, point, f, dim, columns):
+    """Columns of the Jacobian of the exact rational step at ``point``:
+    sympy differentiates the step along each coordinate direction."""
+    t = sympy.Symbol("t")
+    cols = []
+    for c in columns:
+        p = np.array(point, dtype=object)
+        p[c] = p[c] + t
+        g, _ = rc._bilinear_step(table, p, np.array(f, dtype=object), dim)
+        cols.append([float(sympy.diff(gi, t).subs(t, 0)) for gi in g])
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("name", JAC_TABLES)
+def test_bilinear_jacobian_matches_sympy_derivative(name):
+    table, dim, f, columns = JAC_TABLES[name]
+    point = [Fraction(i + 1, dim * (dim + 1) // 2) for i in range(dim)]
+    exact = sympy_jacobian_columns(table, point, f, dim, columns)
+    jac = rc._bilinear_jacobian(table, np.array(point, dtype=float),
+                                np.array(f, dtype=float), dim)
+    assert np.abs(jac[:, list(columns)] - exact).max() < 1e-14
+
+
+@pytest.mark.parametrize("rmap", [
+    rc.noiseless_dejmps_map(), rc.binary_map(0.9), rc.binary_map(0.6),
+    rc.reduced_dejmps_map(WHITE98), rc.noisy_dejmps_map(WHITE98),
+    rc.noisy_dejmps_map(WHITE98, rc.conjunctive_flag_update()),
+], ids=lambda m: f"{m.variant}-{m.params}")
+def test_map_jacobian_matches_central_difference(rmap, rng):
+    for _ in range(5):
+        p = rng.random(rmap.dim) + 0.05
+        p /= p.sum()
+        assert np.abs(rmap.jac(p) - _fd_jacobian(rmap, p)).max() < 1e-7
+
+
+def test_bilinear_jacobian_degenerate_step():
+    table = rc._index_table(rc.default_flag_update())
+    with pytest.raises(rc.DegenerateStepError):
+        rc._bilinear_jacobian(table, np.eye(16)[0], np.zeros(16), 16)
