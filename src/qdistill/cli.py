@@ -34,7 +34,7 @@ from . import noise_models as nm
 from . import recurrence as rec
 from . import security_bounds as sb
 from . import steering_verify as sv
-from .quantum_core import CORRELATED_SUPPORT
+from .quantum_core import CORRELATED_SUPPORT, _kron_stack
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +333,29 @@ def _cmd_bounds(args, cfg) -> int:
     return 0
 
 
-def _random_density(rng, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
+def _random_densities(rng, shape: tuple, dim: int) -> np.ndarray:
+    """Ginibre density matrices of ``dim`` for each index of ``shape``,
+    each drawn as one real then one imaginary Gaussian block."""
+    g = rng.standard_normal(shape + (2, dim, dim))
+    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _random_products(rng, n: int) -> np.ndarray:
+    """``n`` products rho_A ⊗ rho_B of two-qubit Ginibre states, each
+    drawn rho_A first."""
+    pairs = _random_densities(rng, (n, 2), 4)
+    return _kron_stack(pairs[:, 0], pairs[:, 1])
 
 
 #: Most states a steering audit draws of each kind, random and product;
 #: each one is a product-form check.
 _MAX_AUDIT_STATES = 10_000
+
+#: States drawn and audited together; bounds the memory a large audit holds
+#: beyond its verdicts.
+_AUDIT_CHUNK = 256
 
 
 def _cmd_steering_audit(args, cfg) -> int:
@@ -351,14 +365,16 @@ def _cmd_steering_audit(args, cfg) -> int:
         raise ValueError(f"--states must be at most {_MAX_AUDIT_STATES}")
     seed = resolve_seed(args, cfg)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # All random states first, then all products: the order of the draws.
-    draws = {
-        "random": lambda: _random_density(rng, 16),
-        "product": lambda: np.kron(_random_density(rng, 4),
-                                   _random_density(rng, 4)),
-    }
-    verdicts = [sv.product_form_check(draw(), state_id=f"{kind}-{i}")
-                for kind, draw in draws.items() for i in range(args.states)]
+    k = args.states
+    ids = [f"{kind}-{i}" for kind in ("random", "product") for i in range(k)]
+    verdicts = []
+    for start in range(0, 2 * k, _AUDIT_CHUNK):
+        stop = min(start + _AUDIT_CHUNK, 2 * k)
+        # All random states first, then all products: the order of the draws.
+        n_random = max(0, min(stop, k) - start)
+        states = np.concatenate([_random_densities(rng, (n_random,), 16),
+                                 _random_products(rng, stop - start - n_random)])
+        verdicts += sv.product_form_batch(states, state_ids=ids[start:stop])
     payload = {
         "audits": [v.as_audit_dict() for v in verdicts],
         "summary": {"count": len(verdicts),

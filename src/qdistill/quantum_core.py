@@ -246,14 +246,35 @@ class DensityMatrix:
         n = mat.shape[0]
         if mat.ndim != 2 or mat.shape[1] != n or n & (n - 1):
             raise ValueError(f"not a square power-of-two matrix: {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(mat.trace().real - 1.0) > TRACE_TOL or abs(mat.trace().imag) > TRACE_TOL:
-            raise ValueError(f"trace is {mat.trace()!r}, not 1")
-        if np.linalg.eigvalsh(mat).min() < EIGENVALUE_FLOOR:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
+        _check_states(mat[None])
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
+
+
+def _check_states(mats: np.ndarray) -> None:
+    """The ``DensityMatrix`` checks on every matrix of an (S, n, n) stack.
+
+    Each test is written as ``not (value <= tol)`` so that a NaN entry
+    fails it with a ValueError instead of reaching the eigensolver.
+    """
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if not (herm <= HERMITICITY_TOL).all():
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    bad = ~((abs(tr.real - 1.0) <= TRACE_TOL) & (abs(tr.imag) <= TRACE_TOL))
+    if bad.any():
+        raise ValueError(f"trace is {tr[bad][0]!r}, not 1")
+    if not (np.linalg.eigvalsh(mats).min(axis=-1) >= EIGENVALUE_FLOOR).all():
+        raise ValueError("matrix has an eigenvalue below -1e-10")
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the matching matrices of two broadcastable stacks,
+    (..., m, m) and (..., n, n) -> (..., mn, mn), entry by entry the same
+    products."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    mn = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (mn, mn))
 
 
 def trace_norm(a, b) -> float:

@@ -12,18 +12,23 @@ The single-qubit projectors are stored with exact dyadic entries (halves
 and quarters), so on states whose entries are themselves dyadic the whole
 discrepancy pipeline runs in exact float arithmetic and a true product
 state reports a discrepancy of exactly 0.0.
+
+The steering functions take one 16x16 state or an (S, 16, 16) stack and
+treat a stack in one array pass, with the same arithmetic per state:
+``product_form_check`` is the one-state case of ``product_form_batch``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
 import numpy as np
 
-from .quantum_core import (DensityMatrix, _as_matrix, _pauli_strings, partial_trace,
-                           trace_norm)
+from .quantum_core import (DensityMatrix, _as_matrix, _check_states, _kron_stack,
+                           _pauli_strings, partial_trace)
 
 __all__ = [
     "ProductFormVerdict",
@@ -38,6 +43,7 @@ __all__ = [
     "min_outcome_probability",
     "steering_discrepancy",
     "steer_rotate",
+    "product_form_batch",
     "product_form_check",
 ]
 
@@ -123,11 +129,21 @@ def block_inverse_norm_exact() -> Fraction:
     return max(sum(abs(inv[r][c]) for r in range(4)) for c in range(4))
 
 
+@cache
+def _block_inverse() -> np.ndarray:
+    """The exact block inverse as floats (its entries are 0, ±1/2, 1)."""
+    inv = np.array(block_inverse_exact(), dtype=float)
+    inv.flags.writeable = False
+    return inv
+
+
 def t_inverse_norm(num_qubits: int = 4) -> float:
-    """Induced 1-norm (maximum absolute column sum) of T^{-1}; 2^q by the
-    tensor-product structure (16 for the two-pair case)."""
-    tinv = np.linalg.inv(build_t_matrix(num_qubits))
-    return float(np.abs(tinv).sum(axis=0).max())
+    """Induced 1-norm (maximum absolute column sum) of T^{-1}.
+
+    T^{-1} = (B^{-1})^{⊗q} and this norm is multiplicative under ⊗, so it
+    is ||B^{-1}||^q = 2^q (16 for the two-pair case).
+    """
+    return float(np.abs(_block_inverse()).sum(axis=0).max()) ** num_qubits
 
 
 def steering_constant(n: int = 2, m: int = 2) -> int:
@@ -149,9 +165,19 @@ def tomographic_probabilities(rho, num_qubits: int = 4) -> np.ndarray:
 
 
 def recover_pauli_coefficients(probs, num_qubits: int = 4) -> np.ndarray:
-    """Invert p = 2^{-q} T alpha; output matches pauli_decompose ordering."""
-    tinv = np.linalg.inv(build_t_matrix(num_qubits))
-    return (2 ** num_qubits) * (tinv @ np.asarray(probs, dtype=float))
+    """Invert p = 2^{-q} T alpha; output matches pauli_decompose ordering.
+
+    T^{-1} = (B^{-1})^{⊗q} is applied one factor at a time: each pass
+    multiplies the leading index by B^{-1} and moves it to the back, so
+    after q passes the indices are in their original order again.
+    """
+    x = np.asarray(probs, dtype=float)
+    if x.shape != (4 ** num_qubits,):
+        raise ValueError(
+            f"expected {4 ** num_qubits} probabilities, got shape {x.shape}")
+    for _ in range(num_qubits):
+        x = (_block_inverse() @ x.reshape(4, -1)).T.reshape(-1)
+    return (2 ** num_qubits) * x
 
 
 def min_outcome_probability(rho) -> float:
@@ -162,35 +188,61 @@ def min_outcome_probability(rho) -> float:
                      for p in _tset(2)))
 
 
-def steering_discrepancy(rho, threshold: float = 0.0) -> float:
+# einsum subscripts of the partial traces of an (S, 16, 16) stack viewed as
+# (S, A, B, A', B'): keep pair A (trace B against B') or keep pair B.
+_KEEP_A = "sabcb->sac"
+_KEEP_B = "sabad->sbd"
+
+
+def _two_pair_stack(rho) -> tuple[np.ndarray, bool]:
+    """The input as an (S, 16, 16) stack, and whether it was one state."""
+    mats = _as_matrix(rho)
+    single = mats.ndim == 2
+    if single:
+        mats = mats[None]
+    if mats.ndim != 3 or mats.shape[1:] != (16, 16):
+        raise ValueError("expected a two-pair (16-dimensional) state")
+    return mats, single
+
+
+def _marginal(mats: np.ndarray, spec: str) -> np.ndarray:
+    """The validated reduced state of one pair for every state of the stack."""
+    red = np.einsum(spec, mats.reshape(-1, 4, 4, 4, 4))
+    _check_states(red)
+    return red
+
+
+def _discrepancies(mats: np.ndarray, rho_b: np.ndarray,
+                   threshold: float) -> np.ndarray:
+    """steering_discrepancy of each state of a stack, given its B marginals."""
+    if not 0 <= threshold < 1:
+        raise ValueError("threshold must lie in [0, 1)")
+    # All 16 unnormalized conditional states of every state at once; the
+    # trace of cond[s, k] is p_A(phi_k).
+    cond = np.einsum("kab,sbiaj->skij", _tset(2), mats.reshape(-1, 4, 4, 4, 4))
+    p = np.trace(cond, axis1=-2, axis2=-1).real
+    kept = (p >= threshold) & (p > 0.0)
+    if not kept.any(axis=1).all():
+        raise ValueError("all tomographic outcomes fall below the threshold")
+    diff = cond / np.where(kept, p, 1.0)[..., None, None] - rho_b[:, None]
+    dist = np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
+    return np.where(kept, dist, -np.inf).max(axis=1)
+
+
+def steering_discrepancy(rho, threshold: float = 0.0):
     """max_phi || rho_B^phi - rho_B ||_1 over A-side tomographic outcomes
     with p_A(phi) >= threshold.
 
     rho_B^phi = tr_A[(phi ⊗ id) rho] / p_A(phi) is the state conditioned
     on outcome phi on the first pair.  Outcomes rarer than the threshold
     are skipped (their conditional states are unconstrained); if every
-    outcome is below threshold — impossible after steer_rotate at 1/16 —
-    a ValueError is raised.
+    outcome of a state is below threshold — impossible after steer_rotate
+    at 1/16 — a ValueError is raised.  One state gives a float, an
+    (S, 16, 16) stack an array of S discrepancies.
     """
-    if not 0 <= threshold < 1:
-        raise ValueError("threshold must lie in [0, 1)")
-    mat = _as_matrix(rho)
-    if mat.shape != (16, 16):
-        raise ValueError("expected a two-pair (16-dimensional) state")
-    rho4 = mat.reshape(4, 4, 4, 4)
-    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2)).mat
-    best = None
-    for proj in _tset(2):
-        cond = np.einsum("ab,biaj->ij", proj, rho4)
-        p = cond.trace().real
-        if p < threshold or p <= 0.0:
-            continue
-        d = trace_norm(cond / p, rho_b)
-        if best is None or d > best:
-            best = d
-    if best is None:
-        raise ValueError("all tomographic outcomes fall below the threshold")
-    return best
+    mats, single = _two_pair_stack(rho)
+    best = _discrepancies(mats, _marginal(mats, _KEEP_B), threshold)
+    return float(best[0]) if single else best
 
 
 def steer_rotate(rho):
@@ -200,18 +252,22 @@ def steer_rotate(rho):
     maps the maximal-eigenvalue eigenvector of rho_A to |00>, so every
     A-side tomographic outcome then has probability at least
     lambda_max * 1/4 >= 1/16.  Eigenvalue ties break to the first
-    maximizing index of the ascending eigensolver ordering.
+    maximizing index of the ascending eigensolver ordering.  One state
+    gives a 4x4 U and a DensityMatrix; an (S, 16, 16) stack gives the
+    (S, 4, 4) rotations and the validated (S, 16, 16) rotated states.
     """
-    mat = _as_matrix(rho)
-    if mat.shape != (16, 16):
-        raise ValueError("expected a two-pair (16-dimensional) state")
-    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
-    w, v = np.linalg.eigh(rho_a)
-    kmax = int(np.argmax(w))
-    order = [kmax] + [k for k in range(4) if k != kmax]
-    u = v[:, order].conj().T
-    big = np.kron(u, np.eye(4))
-    return u, DensityMatrix(big @ mat @ big.conj().T)
+    mats, single = _two_pair_stack(rho)
+    w, v = np.linalg.eigh(_marginal(mats, _KEEP_A))
+    kmax = np.argmax(w, axis=1)
+    rest = np.arange(3)
+    order = np.column_stack([kmax, rest + (rest >= kmax[:, None])])
+    u = np.take_along_axis(v, order[:, None, :], axis=2).conj().swapaxes(1, 2)
+    big = _kron_stack(u, np.eye(4))
+    rotated = big @ mats @ big.conj().swapaxes(1, 2)
+    if single:
+        return u[0], DensityMatrix(rotated[0])
+    _check_states(rotated)
+    return u, rotated
 
 
 @dataclass(frozen=True)
@@ -239,29 +295,53 @@ class ProductFormVerdict:
         }
 
 
+def product_form_batch(states, epsilon: float | None = None, rotate: bool = True,
+                       threshold: float = 1.0 / 16.0,
+                       state_ids=None) -> list[ProductFormVerdict]:
+    """Check ||rho_AB - rho_A ⊗ rho_B||_1 <= 2 * 4^8 * eps for every state
+    of an (S, 16, 16) stack (one 16x16 state counts as a stack of one).
+
+    With rotate=True (the default) each state is first passed through
+    steer_rotate so the threshold 1/16 is guaranteed; local rotation of A
+    changes neither side of the inequality.  rotate=False audits the raw
+    states — the right choice when they are already well conditioned and
+    exact (dyadic) arithmetic should be preserved.  If epsilon is omitted,
+    each state's measured discrepancy is used; an explicit epsilon, shared
+    by all states, must be finite, and a state whose measured discrepancy
+    exceeds it violates the precondition.  ``state_ids``, one per state,
+    label the verdicts.
+    """
+    mats, _ = _two_pair_stack(states)
+    if epsilon is not None:
+        epsilon = float(epsilon)
+        if not math.isfinite(epsilon):
+            raise ValueError("epsilon must be finite")
+    if state_ids is None:
+        state_ids = [None] * len(mats)
+    elif len(state_ids) != len(mats):
+        raise ValueError(f"{len(state_ids)} state ids for {len(mats)} states")
+    if rotate:
+        mats = steer_rotate(mats)[1]
+    else:
+        _check_states(mats)
+    rho_a, rho_b = _marginal(mats, _KEEP_A), _marginal(mats, _KEEP_B)
+    disc = _discrepancies(mats, rho_b, threshold)
+    eps = disc if epsilon is None else np.full(len(mats), epsilon)
+    over = np.flatnonzero(disc > eps)
+    if over.size:
+        raise ValueError(f"measured discrepancy {disc[over[0]]:.3e} exceeds "
+                         f"the claimed epsilon {epsilon:.3e}")
+    lhs = np.linalg.svd(mats - _kron_stack(rho_a, rho_b),
+                        compute_uv=False).sum(axis=-1)
+    rhs = 2.0 * steering_constant() * eps
+    return [ProductFormVerdict(e, d, l, r, l <= r, sid)
+            for e, d, l, r, sid in zip(eps.tolist(), disc.tolist(), lhs.tolist(),
+                                       rhs.tolist(), state_ids)]
+
+
 def product_form_check(rho, epsilon: float | None = None, rotate: bool = True,
                        threshold: float = 1.0 / 16.0,
                        state_id: str | None = None) -> ProductFormVerdict:
-    """Check ||rho_AB - rho_A ⊗ rho_B||_1 <= 2 * 4^8 * eps.
-
-    With rotate=True (the default) the state is first passed through
-    steer_rotate so the threshold 1/16 is guaranteed; local rotation of A
-    changes neither side of the inequality.  rotate=False audits the raw
-    state — the right choice when the state is already well conditioned
-    and exact (dyadic) arithmetic should be preserved.  If epsilon is
-    omitted, the measured discrepancy itself is used; an explicit epsilon
-    smaller than the measured discrepancy violates the precondition.
-    """
-    mat = _as_matrix(rho)
-    if rotate:
-        mat = steer_rotate(mat)[1].mat
-    disc = steering_discrepancy(mat, threshold)
-    eps = disc if epsilon is None else float(epsilon)
-    if disc > eps:
-        raise ValueError(
-            f"measured discrepancy {disc:.3e} exceeds the claimed epsilon {eps:.3e}")
-    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
-    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2)).mat
-    lhs = trace_norm(mat, np.kron(rho_a, rho_b))
-    rhs = 2.0 * steering_constant() * eps
-    return ProductFormVerdict(eps, disc, lhs, rhs, lhs <= rhs, state_id)
+    """The product-form check of one state: ``product_form_batch`` on a
+    stack of one."""
+    return product_form_batch(rho, epsilon, rotate, threshold, [state_id])[0]

@@ -432,6 +432,46 @@ def test_steering_audit_needs_at_least_one_state(states, capsys):
     assert captured.err == "error: --states must be at least 1\n"
 
 
+def reference_audit_states(seed, k):
+    """The states an audit of k per kind draws, one state at a time."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    def density(dim):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        return rho / rho.trace().real
+
+    randoms = [density(16) for _ in range(k)]
+    products = [np.kron(density(4), density(4)) for _ in range(k)]
+    return np.stack(randoms + products)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_steering_audit_draws_states_in_order(monkeypatch, capsys, chunk):
+    # the batched draws must be the states the one-at-a-time draws made,
+    # also across chunk boundaries
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_AUDIT_CHUNK", chunk)
+    seen = []
+    audit = cli.sv.product_form_batch
+
+    def spy(states, **kwargs):
+        seen.append((states, kwargs["state_ids"]))
+        return audit(states, **kwargs)
+
+    monkeypatch.setattr(cli.sv, "product_form_batch", spy)
+    code, doc = run_json(
+        ["steering-audit", "--states", "8", "--seed", "7"], capsys)
+    assert code == 0
+    assert np.array_equal(np.concatenate([st for st, _ in seen]),
+                          reference_audit_states(7, 8))
+    ids = [i for _, chunk_ids in seen for i in chunk_ids]
+    assert ids == [a["state_id"] for a in doc["audits"]]
+    assert ids == [f"random-{i}" for i in range(8)] + [f"product-{i}" for i in range(8)]
+    # one pass over all 2k states, or chunks that straddle the two kinds
+    assert [len(st) for st, _ in seen] == ([16] if chunk is None else [3] * 5 + [1])
+
+
 class _Reached(Exception):
     """Raised by a stub in place of the work a command starts after its
     input checks."""
@@ -443,7 +483,7 @@ def _reached(*args, **kwargs):
 
 def test_steering_audit_states_are_capped(monkeypatch, capsys):
     # 10^8 states once started an audit that would run for days
-    monkeypatch.setattr(cli.sv, "product_form_check", _reached)
+    monkeypatch.setattr(cli.sv, "product_form_batch", _reached)
     with pytest.raises(_Reached):
         cli.run(["steering-audit", "--states", "10000", "--seed", "7"])
     for states in ("10001", "100000000"):

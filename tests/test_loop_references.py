@@ -1,5 +1,6 @@
-"""The index table, the steps it drives and the ensemble embeddings
-against the explicit loops and closed forms they are computed without.
+"""The index table, the steps it drives, the ensemble embeddings and the
+batched product-form audit against the explicit loops and closed forms
+they are computed without.
 
 Each reference below is the plain loop version of a vectorised function,
 or the hand-written closed form of a step that the one table evaluator
@@ -16,6 +17,7 @@ import pytest
 
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
+import qdistill.steering_verify as sv
 from qdistill.quantum_core import (
     BELL_ORDER,
     BellDiagonalState,
@@ -24,7 +26,11 @@ from qdistill.quantum_core import (
     bell_vector,
     CORRELATED_SUPPORT,
     ensemble_purification,
+    partial_trace,
+    trace_norm,
 )
+
+from conftest import dyadic_state, ginibre_density
 
 idx = LabeledEnsembleState.index
 BITS = (0, 1)
@@ -282,3 +288,60 @@ def test_reduced_map_matches_embedded_step(u):
         out, n = rmap(q)
         assert np.abs(out - want).max() <= 1e-15
         assert abs(n - n_want) <= 1e-15
+
+
+# ------------------------------------------------------------ steering audit
+
+def loop_steer_rotate(mat):
+    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
+    w, v = np.linalg.eigh(rho_a)
+    kmax = int(np.argmax(w))
+    order = [kmax] + [k for k in range(4) if k != kmax]
+    u = v[:, order].conj().T
+    big = np.kron(u, np.eye(4))
+    return u, big @ mat @ big.conj().T
+
+
+def loop_discrepancy(mat, threshold):
+    rho4 = mat.reshape(4, 4, 4, 4)
+    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2)).mat
+    best = None
+    for proj in sv._tset(2):
+        cond = np.einsum("ab,biaj->ij", proj, rho4)
+        p = cond.trace().real
+        if p < threshold or p <= 0.0:
+            continue
+        d = trace_norm(cond / p, rho_b)
+        best = d if best is None else max(best, d)
+    return best
+
+
+def loop_product_form(mat):
+    """(epsilon, lhs) of the rotated state, one outcome at a time."""
+    _, mat = loop_steer_rotate(mat)
+    disc = loop_discrepancy(mat, 1 / 16)
+    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
+    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2)).mat
+    return disc, trace_norm(mat, np.kron(rho_a, rho_b))
+
+
+def test_batched_audit_matches_loop():
+    # Same arithmetic per state: rotations and discrepancies are equal, the
+    # lhs is allowed a few units in the last place of an O(1) trace norm.
+    rng = np.random.default_rng(16)
+    stack = np.stack(
+        [ginibre_density(rng, 16) for _ in range(8)]
+        + [np.kron(ginibre_density(rng, 4), ginibre_density(rng, 4))
+           for _ in range(4)]
+        + [np.kron(dyadic_state(rng), dyadic_state(rng)) for _ in range(4)])
+    u, rotated = sv.steer_rotate(stack)
+    verdicts = sv.product_form_batch(stack)
+    for i, mat in enumerate(stack):
+        u_ref, rot_ref = loop_steer_rotate(mat)
+        assert np.array_equal(u[i], u_ref)
+        assert np.array_equal(rotated[i], rot_ref)
+        eps, lhs = loop_product_form(mat)
+        assert verdicts[i].epsilon == eps
+        assert abs(verdicts[i].lhs - lhs) < 1e-14
+    raw = sv.steering_discrepancy(stack, threshold=1 / 16)
+    assert raw.tolist() == [loop_discrepancy(m, 1 / 16) for m in stack]

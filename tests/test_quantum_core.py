@@ -19,6 +19,7 @@ from qdistill.quantum_core import (
     pauli_string,
     secret_twirl,
     trace_norm,
+    _check_states,
 )
 
 from conftest import ginibre_density
@@ -232,3 +233,32 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))                  # trace != 1
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))                 # negative eigval
+
+
+# inf - inf in the Hermiticity check warns before it fails
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # NaN fails every comparison; it must fail the checks as a ValueError
+    # rather than pass them and end in eigvalsh's LinAlgError
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(np.full((16, 16), bad))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_state_stack_checks_every_matrix(rng):
+    good = np.stack([ginibre_density(rng, 4) for _ in range(3)])
+    _check_states(good)
+    for bad_value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[1, 0, 0] = bad_value
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _check_states(bad)
+    bad = good.copy()
+    bad[2] *= 1.5
+    with pytest.raises(ValueError, match="not 1"):
+        _check_states(bad)
+    bad = good.copy()
+    bad[0] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="eigenvalue below"):
+        _check_states(bad)

@@ -64,6 +64,28 @@ def test_t_inverse_norm_reference():
     assert abs(sv.t_inverse_norm(1) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_t_inverse_norm_against_full_inverse(q):
+    # the formula ||B^-1||^q against the inverse of the whole 4^q matrix
+    full = np.linalg.inv(sv.build_t_matrix(q))
+    assert sv.t_inverse_norm(q) == 2.0 ** q
+    assert abs(np.abs(full).sum(axis=0).max() - sv.t_inverse_norm(q)) < 1e-10
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_recovery_against_full_solve(rng, q):
+    for _ in range(3):
+        probs = sv.tomographic_probabilities(ginibre_density(rng, 2 ** q), q)
+        full = 2 ** q * np.linalg.solve(sv.build_t_matrix(q), probs)
+        rec = sv.recover_pauli_coefficients(probs, q)
+        assert np.abs(rec - full).max() < 1e-12
+
+
+def test_recovery_rejects_wrong_length():
+    with pytest.raises(ValueError, match="expected 256 probabilities"):
+        sv.recover_pauli_coefficients(np.ones(64) / 64)
+
+
 def test_steering_constant():
     # 2^q * 4^q * 2^q over the q = n + m = 4 qubits
     assert sv.steering_constant(2, 2) == 65536
@@ -201,3 +223,74 @@ def test_product_form_lhs_measures_marginal_product_distance(rng):
     rb = partial_trace(rho, [1], [4, 4]).mat
     assert verdict.lhs == pytest.approx(
         trace_norm(rho, np.kron(ra, rb)), abs=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_product_form_check_rejects_non_finite_epsilon(rng, epsilon):
+    # nan once gave holds=False with rhs=nan, inf a vacuous holds=True
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        sv.product_form_check(ginibre_density(rng, 16), epsilon=epsilon)
+
+
+# ---------------------------------------------------------------------- batch
+
+def _mixed_stack(rng):
+    """Ginibre states, products of Ginibre states and dyadic products."""
+    return np.stack(
+        [ginibre_density(rng, 16) for _ in range(6)]
+        + [np.kron(ginibre_density(rng, 4), ginibre_density(rng, 4))
+           for _ in range(5)]
+        + [np.kron(dyadic_state(rng), dyadic_state(rng)) for _ in range(5)])
+
+
+@pytest.mark.parametrize("rotate", [True, False])
+def test_batch_matches_one_state_at_a_time(rng, rotate):
+    stack = _mixed_stack(rng)
+    ids = [f"s{i}" for i in range(len(stack))]
+    batch = sv.product_form_batch(stack, rotate=rotate, state_ids=ids)
+    assert [v.state_id for v in batch] == ids
+    for rho, sid, v in zip(stack, ids, batch):
+        one = sv.product_form_check(rho, rotate=rotate, state_id=sid)
+        assert v.epsilon == one.epsilon          # bitwise
+        assert v.discrepancy == one.discrepancy
+        assert abs(v.lhs - one.lhs) < 1e-14
+        assert v.holds and one.holds
+        assert v.rhs == 2 * sv.steering_constant() * v.epsilon
+
+
+def test_batch_keeps_exact_zero_for_dyadic_products(rng):
+    stack = np.stack([np.kron(dyadic_state(rng), dyadic_state(rng))
+                      for _ in range(25)])
+    assert not sv.steering_discrepancy(stack, threshold=1 / 16).any()
+    for v in sv.product_form_batch(stack, rotate=False):
+        assert v.epsilon == 0.0 and v.lhs == 0.0 and v.holds
+
+
+def test_batch_explicit_epsilon_is_shared(rng):
+    stack = _mixed_stack(rng)
+    eps = 2 * max(v.epsilon for v in sv.product_form_batch(stack))
+    for v in sv.product_form_batch(stack, epsilon=eps):
+        assert v.epsilon == eps and v.holds
+    psi = np.zeros(16)
+    psi[0] = psi[15] = 1 / np.sqrt(2)
+    with pytest.raises(ValueError, match="exceeds the claimed epsilon"):
+        sv.product_form_batch(np.stack([stack[0], np.outer(psi, psi)]),
+                              epsilon=eps)
+
+
+def test_batch_needs_one_id_per_state(rng):
+    stack = _mixed_stack(rng)
+    with pytest.raises(ValueError, match="state ids"):
+        sv.product_form_batch(stack, state_ids=["only-one"])
+    with pytest.raises(ValueError, match="two-pair"):
+        sv.product_form_batch(stack[:, :8, :8])
+
+
+@pytest.mark.parametrize("rotate", [True, False])
+def test_batch_rejects_nan_outside_both_marginals(rng, rotate):
+    # entry (0, 5) is |00><01| ⊗ |00><01|: no partial trace reads it, so
+    # only the check of the whole state can catch it
+    stack = _mixed_stack(rng)
+    stack[3, 0, 5] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sv.product_form_batch(stack, rotate=rotate)
