@@ -211,15 +211,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.minimum(grid[grid <= hi + step * 1e-6], 1.0)
 
 
-def _reduced_solution(model) -> tuple:
-    """The reduced DEJMPS fixed point under a noise model and the spectral
-    radius of the reduced map there."""
-    dist = nm.distribution_from(model)
-    q = fp.reduced_noisy_dejmps_fixed_point(dist)
-    radius, _ = fp.jacobian_spectral_radius(rec.reduced_dejmps_map(dist), q)
-    return q, radius
-
-
 def _cmd_scan(args, cfg) -> int:
     grid = _parse_grid(args.noise_grid)
     rows = []
@@ -236,9 +227,10 @@ def _cmd_scan(args, cfg) -> int:
     else:
         header = (args.noise_kind + "_parameter", "q00_fixed", "spectral_radius")
         for val in grid:
-            q, radius = _reduced_solution(nm.noise_from_config(
-                {"kind": args.noise_kind, "parameter": float(val)}))
-            rows.append((val, q[0], radius))
+            report = fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(
+                nm.noise_from_config({"kind": args.noise_kind,
+                                      "parameter": float(val)})))
+            rows.append((val, report.location[0], report.lambda_max))
     with _open_out(args.out) as fh:
         if args.emit == "csv":
             w = csv.writer(fh)
@@ -484,7 +476,7 @@ def _reduced_series(f_values, kind, rounds):
         dist = nm.distribution_from(nm.noise_from_config(
             {"kind": kind, "parameter": f}))
         rmap = rec.reduced_dejmps_map(dist)
-        q_fix = fp.reduced_noisy_dejmps_fixed_point(dist)
+        q_fix = fp.reduced_noisy_dejmps_fixed_point(dist).location
         q = np.array(fp.DEJMPS_START)
         errs = []
         for _ in range(rounds):
@@ -513,8 +505,9 @@ def _white_noise_solutions() -> tuple:
     figures."""
     rows = []
     for x in np.logspace(-4, -1, 25):
-        q, radius = _reduced_solution(nm.SingleQubitWhiteNoise(1.0 - x))
-        rows.append((x, q[0], radius))
+        report = fp.reduced_noisy_dejmps_fixed_point(
+            nm.distribution_from(nm.SingleQubitWhiteNoise(1.0 - x)))
+        rows.append((x, report.location[0], report.lambda_max))
     return tuple(rows)
 
 
@@ -579,7 +572,7 @@ def _fig_worstcase_attractivity(fh):
     for f_i in np.arange(0.9, 1.0 + 1e-3, 2e-3):
         rmap = rec.worstcase_map(float(f_i))
         for root in fp.worstcase_fixed_points(float(f_i)):
-            radius, _ = fp.jacobian_spectral_radius(rmap, np.array([root]))
+            radius = fp.jacobian_spectral_radius(rmap, np.array([root]))
             w.writerow([_fmt(f_i), _fmt(root), _fmt(radius)])
 
 

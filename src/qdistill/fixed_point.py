@@ -1,11 +1,11 @@
 """Fixed points of the distillation recurrences and their stability.
 
 Closed-form fixed points where available (binary pairs, BBPSSW, worst case),
-generic fixed-point iteration (finished by Newton on the exact Jacobian of
-the DEJMPS-type maps) with residual reporting, Jacobian spectral radii
-(exact, or central differences for the scalar maps), log-linear
-convergence-rate fits, and the reduced four-variable solver for the noisy
-DEJMPS map.
+Jacobian spectral radii (exact, or central differences for the scalar maps),
+log-linear convergence-rate fits, and one fixed-point loop (plain iteration
+finished by Newton on the exact Jacobian of the DEJMPS-type maps) whose report
+both solvers return: the generic one and the reduced four-variable solver for
+the noisy DEJMPS map, which has no damped fallback.
 
 Stability statements always refer to the map whose Jacobian is taken.  For
 the noisy DEJMPS protocol that is the reduced correlated-support map
@@ -63,9 +63,8 @@ class FixedPointReport:
     ``residual`` is ||f(p) - p||_1 at the reported location.  ``attracting``
     is None when the iteration did not converge (stability then unknown);
     otherwise it is equivalent to ``lambda_max < 1``, with ``lambda_max`` the
-    Jacobian spectral radius (a magnitude) from
-    :func:`jacobian_spectral_radius`.  ``iterations_used`` counts the map
-    evaluations of the iteration and of a kept Newton polish;
+    Jacobian spectral radius (a magnitude) there.  ``iterations_used`` counts
+    the map evaluations of the iteration and of a kept Newton polish;
     ``newton_steps`` is the polish's share, 0 when none was kept.
     """
 
@@ -102,46 +101,56 @@ NEWTON_START = 1e-4
 _NEWTON_STEPS = 20
 
 
-def _radius(jac) -> float:
+def _radius(rmap, p) -> float:
+    """Jacobian spectral radius of rmap at p, exact or central-difference."""
+    jac = rmap.jac(p) if rmap.jac is not None else _fd_jacobian(rmap, p)
     return float(np.abs(np.linalg.eigvals(jac)).max())
 
 
-def _newton(rmap, x, tol, budget) -> tuple:
-    """At most ``budget`` Newton steps (I - J) dx = G(x) - x from x.
-    Returns (the last G(x), steps) when ||G(x) - x||_1 < tol is reached at
-    a point of exact spectral radius < 1, else (None, steps)."""
-    eye, step = np.eye(x.size), 0
+def _report(rmap, p, steps, lam=None, newton=0) -> FixedPointReport:
+    """The report at p; lam is the radius there, None if not converged."""
+    residual = float(np.abs(rmap(p)[0] - p).sum())
+    attracting = None if lam is None else lam < 1.0
+    return FixedPointReport(p, residual, attracting, lam, steps, newton)
+
+
+def _newton(rmap, x, tol, budget, done) -> FixedPointReport | None:
+    """At most ``budget`` Newton steps (I - J) dx = G(x) - x from x, after
+    ``done`` plain steps.  Once ||G(x) - x||_1 < tol, reports G(x) if the
+    exact spectral radius there is < 1; otherwise returns None."""
+    eye = np.eye(x.size)
     for step in range(1, budget + 1):
-        g, jac = rmap(x)[0], rmap.jac(x)
+        g = rmap(x)[0]
         if np.abs(g - x).sum() < tol:
-            return (g if _radius(jac) < 1 else None), step
+            lam = _radius(rmap, g)
+            return _report(rmap, g, done + step, lam, step) if lam < 1 else None
         try:
-            x = x + np.linalg.solve(eye - jac, g - x)
+            x = x + np.linalg.solve(eye - rmap.jac(x), g - x)
         except np.linalg.LinAlgError:
             break
-    return None, step
+    return None
 
 
-def _iterate(rmap, p0, tol, maxiter, damping=0.0) -> tuple:
-    """Iterate q <- (1 - d) q + d G(q) from p0 until ||G(q) - q||_1 < tol,
-    for at most maxiter steps; returns (the last G(q), steps, converged,
-    Newton steps).  A map with a ``jac`` tries one Newton polish once a step
-    falls below :data:`NEWTON_START`, counted against maxiter; a refused
-    polish goes uncounted and the plain iteration resumes where it began."""
+def _iterate(rmap, p0, tol, maxiter) -> FixedPointReport:
+    """Iterate q <- G(q) from p0 until ||G(q) - q||_1 < tol, for at most
+    maxiter steps, and report on the last G(q).  A map with a ``jac`` tries
+    one Newton polish once a step falls below :data:`NEWTON_START`, counted
+    against maxiter; a refused polish goes uncounted and the plain
+    iteration resumes where it began."""
     q = g = np.asarray(p0, dtype=float)
     polish = rmap.jac is not None
     for step in range(1, maxiter + 1):
         g = rmap(q)[0]
         diff = np.abs(g - q).sum()
         if diff < tol:
-            return g, step, True, 0
+            return _report(rmap, g, step, _radius(rmap, g))
         if polish and diff < NEWTON_START:
             polish = False
-            x, newton = _newton(rmap, g, tol, min(_NEWTON_STEPS, maxiter - step))
-            if x is not None:
-                return x, step + newton, True, newton
-        q = (1 - damping) * q + damping * g if damping else g
-    return g, maxiter, False, 0
+            report = _newton(rmap, g, tol, min(_NEWTON_STEPS, maxiter - step), step)
+            if report is not None:
+                return report
+        q = g
+    return _report(rmap, g, maxiter)
 
 
 def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
@@ -158,12 +167,7 @@ def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
         raise ValueError("tol must be finite and positive")
     if maxiter < 1:
         raise ValueError("maxiter must be at least 1")
-    p, steps, converged, newton = _iterate(rmap, p0, tol, maxiter)
-    residual = float(np.abs(rmap(p)[0] - p).sum())
-    if not converged:
-        return FixedPointReport(p, residual, None, None, steps)
-    lam, _ = jacobian_spectral_radius(rmap, p, residual_tol=max(100 * tol, 1e-8))
-    return FixedPointReport(p, residual, lam < 1.0, lam, steps, newton)
+    return _iterate(rmap, p0, tol, maxiter)
 
 
 def _noise_weight(x, name: str) -> float:
@@ -212,24 +216,26 @@ def binary_lambda_max(f0):
     return (f0 * math.sqrt(4 * f0 - 3) - f0) / (2 * f0 - 1)
 
 
+def _bbpssw_radicand(f) -> tuple:
+    """(f, 4 - 9/f^2 + 6/f), checked to admit a BBPSSW fixed point."""
+    f = _noise_weight(f, "f")
+    if f <= 0 or (rad := 4 - 9 / f ** 2 + 6 / f) < 0:
+        raise ValueError("no distillation fixed point (f <= 0 or negative radicand)")
+    return f, rad
+
+
 def bbpssw_fixed_point(f) -> float:
     """BBPSSW Werner-parameter fixed point 2/3 + sqrt(4 - 9/f^2 + 6/f)/3;
-    f must be finite and at most 1."""
-    f = _noise_weight(f, "f")
-    rad = 4 - 9 / f ** 2 + 6 / f
-    if rad < 0:
-        raise ValueError("no distillation fixed point (negative radicand)")
+    f must be finite, positive and at most 1."""
+    _, rad = _bbpssw_radicand(f)
     return 2.0 / 3.0 + math.sqrt(rad) / 3.0
 
 
 def bbpssw_fixed_point_slope(f) -> float:
     """Derivative b'(p_inf) of the BBPSSW recurrence at its fixed point,
     (9 - 3f) / (f (3 + 2 (2 + sqrt(4 - 9/f^2 + 6/f)) f)); 2/3 at f = 1.
-    f must be finite and at most 1."""
-    f = _noise_weight(f, "f")
-    rad = 4 - 9 / f ** 2 + 6 / f
-    if rad < 0:
-        raise ValueError("no distillation fixed point (negative radicand)")
+    f must be finite, positive and at most 1."""
+    f, rad = _bbpssw_radicand(f)
     return (9 - 3 * f) / (f * (3 + 2 * (2 + math.sqrt(rad)) * f))
 
 
@@ -237,8 +243,7 @@ def bbpssw_two_qubit_fixed_points(f_tilde) -> tuple:
     """(F_min, F_max) = (3 -+ sqrt(10 - 9/f~^2))/4 of the two-qubit-noise
     fidelity recurrence; requires 3/sqrt(10) <= f~ <= 1."""
     f_tilde = _noise_weight(f_tilde, "f_tilde")
-    rad = 10 - 9 / f_tilde ** 2
-    if rad < 0:
+    if f_tilde <= 0 or (rad := 10 - 9 / f_tilde ** 2) < 0:
         raise ValueError("domain requires f_tilde >= 3/sqrt(10)")
     s = math.sqrt(rad)
     return (3 - s) / 4, (3 + s) / 4
@@ -307,9 +312,8 @@ def critical_noise() -> float:
 
 
 def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf,
-                             residual_tol: float = 1e-8) -> tuple:
-    """Spectral radius of the Jacobian of the normalized map at a fixed
-    point, plus the Jacobian itself.
+                             residual_tol: float = 1e-8) -> float:
+    """Spectral radius of the Jacobian of the normalized map at a fixed point.
 
     The Jacobian is the map's exact ``jac`` where it has one, else the
     central finite difference (step 1e-6).  It is taken in raw coordinates;
@@ -321,8 +325,7 @@ def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf,
     resid = float(np.abs(rmap(p)[0] - p).sum())
     if resid > residual_tol:
         raise ValueError(f"fixed-point residual {resid:.3e} exceeds {residual_tol:.3e}")
-    jac = rmap.jac(p) if rmap.jac is not None else _fd_jacobian(rmap, p)
-    return _radius(jac), jac
+    return _radius(rmap, p)
 
 
 def _fd_jacobian(rmap: RecurrenceMap, p, h: float = 1e-6) -> np.ndarray:
@@ -346,7 +349,7 @@ def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
         p = rmap(p)[0]
         traj.append(p.copy())
     if p_fix is None:
-        p_fix = _iterate(rmap, p, 1e-15, rounds + 1000)[0]
+        p_fix = _iterate(rmap, p, 1e-15, rounds + 1000).location
     p_fix = np.asarray(p_fix, dtype=float)
     errs = np.array([np.abs(t - p_fix).sum() for t in traj])
     ns = np.arange(1, rounds + 1)
@@ -365,30 +368,27 @@ def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
                           math.sqrt(ss_res / mask.sum()), r2, int(mask.sum()))
 
 
-def reduced_noisy_dejmps_fixed_point(noise) -> np.ndarray:
+def reduced_noisy_dejmps_fixed_point(noise) -> FixedPointReport:
     """Solve the reduced four-equation fixed-point system of the noisy
-    DEJMPS map (XOR flag update) on the correlated support.
+    DEJMPS map (XOR flag update) on the correlated support; the report's
+    radius is that of the reduced map.
 
-    Plain iteration finished by a Newton polish on the exact Jacobian (see
-    :func:`iterate_to_fixed_point`), with a damped fallback q <- (1-d) q +
-    d G(q), d = 0.5; each starts at :data:`DEJMPS_START`, stops when
-    successive iterates differ by less than 1e-13 in 1-norm, and gives up
-    after 20000 steps.  The result is verified in the full 16-variable map:
-    its correlated embedding must be fixed within 1e-10 in 1-norm, else
+    Plain iteration from :data:`DEJMPS_START`, finished by a Newton polish
+    (see :func:`iterate_to_fixed_point`), to a 1-norm step below 1e-13
+    within 20000 steps, else NonConvergenceError.  There is no damped
+    fallback: at the fold points where plain iteration fails, a damped pass
+    failed too.  The result is verified in the full 16-variable map: its
+    correlated embedding must be fixed within 1e-10 in 1-norm, else
     NonConvergenceError.
     """
-    rmap = reduced_dejmps_map(noise)
-    for d in (0.0, 0.5):
-        q, _, converged, _ = _iterate(rmap, DEJMPS_START, 1e-13, 20000, d)
-        if converged:
-            break
-    if not converged:
+    report = _iterate(reduced_dejmps_map(noise), DEJMPS_START, 1e-13, 20000)
+    if not report.converged:
         raise NonConvergenceError("reduced fixed-point iteration did not converge")
     p = np.zeros(16)
-    p[CORRELATED_SUPPORT] = q
+    p[CORRELATED_SUPPORT] = report.location
     full, _ = dejmps_noisy_step(p, noise)
     resid = float(np.abs(full - p).sum())
     if resid > 1e-10:
         raise NonConvergenceError(
             f"reduced solution is not a fixed point of the full map (residual {resid:.3e})")
-    return q
+    return report

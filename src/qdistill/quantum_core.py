@@ -254,9 +254,11 @@ class DensityMatrix:
 def _check_states(mats: np.ndarray) -> None:
     """The ``DensityMatrix`` checks on every matrix of an (S, n, n) stack.
 
-    Each test is written as ``not (value <= tol)`` so that a NaN entry
-    fails it with a ValueError instead of reaching the eigensolver.
+    Non-finite entries are rejected first, before any arithmetic on them.
     """
+    finite = np.isfinite(mats)
+    if not finite.all():
+        raise ValueError(f"matrix entry {complex(mats[~finite][0])!r} is not finite")
     herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if not (herm <= HERMITICITY_TOL).all():
         raise ValueError("matrix is not Hermitian within 1e-12")

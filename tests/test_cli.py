@@ -12,6 +12,7 @@ import pytest
 
 from qdistill import cli
 from qdistill import fixed_point as fp
+from qdistill import noise_models as nm
 from qdistill import security_bounds as sb
 
 
@@ -150,6 +151,44 @@ def test_scan_binary_json(capsys):
     first = dict(zip(doc["columns"], doc["rows"][0]))
     assert first["p00_fixed"] == pytest.approx(0.9841229182759271, abs=1e-12)
     assert first["lambda_max"] == pytest.approx(-0.2535787471033311, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,grid", [("white", "0.25:0.99:0.37"),
+                                       ("corr2", "0:0.9:0.1")])
+def test_scan_dejmps_rows_are_the_solver_reports(kind, grid, capsys):
+    code, doc = run_json(["scan", "--protocol", "dejmps", "--noise-kind", kind,
+                          "--noise-grid", grid, "--emit", "json"], capsys)
+    assert code == 0
+    assert doc["columns"] == [f"{kind}_parameter", "q00_fixed",
+                              "spectral_radius"]
+    values = cli._parse_grid(grid).tolist()
+    reports = [fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(
+        nm.noise_from_config({"kind": kind, "parameter": v}))) for v in values]
+    assert doc["rows"] == [[v, r.location[0], r.lambda_max]
+                           for v, r in zip(values, reports)]
+    # the grid reaches the plain path, the maximally mixed basin (q00 = 1/4)
+    # and a Newton-polished distillation fixed point
+    assert any(r.newton_steps == 0 for r in reports)
+    assert any(r.newton_steps and abs(r.location[0] - 0.25) < 1e-12
+               for r in reports)
+    assert any(r.newton_steps and r.location[0] > 0.9 for r in reports)
+
+
+def test_scan_dejmps_fold_point_does_not_converge(capsys):
+    # at the white-noise fold, plain iteration stalls for all 20000 steps
+    code = cli.run(["scan", "--protocol", "dejmps",
+                    "--noise-grid", "0.898311:0.898311:0.1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("non-convergence:")
+
+
+def test_scan_bbpssw_zero_noise_weight_is_usage_error(capsys):
+    # f = 0 once ended in a ZeroDivisionError traceback
+    err = usage_error(["scan", "--protocol", "bbpssw",
+                       "--noise-grid", "0:0.1:0.05"], capsys)
+    assert "no distillation fixed point" in err
 
 
 @pytest.mark.parametrize("protocol,grid", [("bbpssw", "1.0:2.0:0.5"),
@@ -521,12 +560,21 @@ def test_montecarlo_csv_per_trial(tmp_path, capsys):
          "--out", str(out)])
     agg = json.loads(capsys.readouterr().out)
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 120
     assert {"trial", "flag", "abort_stage", "rounds_completed",
             "fidelity_estimate", "final_pairs"} <= set(rows[0])
     measured = sum(r["flag"] != "ok" for r in rows) / 120
     assert measured == pytest.approx(agg["abort_rate"], abs=1e-12)
+
+
+def test_montecarlo_f_min_auto_at_zero_noise_weight_is_usage_error(capsys):
+    # corr2:0 once ended in a ZeroDivisionError traceback
+    err = usage_error(["montecarlo", "--n-pairs", "64", "--beta", "0.9",
+                       "--noise", "corr2:0", "--rounds", "2", "--f-min",
+                       "auto", "--trials", "10"], capsys)
+    assert "f_tilde" in err
 
 
 def test_montecarlo_f_min_auto_requires_corr2(capsys):

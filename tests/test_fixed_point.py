@@ -83,11 +83,22 @@ def test_closed_forms_reject_weights_above_one(closed_form, weight):
     closed_form(1.0)
 
 
+@pytest.mark.parametrize("closed_form", [
+    fp.bbpssw_fixed_point, fp.bbpssw_fixed_point_slope,
+    fp.bbpssw_two_qubit_fixed_points], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, -3.0], ids=str)
+def test_bbpssw_closed_forms_reject_weights_at_most_zero(closed_form, weight):
+    # 0 once divided by zero; -3 gave a fixed point 1.0 and slope 0.4, and
+    # -1 the two-qubit pair (0.5, 1.0)
+    with pytest.raises(ValueError, match="domain|no distillation"):
+        closed_form(weight)
+
+
 @given(st.floats(0.78, 1.0))
 def test_binary_lambda_matches_finite_difference(f0):
     lam = fp.binary_lambda_max(f0)
     q = fp.binary_fixed_point(f0)
-    rad, _ = fp.jacobian_spectral_radius(rc.binary_map(f0), q)
+    rad = fp.jacobian_spectral_radius(rc.binary_map(f0), q)
     assert rad == pytest.approx(abs(lam), abs=1e-6)
 
 
@@ -117,7 +128,7 @@ def test_bbpssw_slope_reference():
 def test_bbpssw_slope_matches_finite_difference(f):
     slope = fp.bbpssw_fixed_point_slope(f)
     q = np.array([fp.bbpssw_fixed_point(f)])
-    rad, _ = fp.jacobian_spectral_radius(rc.bbpssw_map(f), q)
+    rad = fp.jacobian_spectral_radius(rc.bbpssw_map(f), q)
     assert rad == pytest.approx(abs(slope), abs=1e-6)
 
 
@@ -263,12 +274,15 @@ REDUCED_CASES = [
 @pytest.mark.parametrize("model,q00,radius", REDUCED_CASES)
 def test_reduced_noisy_fixed_point_reference(model, q00, radius):
     dist = nm.distribution_from(model)
-    q = fp.reduced_noisy_dejmps_fixed_point(dist)
+    report = fp.reduced_noisy_dejmps_fixed_point(dist)
     if q00 is not None:
-        assert q[0] == pytest.approx(q00, abs=1e-10)
-    rad, _ = fp.jacobian_spectral_radius(rc.reduced_dejmps_map(dist), q)
+        assert report.location[0] == pytest.approx(q00, abs=1e-10)
+    rad = fp.jacobian_spectral_radius(rc.reduced_dejmps_map(dist),
+                                      report.location)
+    assert report.lambda_max == rad
     assert rad == pytest.approx(radius, abs=1e-9)
     assert rad < 1.0
+    assert report.attracting is True
 
 
 def _plain_fixed_point(rmap):
@@ -288,16 +302,16 @@ def test_polished_solve_matches_plain_iteration(kind, lo):
     for value in np.linspace(lo, 1.0, 201):
         dist = nm.distribution_from(nm.noise_from_config(
             {"kind": kind, "parameter": float(value)}))
-        q = fp.reduced_noisy_dejmps_fixed_point(dist)
+        q = fp.reduced_noisy_dejmps_fixed_point(dist).location
         ref = _plain_fixed_point(rc.reduced_dejmps_map(dist))
         assert np.abs(q - ref).sum() < 1e-10, (kind, value)
 
 
 def test_maximally_mixed_basin_fixed_point():
     dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.88))
-    q = fp.reduced_noisy_dejmps_fixed_point(dist)
+    q = fp.reduced_noisy_dejmps_fixed_point(dist).location
     assert np.abs(q - 0.25).max() < 1e-12
-    rad, _ = fp.jacobian_spectral_radius(rc.reduced_dejmps_map(dist), q)
+    rad = fp.jacobian_spectral_radius(rc.reduced_dejmps_map(dist), q)
     assert rad < 1e-7
 
 
@@ -306,11 +320,11 @@ def test_full_map_transverse_direction_is_expanding():
     # radius 2: flag-conditional perturbations grow, only the Bell marginal
     # contracts.  This pins why stability claims quote the reduced map.
     dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.99))
-    q = fp.reduced_noisy_dejmps_fixed_point(dist)
+    q = fp.reduced_noisy_dejmps_fixed_point(dist).location
     p16 = np.zeros(16)
     for pos, (i, j) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):
         p16[((i * 2 + j) * 2 + i) * 2 + j] = q[pos]
-    rad, _ = fp.jacobian_spectral_radius(rc.noisy_dejmps_map(dist), p16)
+    rad = fp.jacobian_spectral_radius(rc.noisy_dejmps_map(dist), p16)
     assert rad == pytest.approx(2.0, abs=1e-5)
 
 

@@ -431,7 +431,8 @@ def test_fidelity_trajectory_tracks_deterministic_marginals():
                        atol=1e-12)
     assert successes[0] == pytest.approx(13 / 18, abs=1e-12)
     # fidelity climbs toward the fixed point, distances shrink
-    q_fix = fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(cfg.noise))
+    q_fix = fp.reduced_noisy_dejmps_fixed_point(
+        nm.distribution_from(cfg.noise)).location
     dists = [np.abs(m - q_fix).sum() for m in marginals]
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     fids = [m[0] for m in marginals]

@@ -99,7 +99,7 @@ def test_zero_flag_start_converges_to_uniform_flags():
         p, _ = rc.dejmps_noisy_step(p, dist)
     s = LabeledEnsembleState(np.asarray(p))
     assert s.cross_mass() == pytest.approx(0.75, abs=1e-12)
-    target = fp.reduced_noisy_dejmps_fixed_point(dist)
+    target = fp.reduced_noisy_dejmps_fixed_point(dist).location
     assert np.abs(s.bell_marginal().p - target).max() < 1e-12
     grid = np.asarray(p).reshape(4, 4)
     assert np.abs(grid - grid.sum(axis=1, keepdims=True) / 4).max() < 1e-15

@@ -292,5 +292,5 @@ def test_batch_rejects_nan_outside_both_marginals(rng, rotate):
     # only the check of the whole state can catch it
     stack = _mixed_stack(rng)
     stack[3, 0, 5] = np.nan
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="not finite"):
         sv.product_form_batch(stack, rotate=rotate)
