@@ -453,6 +453,8 @@ def _cmd_trace(args, cfg) -> int:
         return 0
     if args.rounds < 0:
         raise ValueError("--rounds must be nonnegative")
+    if args.full and args.protocol != "dejmps":
+        raise ValueError("--full applies to --protocol dejmps only")
     model = _resolve_noise(args, cfg)
     rmap, p0 = _protocol_map(args.protocol, model, full=args.full)
     if args.p0:
@@ -462,6 +464,8 @@ def _cmd_trace(args, cfg) -> int:
         if not (np.isfinite(p0).all() and p0.min() >= 0 and p0.sum() > 0):
             raise ValueError("--p0 entries must be finite and nonnegative"
                              " with a positive sum")
+        if rmap.dim == 1 and p0[0] > 1:
+            raise ValueError("--p0 of a one-variable map must be at most 1")
     with _open_out(args.out) as fh:
         rec.write_trace_csv(rmap, p0, args.rounds, fh)
     return 0

@@ -1,11 +1,10 @@
 """Fixed points of the distillation recurrences and their stability.
 
 Closed-form fixed points where available (binary pairs, BBPSSW, worst case),
-Jacobian spectral radii (exact, or central differences for the scalar maps),
-log-linear convergence-rate fits, and one fixed-point loop (plain iteration
-finished by Newton on the exact Jacobian of the DEJMPS-type maps) whose report
-both solvers return: the generic one and the reduced four-variable solver for
-the noisy DEJMPS map, which has no damped fallback.
+Jacobian spectral radii from each map's exact Jacobian, log-linear
+convergence-rate fits, and one fixed-point loop (plain iteration finished by
+Newton on the exact Jacobian) whose report both solvers return: the generic
+one and the reduced four-variable solver for the noisy DEJMPS map.
 
 Stability statements always refer to the map whose Jacobian is taken.  For
 the noisy DEJMPS protocol that is the reduced correlated-support map
@@ -95,16 +94,17 @@ class ConvergenceFit:
     n_used: int
 
 
-#: A map with an exact Jacobian switches to Newton once a plain step moves
-#: the iterate by less than this in 1-norm.
+#: The loop switches to Newton once a plain step moves the iterate by less
+#: than this in 1-norm.
 NEWTON_START = 1e-4
 _NEWTON_STEPS = 20
+#: :func:`jacobian_spectral_radius` rejects a point with a larger residual.
+_RESIDUAL_TOL = 1e-8
 
 
 def _radius(rmap, p) -> float:
-    """Jacobian spectral radius of rmap at p, exact or central-difference."""
-    jac = rmap.jac(p) if rmap.jac is not None else _fd_jacobian(rmap, p)
-    return float(np.abs(np.linalg.eigvals(jac)).max())
+    """Spectral radius of rmap's exact Jacobian at p."""
+    return float(np.abs(np.linalg.eigvals(rmap.jac(p))).max())
 
 
 def _report(rmap, p, steps, lam=None, newton=0) -> FixedPointReport:
@@ -133,12 +133,12 @@ def _newton(rmap, x, tol, budget, done) -> FixedPointReport | None:
 
 def _iterate(rmap, p0, tol, maxiter) -> FixedPointReport:
     """Iterate q <- G(q) from p0 until ||G(q) - q||_1 < tol, for at most
-    maxiter steps, and report on the last G(q).  A map with a ``jac`` tries
-    one Newton polish once a step falls below :data:`NEWTON_START`, counted
-    against maxiter; a refused polish goes uncounted and the plain
-    iteration resumes where it began."""
+    maxiter steps, and report on the last G(q).  One Newton polish is tried
+    once a step falls below :data:`NEWTON_START`, counted against maxiter;
+    a refused polish goes uncounted and the plain iteration resumes where
+    it began."""
     q = g = np.asarray(p0, dtype=float)
-    polish = rmap.jac is not None
+    polish = True
     for step in range(1, maxiter + 1):
         g = rmap(q)[0]
         diff = np.abs(g - q).sum()
@@ -156,7 +156,7 @@ def _iterate(rmap, p0, tol, maxiter) -> FixedPointReport:
 def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
                            maxiter: int = 10000) -> FixedPointReport:
     """Iterate a recurrence map until successive iterates differ by < tol
-    in 1-norm, finishing with Newton when the map has an exact Jacobian.
+    in 1-norm, finishing with Newton on the map's exact Jacobian.
 
     On convergence the report carries the Jacobian spectral radius and the
     attractivity verdict; if maxiter is exhausted first, the report records
@@ -257,23 +257,17 @@ def worstcase_fixed_points(f_i) -> np.ndarray:
     if f_i <= 0:
         raise ValueError("f_i must be positive")
     coeffs = [8 * f_i, -14 * f_i, 9 - 2 * f_i, -f_i]
-
-    def g(x):
-        return ((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x + coeffs[3]
-
-    def gprime(x):
-        return (3 * coeffs[0] * x + 2 * coeffs[1]) * x + coeffs[2]
-
+    slope = np.polyder(coeffs)
     roots = []
     for r in np.roots(coeffs):
         if abs(r.imag) > 1e-9:
             continue
         x = float(r.real)
         for _ in range(4):
-            d = gprime(x)
+            d = np.polyval(slope, x)
             if d == 0:
                 break
-            x -= g(x) / d
+            x -= np.polyval(coeffs, x) / d
         roots.append(x)
     return np.array(sorted(roots))
 
@@ -284,10 +278,9 @@ def worstcase_discriminant(f_i):
 
     Fraction input is evaluated exactly (e.g. the value at f_I = 1 is the
     integer 36)."""
-    if isinstance(f_i, Fraction):
-        return -36 * (648 * f_i - 873 * f_i ** 2 - 212 * f_i ** 3 + 436 * f_i ** 4)
-    f_i = float(f_i)
-    return -36.0 * (648 * f_i - 873 * f_i ** 2 - 212 * f_i ** 3 + 436 * f_i ** 4)
+    if not isinstance(f_i, Fraction):
+        f_i = float(f_i)
+    return -36 * (648 * f_i - 873 * f_i ** 2 - 212 * f_i ** 3 + 436 * f_i ** 4)
 
 
 def critical_noise() -> float:
@@ -311,47 +304,35 @@ def critical_noise() -> float:
     return 0.5 * (lo + hi)
 
 
-def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf,
-                             residual_tol: float = 1e-8) -> float:
-    """Spectral radius of the Jacobian of the normalized map at a fixed point.
+def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf) -> float:
+    """Spectral radius of the map's exact Jacobian at a fixed point: the
+    independent check of the radius the solvers report.
 
-    The Jacobian is the map's exact ``jac`` where it has one, else the
-    central finite difference (step 1e-6).  It is taken in raw coordinates;
-    normalization is part of the differentiated function, so the radial
+    A table map's Jacobian is taken in raw coordinates, where the radial
     direction contributes a trivial zero eigenvalue.  A point whose
-    residual ||f(p) - p||_1 exceeds ``residual_tol`` is rejected.
+    residual ||f(p) - p||_1 exceeds 1e-8 is rejected.
     """
     p = np.asarray(p_inf, dtype=float)
     resid = float(np.abs(rmap(p)[0] - p).sum())
-    if resid > residual_tol:
-        raise ValueError(f"fixed-point residual {resid:.3e} exceeds {residual_tol:.3e}")
+    if resid > _RESIDUAL_TOL:
+        raise ValueError(
+            f"fixed-point residual {resid:.3e} exceeds {_RESIDUAL_TOL:.3e}")
     return _radius(rmap, p)
 
 
-def _fd_jacobian(rmap: RecurrenceMap, p, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian of the normalized map at p."""
-    return np.array([(rmap(p + d)[0] - rmap(p - d)[0]) / (2 * h)
-                     for d in h * np.eye(p.size)]).T
-
-
-def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int,
-                         p_fix=None) -> ConvergenceFit:
-    """Fit log||p_n - p_inf||_1 = a + b*n over a trajectory.
+def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int, p_fix) -> ConvergenceFit:
+    """Fit log||p_n - p_inf||_1 = a + b*n over a trajectory from p0 to the
+    known limit ``p_fix``.
 
     Rounds whose error has fallen below 100 machine epsilons are excluded
-    (they are noise-dominated); at least 10 usable rounds are required.  If
-    the limit is not supplied it is obtained by iterating well past
-    ``rounds``.
+    (they are noise-dominated); at least 10 usable rounds are required.
     """
-    p = np.asarray(p0, dtype=float)
-    traj = []
+    p, p_fix = np.asarray(p0, dtype=float), np.asarray(p_fix, dtype=float)
+    errs = []
     for _ in range(rounds):
         p = rmap(p)[0]
-        traj.append(p.copy())
-    if p_fix is None:
-        p_fix = _iterate(rmap, p, 1e-15, rounds + 1000).location
-    p_fix = np.asarray(p_fix, dtype=float)
-    errs = np.array([np.abs(t - p_fix).sum() for t in traj])
+        errs.append(np.abs(p - p_fix).sum())
+    errs = np.array(errs)
     ns = np.arange(1, rounds + 1)
     mask = errs > 100 * np.finfo(float).eps
     if mask.sum() < 10:

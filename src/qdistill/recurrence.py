@@ -4,6 +4,8 @@ Implements the noiseless DEJMPS recurrence, the fully general noisy DEJMPS
 recurrence on the 16 ensemble probabilities p_{ijkl} (Bell label x demon
 flag), its binary (bit-flip-only) specialization, the three BBPSSW
 recurrences, and the reduced 4-variable map on the correlated support.
+Each map carries its exact Jacobian; the scalar BBPSSW maps take the
+quotient-rule derivative of their step, which is exact on Fractions too.
 
 Bell labels follow ``quantum_core.BELL_ORDER`` = (00, 11, 01, 10).  One
 distillation step consumes two pairs; a step on post-noise Bell labels
@@ -31,7 +33,7 @@ sums the same terms in rational arithmetic, for exact test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable
@@ -265,17 +267,36 @@ def bbpssw_step(p, f):
     return num / den, bbpssw_success(p, f)
 
 
+def _bbpssw_slope(p, f):
+    """b'(p) = 2f(1 + 4pf - p^2f^2) / (3(1 + p^2f^2)^2); exact on Fractions."""
+    pf = p * f
+    d = 1 + pf * pf
+    return 2 * f * (1 + 4 * pf - pf * pf) / (3 * d * d)
+
+
+def _fidelity(F, a, c, c2):
+    """(F', den, dF'/dF) of F' = num / den, num = a (F^2 + r^2) + c,
+    den = a (F^2 + 2 F r + 5 r^2) + c2, r = (1 - F)/3; exact on Fractions."""
+    rest = (1 - F) / 3
+    num = a * (F * F + rest * rest) + c
+    den = a * (F * F + 2 * F * rest + 5 * rest * rest) + c2
+    # quotient rule with num' = 2a(3F - r)/3 and den' = 4a(F - r)/3
+    slope = a * (2 * (3 * F - rest) * den - 4 * (F - rest) * num) / (3 * den * den)
+    return num / den, den, slope
+
+
+def _two_qubit(F, f_tilde):
+    ft2 = f_tilde * f_tilde
+    return _fidelity(F, ft2, (1 - ft2) / 8, (1 - ft2) / 2)
+
+
 def bbpssw_two_qubit_step(F, f_tilde):
     """BBPSSW fidelity recurrence under two-qubit correlated noise f~.
 
     Returns (F', success) where success is the denominator (the coincidence
     probability of the round).
     """
-    ft2 = f_tilde * f_tilde
-    rest = (1 - F) / 3
-    num = ft2 * (F * F + rest * rest) + (1 - ft2) / 8
-    den = ft2 * (F * F + 2 * F * rest + 5 * rest * rest) + (1 - ft2) / 2
-    return num / den, den
+    return _two_qubit(F, f_tilde)[:2]
 
 
 def bbpssw_worstcase_step(F, f_i):
@@ -285,50 +306,42 @@ def bbpssw_worstcase_step(F, f_i):
     parity check but carries no B00 weight).  At f_i = 1 this is identically
     the noiseless fidelity recurrence.
     """
-    rest = (1 - F) / 3
-    num = f_i * (F * F + rest * rest)
-    den = f_i * (F * F + 2 * F * rest + 5 * rest * rest) + (1 - f_i)
-    return num / den, den
+    return _fidelity(F, f_i, 0, 1 - f_i)[:2]
 
 
 @dataclass(frozen=True)
 class RecurrenceMap:
-    """A pure one-round update map p -> (p', N).
+    """A pure one-round update map p -> (p', N) with its exact Jacobian.
 
-    ``fn`` accepts a raw (not necessarily normalized) nonnegative vector of
-    length ``dim`` and returns the normalized update plus the
-    pre-normalization sum N; all provided maps are homogeneous, so the
-    normalized output is well defined on rays.  N is the round's success
-    probability when the input is normalized.  ``jac``, when set, gives the
-    exact Jacobian of the normalized update at a raw float vector; the table
-    maps set it, the scalar maps leave it None.
+    ``fn`` maps a float vector of length ``dim`` to the update and N.  The
+    table maps are homogeneous: a raw nonnegative input gives the
+    normalized update, well defined on rays, and N is the pre-normalization
+    sum, the success probability for a normalized input.  The scalar maps
+    are not homogeneous: their variable is a Werner parameter or a fidelity.
+    ``jac`` gives the exact ``dim`` x ``dim`` Jacobian of the update at p.
     """
 
-    variant: str
     dim: int
     fn: Callable
-    params: dict = field(default_factory=dict)
-    jac: Callable | None = None
+    jac: Callable
 
     def __call__(self, p):
         return self.fn(np.asarray(p, dtype=float))
 
 
-def _table_map(variant, dim, table, f, params=None) -> RecurrenceMap:
+def _table_map(dim, table, f) -> RecurrenceMap:
     """The map that runs one bilinear table under noise vector f, with the
     table's exact Jacobian."""
-    return RecurrenceMap(variant, dim, lambda p: _bilinear_step(table, p, f, dim),
-                         params or {}, lambda p: _bilinear_jacobian(table, p, f, dim))
+    return RecurrenceMap(dim, lambda p: _bilinear_step(table, p, f, dim),
+                         lambda p: _bilinear_jacobian(table, p, f, dim))
 
 
 def noiseless_dejmps_map() -> RecurrenceMap:
-    return _table_map("dejmps", 4, _table_for(_XOR, _CORRELATED), _NO_NOISE)
+    return _table_map(4, _table_for(_XOR, _CORRELATED), _NO_NOISE)
 
 
 def noisy_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
-    u = u or default_flag_update()
-    return _table_map("dejmps-noisy", 16, _index_table(u), _noise_vector(noise),
-                      {"u": u.name})
+    return _table_map(16, _index_table(u or default_flag_update()), _noise_vector(noise))
 
 
 def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
@@ -340,34 +353,35 @@ def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> Recurrence
     dropped and N equals the full-map success probability; fixed points and
     Jacobian spectra of this map are the ones the stability analysis quotes.
     """
-    u = u or default_flag_update()
-    return _table_map("dejmps-reduced", 4, _index_table(u, CORRELATED_SUPPORT),
-                      _noise_vector(noise), {"u": u.name})
+    return _table_map(4, _index_table(u or default_flag_update(),
+                                      CORRELATED_SUPPORT), _noise_vector(noise))
 
 
 def binary_map(f0) -> RecurrenceMap:
-    return _table_map("binary", 4, _table_for(_AND, _BINARY_SUPPORT),
-                      _binary_noise(f0), {"f0": f0})
+    return _table_map(4, _table_for(_AND, _BINARY_SUPPORT), _binary_noise(f0))
 
 
-def _scalar_map(variant, step, **params) -> RecurrenceMap:
+def _scalar_map(step, slope) -> RecurrenceMap:
+    """The map of step x -> (x', N) with derivative slope(x), at float x."""
     def fn(p):
-        out, n = step(float(np.asarray(p).reshape(-1)[0]))
+        out, n = step(float(np.ravel(p)[0]))
         return np.array([out]), n
-    return RecurrenceMap(variant, 1, fn, params)
+    return RecurrenceMap(
+        1, fn, lambda p: np.array([[float(slope(float(np.ravel(p)[0])))]]))
 
 
 def bbpssw_map(f) -> RecurrenceMap:
-    return _scalar_map("bbpssw", lambda p: bbpssw_step(p, f), f=f)
+    return _scalar_map(lambda p: bbpssw_step(p, f), lambda p: _bbpssw_slope(p, f))
 
 
 def bbpssw_two_qubit_map(f_tilde) -> RecurrenceMap:
-    return _scalar_map("bbpssw2q", lambda F: bbpssw_two_qubit_step(F, f_tilde),
-                       f_tilde=f_tilde)
+    return _scalar_map(lambda F: bbpssw_two_qubit_step(F, f_tilde),
+                       lambda F: _two_qubit(F, f_tilde)[2])
 
 
 def worstcase_map(f_i) -> RecurrenceMap:
-    return _scalar_map("worstcase", lambda F: bbpssw_worstcase_step(F, f_i), f_i=f_i)
+    return _scalar_map(lambda F: bbpssw_worstcase_step(F, f_i),
+                       lambda F: _fidelity(F, f_i, 0, 1 - f_i)[2])
 
 
 def write_trace_csv(rmap: RecurrenceMap, p0, rounds: int, fh) -> None:

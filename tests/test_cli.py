@@ -6,13 +6,16 @@ import json
 import math
 import os
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from qdistill import cli
 from qdistill import fixed_point as fp
 from qdistill import noise_models as nm
+from qdistill import recurrence as rc
 from qdistill import security_bounds as sb
 
 
@@ -82,6 +85,33 @@ def test_fixed_point_binary_saddle(capsys):
     assert doc["iterations_used"] == 31
     assert doc["newton_steps"] == 0
     assert doc["lambda_max"] == pytest.approx(6 / 5, abs=1e-12)
+
+
+def test_fixed_point_bbpssw_polishes_near_the_attractivity_edge(capsys):
+    # corr2:0.9487 is just above 3/sqrt(10), where the slope at F_max is
+    # 0.995: plain iteration alone takes thousands of steps.
+    code, doc = run_json(
+        ["fixed-point", "--protocol", "bbpssw", "--noise", "corr2:0.9487"],
+        capsys)
+    assert code == 0
+    assert doc["attracting"] is True
+    assert doc["iterations_used"] < 100
+    assert doc["newton_steps"] > 0
+    assert doc["location"][0] == pytest.approx(
+        fp.bbpssw_two_qubit_fixed_points(0.9487)[1], abs=1e-12)
+
+
+def test_figure_worstcase_slopes_are_exact_at_each_root():
+    buf = io.StringIO()
+    cli.emit_figure_data("worstcase-attractivity", buf)
+    rows = list(csv.DictReader(buf.getvalue().splitlines()[1:]))
+    assert rows
+    x, f = sympy.symbols("x f")
+    slope = sympy.diff(rc.bbpssw_worstcase_step(x, f)[0], x)
+    for row in rows:
+        exact = slope.xreplace({x: sympy.Rational(Fraction(row["root"])),
+                                f: sympy.Rational(Fraction(row["f_i"]))})
+        assert abs(float(row["abs_slope"]) - abs(float(exact))) < 1e-14
 
 
 def test_fixed_point_nonconvergence_exit_code(tmp_path, capsys):
@@ -691,6 +721,18 @@ def test_trace_p0_must_be_a_finite_nonnegative_weight(p0, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "--p0" in captured.err
+
+
+def test_trace_scalar_p0_must_be_at_most_one(capsys):
+    err = usage_error(["trace", "--protocol", "bbpssw", "--noise",
+                       "white:0.99", "--rounds", "2", "--p0", "2"], capsys)
+    assert "--p0" in err and "at most 1" in err
+
+
+def test_trace_full_applies_to_dejmps_only(capsys):
+    err = usage_error(["trace", "--protocol", "binary", "--noise",
+                       "binary:0.9", "--rounds", "1", "--full"], capsys)
+    assert "--full" in err and "dejmps" in err
 
 
 def test_trace_rounds_must_be_nonnegative(capsys):

@@ -125,11 +125,11 @@ def test_bbpssw_slope_reference():
 
 
 @given(st.floats(0.97, 1.0))
-def test_bbpssw_slope_matches_finite_difference(f):
+def test_bbpssw_slope_matches_exact_jacobian(f):
     slope = fp.bbpssw_fixed_point_slope(f)
     q = np.array([fp.bbpssw_fixed_point(f)])
     rad = fp.jacobian_spectral_radius(rc.bbpssw_map(f), q)
-    assert rad == pytest.approx(abs(slope), abs=1e-6)
+    assert rad == pytest.approx(abs(slope), abs=1e-14)
 
 
 def test_bbpssw_two_qubit_fixed_points():
@@ -227,9 +227,9 @@ def test_iterate_reports_newton_steps():
     rep = fp.iterate_to_fixed_point(
         rc.binary_map(0.9), np.array([0.95, 0.0, 0.0, 0.05]))
     assert 0 < rep.newton_steps < rep.iterations_used
-    plain = fp.iterate_to_fixed_point(
+    scalar = fp.iterate_to_fixed_point(
         rc.bbpssw_map(0.97), np.array([0.75]))
-    assert plain.converged and plain.newton_steps == 0
+    assert scalar.converged and 0 < scalar.newton_steps < scalar.iterations_used
 
 
 def _plain_steps_to_polish(rmap, p0):
@@ -343,4 +343,5 @@ def test_convergence_exponent_binary():
 def test_convergence_exponent_requires_enough_rounds():
     with pytest.raises(ValueError):
         fp.convergence_exponent(
-            rc.binary_map(0.9), np.array([0.95, 0.0, 0.0, 0.05]), rounds=4)
+            rc.binary_map(0.9), np.array([0.95, 0.0, 0.0, 0.05]), rounds=4,
+            p_fix=fp.binary_fixed_point(0.9))

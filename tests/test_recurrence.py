@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
-from qdistill.fixed_point import _fd_jacobian
 from qdistill.quantum_core import (
     BELL_ORDER,
     CORRELATED_SUPPORT,
@@ -208,6 +207,20 @@ def test_bbpssw_step_stays_in_unit_interval(p, f):
     assert 0 < n <= 1 + 1e-12
 
 
+@given(st.floats(0.0, 1.0), st.floats(0.9, 1.0))
+def test_fidelity_steps_keep_their_closed_forms_bit_for_bit(F, a):
+    # the two fidelity recurrences share one body; each must still round
+    # exactly as its own closed form does
+    rest = (1 - F) / 3
+    a2 = a * a
+    num = a2 * (F * F + rest * rest) + (1 - a2) / 8
+    den = a2 * (F * F + 2 * F * rest + 5 * rest * rest) + (1 - a2) / 2
+    assert rc.bbpssw_two_qubit_step(F, a) == (num / den, den)
+    num = a * (F * F + rest * rest)
+    den = a * (F * F + 2 * F * rest + 5 * rest * rest) + (1 - a)
+    assert rc.bbpssw_worstcase_step(F, a) == (num / den, den)
+
+
 def test_worstcase_step_unit_noise_fixed_points():
     for fpt in (0.25, 0.5, 1.0):
         out, _ = rc.bbpssw_worstcase_step(fpt, 1.0)
@@ -218,9 +231,7 @@ def test_worstcase_step_unit_noise_fixed_points():
 
 def test_recurrence_map_metadata_and_call():
     m = rc.binary_map(0.9)
-    assert m.variant == "binary"
     assert m.dim == 4
-    assert m.params["f0"] == 0.9
     out, n0 = m(np.array([0.7, 0.1, 0.1, 0.1]))
     out2, n = m(np.array([0.7, 0.1, 0.1, 0.1]))
     assert np.allclose(out, out2)
@@ -288,16 +299,62 @@ def test_bilinear_jacobian_matches_sympy_derivative(name):
     assert np.abs(jac[:, list(columns)] - exact).max() < 1e-14
 
 
-@pytest.mark.parametrize("rmap", [
-    rc.noiseless_dejmps_map(), rc.binary_map(0.9), rc.binary_map(0.6),
-    rc.reduced_dejmps_map(WHITE98), rc.noisy_dejmps_map(WHITE98),
-    rc.noisy_dejmps_map(WHITE98, rc.conjunctive_flag_update()),
-], ids=lambda m: f"{m.variant}-{m.params}")
-def test_map_jacobian_matches_central_difference(rmap, rng):
+def _fd_jacobian(rmap, p, h=1e-6):
+    """Central finite-difference Jacobian of the map at p: an independent
+    reference for each map's exact ``jac``."""
+    return np.array([(rmap(p + d)[0] - rmap(p - d)[0]) / (2 * h)
+                     for d in h * np.eye(p.size)]).T
+
+
+MAPS = {
+    "dejmps-{}": rc.noiseless_dejmps_map(),
+    "binary-{'f0': 0.9}": rc.binary_map(0.9),
+    "binary-{'f0': 0.6}": rc.binary_map(0.6),
+    "dejmps-reduced-{'u': 'xor'}": rc.reduced_dejmps_map(WHITE98),
+    "dejmps-noisy-{'u': 'xor'}": rc.noisy_dejmps_map(WHITE98),
+    "dejmps-noisy-{'u': 'and'}": rc.noisy_dejmps_map(
+        WHITE98, rc.conjunctive_flag_update()),
+    "bbpssw-{'f': 0.97}": rc.bbpssw_map(0.97),
+    "bbpssw2q-{'f_tilde': 0.95}": rc.bbpssw_two_qubit_map(0.95),
+    "worstcase-{'f_i': 0.97}": rc.worstcase_map(0.97),
+}
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_map_jacobian_matches_central_difference(name, rng):
+    rmap = MAPS[name]
     for _ in range(5):
         p = rng.random(rmap.dim) + 0.05
-        p /= p.sum()
+        p /= p.sum() if rmap.dim > 1 else 1.1  # a scalar variable in (0, 1)
         assert np.abs(rmap.jac(p) - _fd_jacobian(rmap, p)).max() < 1e-7
+
+
+# Each scalar map with its step and its private slope, both functions of
+# the variable x and the map's parameter.
+SCALAR_MAPS = {
+    "bbpssw": (rc.bbpssw_map, rc.bbpssw_step, rc._bbpssw_slope),
+    "bbpssw2q": (rc.bbpssw_two_qubit_map, rc.bbpssw_two_qubit_step,
+                 lambda x, a: rc._two_qubit(x, a)[2]),
+    "worstcase": (rc.worstcase_map, rc.bbpssw_worstcase_step,
+                  lambda x, a: rc._fidelity(x, a, 0, 1 - a)[2]),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_MAPS)
+def test_scalar_jacobian_matches_sympy_derivative(name):
+    make_map, step, slope = SCALAR_MAPS[name]
+    x = sympy.Symbol("x")
+    for x0, param in [(Fraction(3, 4), Fraction(97, 100)),
+                      (Fraction(1, 5), Fraction(19, 20)),
+                      (Fraction(9, 10), Fraction(1)),
+                      (Fraction(0), Fraction(24, 25))]:
+        exact = sympy.diff(step(x, sympy.Rational(param))[0], x).subs(x, x0)
+        # the slope is exact on Fractions, and the float jac rounds it
+        assert isinstance(slope(x0, param), Fraction)
+        assert sympy.Rational(slope(x0, param)) == exact
+        jac = make_map(float(param)).jac(np.array([float(x0)]))
+        assert jac.shape == (1, 1)
+        assert abs(jac[0, 0] - float(exact)) <= 1e-15 * abs(float(exact))
 
 
 def test_bilinear_jacobian_degenerate_step():
