@@ -435,10 +435,16 @@ def _cmd_montecarlo(args, cfg) -> int:
             w = csv.writer(fh)
             w.writerow(["trial", "flag", "abort_stage", "rounds_completed",
                         "fidelity_estimate", "final_pairs"])
-            for t, o in enumerate(est.outcomes):
-                w.writerow([t, o.flag, o.abort_stage or "",
-                            o.rounds_completed, _fmt(o.fidelity_estimate),
-                            o.pair_counts[-1]])
+            done = config.rounds + 1
+            names = ["parameter_estimation"] + [
+                f"round {m}" for m in range(1, done)] + [""]
+            t = 0
+            for f_hat, stage, pairs in mc.sample_campaign(config):
+                for f, s, k in zip(f_hat.tolist(), stage.tolist(),
+                                   pairs.tolist()):
+                    w.writerow([t, "ok" if s == done else "fail", names[s],
+                                max(s - 1, 0), _fmt(f), k])
+                    t += 1
         emit_json(payload, sys.stdout)
     else:
         with _open_out(args.out) as fh:

@@ -9,13 +9,15 @@ probability.  Symmetrization is implicit: the simulated pairs are i.i.d.
 and hence exchangeable, so only the size of the estimation subset matters,
 never which pairs it holds.
 
-All randomness flows from counter-based per-trial streams derived from the
-64-bit seed, so results are reproducible and order-independent across
-parallel execution.  Trial t draws from Philox at counter 0 under the key
-numpy's ``SeedSequence(entropy=seed, spawn_key=(t,))`` generates.  A
-campaign derives its trials' keys in vectorized passes and re-keys one
-generator before each trial, which yields the same stream as building a
-seed sequence and a generator per trial.
+A campaign simulates all its trials together, one stage at a time, each
+stage drawing from its own counter-based stream: stage 0 (estimation) and
+round m draw from Philox seeded by numpy's ``SeedSequence(seed,
+spawn_key=(stage,))``.  Stage 0 draws one binomial per trial; round m
+draws one per trial in trial order, of size zero for a trial that has
+already aborted, and numpy draws nothing for a binomial of size zero.  The
+trials run in fixed blocks, and each stage's stream carries on from block
+to block, so the outputs depend on the seed and the config alone and
+memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -23,24 +25,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .quantum_core import BellDiagonalState, LabeledEnsembleState
 from .noise_models import apply_channel_phi, distribution_from, noise_to_config
 from .recurrence import dejmps_noisy_step
-from .security_bounds import RobustnessInput, RobustnessResult, robustness_bound
+from .security_bounds import (MAX_ROUNDS, RobustnessInput, RobustnessResult,
+                              robustness_bound)
 
 __all__ = [
     "ProtocolConfig",
-    "RunOutcome",
     "AbortEstimate",
     "RobustnessCheck",
     "config_hash",
-    "trial_rng",
-    "simulate_run",
+    "sample_campaign",
     "estimate_abort_probability",
     "check_robustness",
 ]
@@ -48,14 +50,9 @@ __all__ = [
 # 99% two-sided normal quantile, used by the Wilson interval.
 _Z99 = 2.5758293035489004
 
-# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875    # entropy into the pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED    # pool into generated words
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Trials keyed per vectorized pass, so the key arrays stay small however
-# many trials a campaign runs.
-_KEY_BLOCK = 1 << 16
+# Trials simulated per array pass, so the per-trial arrays stay small
+# however many trials a campaign runs.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,12 +77,15 @@ class ProtocolConfig:
     trials: int = 1000
 
     def __post_init__(self):
-        if self.n_pairs < 4:
-            raise ValueError("n_pairs must be at least 4")
+        if not 4 <= self.n_pairs < 2 ** 63:
+            raise ValueError("n_pairs must lie in [4, 2**63): a binomial's"
+                             " sample size is a 64-bit signed integer")
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]: the"
+                             " pair budget 2**(2*rounds+2) must be a finite"
+                             " double")
         if not 0 <= self.f_min <= 1:
             raise ValueError("f_min must lie in [0, 1]")
         if not 0 < self.resolved_delta < math.inf:
@@ -97,8 +97,7 @@ class ProtocolConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials >= 2 ** 32:
-            raise ValueError("trials must be below 2**32: a trial index is"
-                             " one 32-bit word of its stream's key")
+            raise ValueError("trials must be below 2**32")
         try:
             distribution_from(self.noise)
         except TypeError:
@@ -148,92 +147,6 @@ def config_hash(config: ProtocolConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _hash(value, const: int, mult: int):
-    """One hash step of numpy's SeedSequence on 32-bit words (Python ints
-    or wrapping uint32 arrays): the hashed value and the next constant."""
-    nxt = const * mult & _MASK32
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x, y):
-    """numpy's SeedSequence mix of two 32-bit words; y may be an array."""
-    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-@lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple:
-    """numpy's SeedSequence pool after hashing in the seed's two 32-bit
-    words, zero-padded to the 4-word pool, and the next hash constant."""
-    const = _INIT_A
-    pool = []
-    for i in range(4):
-        word, const = _hash(seed >> 32 * i & _MASK32, const, _MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    return tuple(pool), const
-
-
-def _trial_keys(seed: int, t) -> np.ndarray:
-    """Philox key of trial t, or of each trial in a uint32 array t: a
-    uint64 array of shape t.shape + (2,).
-
-    The key of trial t equals ``SeedSequence(entropy=seed,
-    spawn_key=(t,)).generate_state(2, np.uint64)``.  The entropy words are
-    the seed's two 32-bit words, zero-padded to the 4-word pool, then t;
-    numpy hashes them into the pool and the pool into four output words.
-    Everything before the word t is the same for every trial, so it runs
-    once per seed (:func:`_seed_pool`), and the rest runs on t's type.
-    """
-    pool, const = _seed_pool(seed)
-    pool = list(pool)
-    for dst in range(4):
-        word, const = _hash(t, const, _MULT_A)
-        pool[dst] = _mix(pool[dst], word)
-    const = _INIT_B
-    words = []
-    for word in pool:
-        word, const = _hash(word, const, _MULT_B)
-        words.append(word)
-    # numpy pairs the words as little-endian uint64s on every platform.
-    return np.asarray(words, dtype="<u4").T.copy().view("<u8").astype(np.uint64)
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial."""
-    if not 0 <= trial < 2 ** 32:
-        raise ValueError("trial must lie in [0, 2**32): the index is one"
-                         " 32-bit word of its stream's key")
-    return np.random.Generator(np.random.Philox(key=_trial_keys(seed, trial)))
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Result of one simulated protocol execution.
-
-    ``pair_counts`` starts with the post-estimation pool and appends the
-    survivor count after each completed round.  ``final_state`` is the
-    Bell-diagonal description of the surviving pairs after round M (None
-    on abort).
-    """
-
-    flag: str
-    abort_stage: str | None
-    rounds_completed: int
-    pair_counts: tuple
-    fidelity_estimate: float
-    final_state: np.ndarray | None
-
-    @property
-    def ok(self) -> bool:
-        return self.flag == "ok"
-
-
 @lru_cache(maxsize=64)
 def _trajectory(beta: float, noise, rounds: int):
     """Deterministic ensemble evolution: (marginals, success probabilities)
@@ -251,45 +164,45 @@ def _trajectory(beta: float, noise, rounds: int):
     return tuple(marginals), tuple(successes)
 
 
-def simulate_run(config: ProtocolConfig, rng=None, trial: int = 0) -> RunOutcome:
-    """Execute one trial; aborts are recorded in the outcome, not raised."""
-    if rng is None:
-        rng = trial_rng(config.seed, trial)
+def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
+    """Simulate the campaign's trials in order, a block at a time.
 
-    # Symmetrization is implicit: the pairs are exchangeable, so the
-    # estimation subset may be any m_est of them; only its size matters.
-    m_est = math.isqrt(config.n_pairs)
-    k_d = config.n_pairs - m_est
-
+    Yields ``(fidelity_estimate, stage, final_pairs)`` arrays for each
+    block of up to 65 536 trials.  ``stage`` is where the trial aborted:
+    0 in parameter estimation, m in round m, and ``rounds + 1`` for a trial
+    that completed every round.  ``final_pairs`` is the pair count after
+    the trial's last stage: the post-estimation pool on an estimation
+    abort, 0 when a round kept no pair, and 1 when a round started with
+    one pair and so could not form a pair-of-pairs.
+    """
+    # The trajectory's round-0 marginal is the channel state.
+    marginals, successes = _trajectory(config.beta, config.noise,
+                                       config.rounds)
     # Parameter estimation on floor(m/2) pairs-of-pairs.  Both correlation
     # measurements return +1 on |B00>; on a Bell-diagonal pair the first
     # succeeds with probability p00+p01' (phase bit 0) and the second with
-    # p00+p10' (amplitude bit 0), independent across the two pairs.  The
-    # trajectory's round-0 marginal is the channel state.
-    marginals, successes = _trajectory(config.beta, config.noise,
-                                       config.rounds)
+    # p00+p10' (amplitude bit 0), independent across the two pairs.
     p = marginals[0]
-    p_x = p[0] + p[2]
-    p_z = p[0] + p[3]
+    q = (p[0] + p[2]) * (p[0] + p[3])
+    m_est = math.isqrt(config.n_pairs)
     mpp = m_est // 2                 # >= 1, since n_pairs >= 4
-    wins = int(rng.binomial(mpp, p_x * p_z))
-    f_hat = (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
-    if f_hat < config.threshold:
-        return RunOutcome("fail", "parameter_estimation", 0, (k_d,), f_hat, None)
-
-    counts = [k_d]
-    for m in range(1, config.rounds + 1):
-        cpp = counts[-1] // 2
-        if cpp == 0:
-            return RunOutcome("fail", f"round {m}", m - 1, tuple(counts),
-                              f_hat, None)
-        kept = int(rng.binomial(cpp, successes[m - 1]))
-        counts.append(kept)
-        if kept == 0:
-            return RunOutcome("fail", f"round {m}", m - 1, tuple(counts),
-                              f_hat, None)
-    return RunOutcome("ok", None, config.rounds, tuple(counts), f_hat,
-                      marginals[config.rounds])
+    done = config.rounds + 1
+    rngs = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(config.seed, spawn_key=(s,))))
+        for s in range(done)]
+    for first in range(0, config.trials, _BLOCK):
+        size = min(_BLOCK, config.trials - first)
+        wins = rngs[0].binomial(mpp, q, size)
+        f_hat = (3.0 * np.sqrt(wins / mpp) - 1.0) / 2.0
+        stage = np.where(f_hat < config.threshold, 0, done)
+        pairs = np.full(size, config.n_pairs - m_est, dtype=np.int64)
+        for m in range(1, done):
+            alive = stage == done
+            cpp = np.where(alive, pairs // 2, 0)
+            kept = rngs[m].binomial(cpp, successes[m - 1])
+            stage[alive & (kept == 0)] = m
+            pairs = np.where(cpp > 0, kept, pairs)
+        yield f_hat, stage, pairs
 
 
 def _wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple:
@@ -304,14 +217,15 @@ def _wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple:
 @dataclass(frozen=True)
 class AbortEstimate:
     """Abort count and rate of a campaign with its 99% Wilson interval;
-    ``outcomes`` holds the simulated trials in order."""
+    ``stage_aborts`` holds the aborts in parameter estimation and then in
+    each round."""
 
     trials: int
     aborts: int
     rate: float
     ci_low: float
     ci_high: float
-    outcomes: tuple = field(default=(), repr=False, compare=False)
+    stage_aborts: tuple
 
     @property
     def ci(self) -> tuple:
@@ -319,28 +233,18 @@ class AbortEstimate:
 
 
 def estimate_abort_probability(config: ProtocolConfig) -> AbortEstimate:
-    """Abort frequency over ``config.trials`` independent trials with a
-    99% Wilson interval; deterministic in the seed."""
+    """Abort frequency over ``config.trials`` trials with a 99% Wilson
+    interval; deterministic in the seed."""
     if config.trials < 100:
         raise ValueError("need at least 100 trials for a rate estimate")
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    # Counter 0 and an empty output buffer; only the key changes per trial.
-    # The Generator caches binomial set-up constants keyed by (n, p) alone.
-    state = bitgen.state
-    outcomes = []
-    for first in range(0, config.trials, _KEY_BLOCK):
-        t = np.arange(first, min(first + _KEY_BLOCK, config.trials),
-                      dtype=np.uint32)
-        for key in _trial_keys(config.seed, t):
-            state["state"]["key"] = key
-            bitgen.state = state
-            outcomes.append(simulate_run(config, rng))
-    outcomes = tuple(outcomes)
-    aborts = sum(not o.ok for o in outcomes)
+    counts = np.zeros(config.rounds + 2, dtype=np.int64)
+    for _, stage, _ in sample_campaign(config):
+        counts += np.bincount(stage, minlength=config.rounds + 2)
+    stage_aborts = tuple(int(c) for c in counts[:-1])
+    aborts = sum(stage_aborts)
     lo, hi = _wilson_interval(aborts, config.trials)
     return AbortEstimate(config.trials, aborts, aborts / config.trials, lo, hi,
-                         outcomes)
+                         stage_aborts)
 
 
 @dataclass(frozen=True)

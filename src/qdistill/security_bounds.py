@@ -19,6 +19,7 @@ from fractions import Fraction
 
 __all__ = [
     "DEFINETTI_CONSTANT",
+    "MAX_ROUNDS",
     "RobustnessInput",
     "RobustnessResult",
     "PairBudget",
@@ -40,6 +41,10 @@ __all__ = [
 
 # 34 * 4**8 + 1, kept as an exact integer.
 DEFINETTI_CONSTANT = 34 * 4 ** 8 + 1
+
+# Most distillation rounds M for which the pair budget 2^(2M+2) is a finite
+# double (2^1022; the largest double is just below 2^1024).
+MAX_ROUNDS = 510
 
 _LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(float.fromhex("0x1.fffffffffffffp+1023"))
@@ -149,6 +154,12 @@ def hoeffding_pe_abort(eta, k) -> float:
     return math.exp(-eta * eta * math.sqrt(k) / 2.0)
 
 
+def _check_rounds(M) -> None:
+    if not 1 <= M <= MAX_ROUNDS:
+        raise ValueError(f"M must be finite and in [1, {MAX_ROUNDS}], so that"
+                         " 2**(2M+2) is a finite double")
+
+
 @dataclass(frozen=True)
 class RobustnessInput:
     """Parameters of the abort-probability bound.
@@ -174,8 +185,7 @@ class RobustnessInput:
             raise ValueError("f_min must lie in [0, 1]")
         if not 1 <= self.k < math.inf:
             raise ValueError("k must be finite and >= 1")
-        if not 1 <= self.M < math.inf:
-            raise ValueError("M must be finite and >= 1")
+        _check_rounds(self.M)
         if not 0 < self.xi < math.inf:
             raise ValueError("xi must be finite and positive")
 
@@ -250,14 +260,16 @@ class PairBudget:
 
 
 def pair_budget(M: int, xi) -> PairBudget:
-    if not 1 <= M < math.inf:
-        raise ValueError("M must be finite and >= 1")
+    _check_rounds(M)
     if not 0 < xi < math.inf:
         raise ValueError("xi must be finite and positive")
     c = xi * 2 ** (M + 2)
     pairs = c * 2 ** M
-    sqrt_k = (1.0 + math.sqrt(1.0 + 4.0 * pairs)) / 2.0
+    # 2 sqrt(1/4 + pairs) equals sqrt(1 + 4 pairs) and does not overflow first.
+    sqrt_k = (1.0 + 2.0 * math.sqrt(0.25 + pairs)) / 2.0
     k = sqrt_k + pairs  # k = sqrt(k) + pairs, avoiding the squaring error
+    if k == math.inf:
+        raise ValueError("xi * 2**(2M+2) pairs overflow a double")
     return PairBudget(c, pairs, k, math.ceil(k))
 
 

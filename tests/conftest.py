@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
+import qdistill.montecarlo as mc
+import qdistill.noise_models as nm
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -34,6 +37,34 @@ def dyadic_state(rng, dim=4):
         if np.linalg.eigvalsh(rho).min() >= 0:
             return rho
     raise RuntimeError("failed to draw a PSD dyadic state")
+
+
+def make_config(**kw):
+    base = dict(n_pairs=4096, beta=0.98,
+                noise=nm.SingleQubitWhiteNoise(0.99), rounds=2,
+                f_min=0.7, seed=20240817, trials=100)
+    base.update(kw)
+    return mc.ProtocolConfig(**base)
+
+
+# One campaign per kind of ending: every trial completes, some abort in
+# estimation (and a few in round 4), most run out of pairs in a round.
+STREAM_CELLS = {
+    "ok": make_config(n_pairs=4096, beta=0.9,
+                      noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
+    "estimation": make_config(n_pairs=256, beta=0.6, rounds=4,
+                              noise=nm.TwoQubitCorrelatedNoise(0.99),
+                              f_min=0.52),
+    "rounds": make_config(n_pairs=16, beta=0.95, rounds=4,
+                          noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
+}
+
+
+def campaign(cfg):
+    """The campaign's (fidelity_estimate, stage, final_pairs) arrays over
+    all its trials."""
+    blocks = list(mc.sample_campaign(cfg))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, serialization, config/seed precedence."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,8 @@ from qdistill import fixed_point as fp
 from qdistill import noise_models as nm
 from qdistill import recurrence as rc
 from qdistill import security_bounds as sb
+
+from conftest import STREAM_CELLS, campaign
 
 
 def run_json(argv, capsys):
@@ -478,6 +481,30 @@ def test_bounds_reject_non_finite_inputs(argv, name, capsys):
     assert f"error: {name} must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--chain", "pair-budget", "--M", "2000", "--xi", "1"],
+    ["--chain", "robustness", "--beta", "0.98", "--f-min", "0.52",
+     "--k", "1e6", "--M", "2000", "--xi", "20"],
+], ids=["pair-budget", "robustness"])
+def test_bounds_reject_rounds_beyond_a_double(argv, capsys):
+    # 2^(2M+2) once overflowed into an OverflowError traceback
+    err = usage_error(["bounds"] + argv, capsys)
+    assert "M must be finite and in [1, 510]" in err
+
+
+def test_bounds_pair_budget_at_the_round_limit(capsys):
+    # 4 * 2^1022 overflows, but the budget itself is a finite double
+    code, doc = run_json(
+        ["bounds", "--chain", "pair-budget", "--M", "510", "--xi", "1"],
+        capsys)
+    assert code == 0
+    assert doc["distillation_pairs"] == 2.0 ** 1022
+    assert doc["k_exact"] == 2.0 ** 1022
+    err = usage_error(["bounds", "--chain", "pair-budget", "--M", "510",
+                       "--xi", "10"], capsys)
+    assert "overflow a double" in err
+
+
 # ------------------------------------------------------------ steering-audit
 
 def test_steering_audit_summary(capsys):
@@ -636,8 +663,7 @@ def test_montecarlo_delta_must_be_finite(delta, capsys):
 
 
 def test_montecarlo_trials_fit_the_trial_key(monkeypatch, capsys):
-    # a trial index is one 32-bit word of its stream's key; 2^32 trials
-    # once ran for hours and then exhausted memory
+    # the cap on a campaign's size
     monkeypatch.setattr(cli.mc, "check_robustness", _reached)
     argv = ["montecarlo", "--n-pairs", "256", "--beta", "0.9", "--noise",
             "corr2:0.99", "--rounds", "1", "--f-min", "0.5"]
@@ -645,6 +671,50 @@ def test_montecarlo_trials_fit_the_trial_key(monkeypatch, capsys):
         cli.run(argv + ["--trials", str(2 ** 32 - 1)])
     err = usage_error(argv + ["--trials", str(2 ** 32)], capsys)
     assert "trials must be below 2**32" in err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--rounds", "2000", "rounds must lie in [1, 510]"),
+    ("--n-pairs", str(10 ** 20), "n_pairs must lie in [4, 2**63)"),
+])
+def test_montecarlo_rejects_sizes_beyond_a_double_or_int64(flag, value,
+                                                           message, capsys):
+    # both once ended in an OverflowError traceback
+    argv = {"--n-pairs": "256", "--rounds": "2"}
+    argv[flag] = value
+    err = usage_error(["montecarlo", "--beta", "0.9", "--noise", "corr2:0.99",
+                       "--f-min", "0.5", "--trials", "100"]
+                      + [a for kv in argv.items() for a in kv], capsys)
+    assert message in err
+
+
+def test_montecarlo_csv_rows_follow_the_sampler(tmp_path, capsys):
+    # stage names, rounds completed and final pairs: 0 when a round keeps
+    # no pair, 1 when a round starts with one pair
+    out = tmp_path / "trials.csv"
+    argv = ["montecarlo", "--beta", "0.95", "--noise", "corr2:0.99",
+            "--n-pairs", "16", "--rounds", "4", "--f-min", "0.52",
+            "--trials", "1000", "--seed", "20240817"]
+    code = cli.run(argv + ["--emit", "csv", "--out", str(out)])
+    agg = json.loads(capsys.readouterr().out)
+    assert code == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    config = dataclasses.replace(STREAM_CELLS["rounds"], trials=1000)
+    assert json.loads(json.dumps(config.as_dict())) == agg["meta"]["config"]
+    f_hat, stage, pairs = campaign(config)
+    names = ["parameter_estimation", "round 1", "round 2", "round 3",
+             "round 4", ""]
+    want = [{"trial": str(t), "flag": "ok" if s == 5 else "fail",
+             "abort_stage": names[s], "rounds_completed": str(max(s - 1, 0)),
+             "fidelity_estimate": format(f, ".17g"), "final_pairs": str(k)}
+            for t, (f, s, k) in enumerate(zip(f_hat.tolist(), stage.tolist(),
+                                               pairs.tolist()))]
+    assert rows == want
+    assert {r["abort_stage"] for r in rows} >= {"round 3", "round 4"}
+    assert {r["final_pairs"] for r in rows if r["flag"] == "fail"
+            and r["abort_stage"] != "parameter_estimation"} == {"0", "1"}
+    assert agg["abort_rate"] == sum(r["flag"] != "ok" for r in rows) / 1000
 
 
 # -------------------------------------------------------- config file / seed

@@ -1,6 +1,6 @@
-"""The index table, the steps it drives, the ensemble embeddings and the
-batched product-form audit against the explicit loops and closed forms
-they are computed without.
+"""The index table, the steps it drives, the ensemble embeddings, the
+batched product-form audit and the Monte Carlo sampler against the
+explicit loops and closed forms they are computed without.
 
 Each reference below is the plain loop version of a vectorised function,
 or the hand-written closed form of a step that the one table evaluator
@@ -10,6 +10,8 @@ tolerance of a few units in the last place of a unit-sum float64 vector
 applies, and the exact ``Fraction`` paths must agree exactly.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +32,7 @@ from qdistill.quantum_core import (
     trace_norm,
 )
 
-from conftest import dyadic_state, ginibre_density
+from conftest import STREAM_CELLS, campaign, dyadic_state, ginibre_density
 
 idx = LabeledEnsembleState.index
 BITS = (0, 1)
@@ -345,3 +347,59 @@ def test_batched_audit_matches_loop():
         assert abs(verdicts[i].lhs - lhs) < 1e-14
     raw = sv.steering_discrepancy(stack, threshold=1 / 16)
     assert raw.tolist() == [loop_discrepancy(m, 1 / 16) for m in stack]
+
+
+# ---------------------------------------------------------------- Monte Carlo
+
+def loop_campaign(cfg):
+    """The campaign one trial at a time: (stage, final_pairs,
+    fidelity_estimate) per trial.  Stage s draws from Philox seeded by
+    SeedSequence(seed, spawn_key=(s,)), one binomial for each trial that
+    reaches it, in trial order."""
+    streams = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(cfg.seed, spawn_key=(s,))))
+        for s in range(cfg.rounds + 1)]
+    state = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                    flags="zero")
+    dist = nm.distribution_from(cfg.noise)
+    successes = []
+    for _ in range(cfg.rounds):
+        state, success = rc.dejmps_noisy_step(state, dist)
+        successes.append(success)
+    p = cfg.channel_state().p
+    m_est = math.isqrt(cfg.n_pairs)
+    mpp = m_est // 2
+    rows = []
+    for _ in range(cfg.trials):
+        wins = int(streams[0].binomial(mpp, (p[0] + p[2]) * (p[0] + p[3])))
+        f_hat = (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
+        pairs = cfg.n_pairs - m_est
+        if f_hat < cfg.threshold:
+            rows.append((0, pairs, f_hat))
+            continue
+        stage = cfg.rounds + 1
+        for m in range(1, cfg.rounds + 1):
+            if pairs // 2 == 0:
+                stage = m
+                break
+            pairs = int(streams[m].binomial(pairs // 2, successes[m - 1]))
+            if pairs == 0:
+                stage = m
+                break
+        rows.append((stage, pairs, f_hat))
+    return rows
+
+
+@pytest.mark.parametrize("cell,stages", [
+    ("ok", {3}),
+    ("estimation", {0, 5}),
+    ("rounds", {3, 4}),
+])
+def test_sampler_matches_scalar_loop(cell, stages):
+    # numpy draws nothing for a binomial of size zero, so giving an aborted
+    # trial size zero leaves each stage's stream to the trials that reach it
+    cfg = dataclasses.replace(STREAM_CELLS[cell], trials=1000)
+    f_hat, stage, pairs = campaign(cfg)
+    rows = loop_campaign(cfg)
+    assert list(zip(stage.tolist(), pairs.tolist(), f_hat.tolist())) == rows
+    assert stages <= {s for s, _, _ in rows}   # the cell reaches its stages

@@ -1,11 +1,12 @@
 """Seeded protocol simulation: reproducibility, estimator calibration,
-abort statistics."""
+abort statistics against their exact law."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
@@ -13,13 +14,7 @@ import qdistill.noise_models as nm
 from qdistill.quantum_core import LabeledEnsembleState
 from qdistill.recurrence import dejmps_noisy_step
 
-
-def make_config(**kw):
-    base = dict(n_pairs=4096, beta=0.98,
-                noise=nm.SingleQubitWhiteNoise(0.99), rounds=2,
-                f_min=0.7, seed=20240817, trials=100)
-    base.update(kw)
-    return mc.ProtocolConfig(**base)
+from conftest import STREAM_CELLS, campaign, make_config
 
 
 # ------------------------------------------------------------------ config
@@ -44,10 +39,27 @@ def test_config_validation():
 
 
 def test_config_trials_fit_the_trial_key():
-    # a trial index is one 32-bit word of its stream's key
+    # the cap on a campaign's size
     with pytest.raises(ValueError, match=r"below 2\*\*32"):
         make_config(trials=2 ** 32)
     assert make_config(trials=2 ** 32 - 1).trials == 2 ** 32 - 1
+
+
+def test_config_rounds_keep_the_pair_budget_finite():
+    # xi = (k - sqrt k) / 2^(2M+2) needs 2^(2M+2) as a double
+    with pytest.raises(ValueError, match=r"rounds must lie in \[1, 510\]"):
+        make_config(rounds=511)
+    cfg = make_config(rounds=510, trials=100)
+    assert mc.check_robustness(cfg).xi > 0
+
+
+def test_config_n_pairs_fit_a_binomial_sample_size():
+    # numpy's binomial takes its sample size as a 64-bit signed integer
+    with pytest.raises(ValueError, match=r"n_pairs must lie in \[4, 2\*\*63\)"):
+        make_config(n_pairs=2 ** 63)
+    f_hat, stage, pairs = campaign(make_config(n_pairs=2 ** 63 - 1, rounds=3))
+    assert (stage == 4).all()
+    assert (pairs < 2 ** 60).all() and (f_hat > 0.98).all()
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
@@ -93,7 +105,7 @@ def test_config_rejects_noise_without_pauli_mixture():
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.65, 0.7, 0.9, 0.98, 1.0])
 def test_trajectory_starts_at_channel_state(beta):
-    # simulate_run estimates from the trajectory's round-0 marginal instead
+    # the sampler estimates from the trajectory's round-0 marginal instead
     # of rebuilding the channel state; the two must agree bit for bit
     cfg = make_config(beta=beta, f_min=0.0)
     marginals, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
@@ -111,26 +123,55 @@ def test_channel_state_is_isotropic_mix():
 
 def test_same_seed_same_outcome():
     cfg = make_config()
-    a = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, 3), trial=3)
-    b = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, 3), trial=3)
-    assert a.flag == b.flag
-    assert a.pair_counts == b.pair_counts
-    assert a.fidelity_estimate == b.fidelity_estimate
+    for a, b in zip(campaign(cfg), campaign(cfg)):
+        assert np.array_equal(a, b)
 
 
 def test_different_trials_decorrelate():
-    cfg = make_config()
-    outs = {mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t)).fidelity_estimate
-            for t in range(8)}
-    assert len(outs) > 1
+    f_hat, _, pairs = campaign(make_config())
+    assert len(set(f_hat[:8].tolist())) > 1
+    assert len(set(pairs[:8].tolist())) > 1
 
 
-def test_trial_rng_is_spawn_keyed():
-    a = mc.trial_rng(123, 0).integers(0, 2 ** 32, 4)
-    b = mc.trial_rng(123, 1).integers(0, 2 ** 32, 4)
-    c = mc.trial_rng(123, 0).integers(0, 2 ** 32, 4)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, c)
+@pytest.mark.parametrize("cell", list(STREAM_CELLS))
+def test_a_campaign_prefix_is_the_shorter_campaign(cell):
+    # each stage's stream runs through the trials in order, so adding
+    # trials leaves the earlier ones alone
+    cfg = dataclasses.replace(STREAM_CELLS[cell], trials=10 ** 4)
+    short = campaign(dataclasses.replace(cfg, trials=1000))
+    for long_column, short_column in zip(campaign(cfg), short):
+        assert np.array_equal(long_column[:1000], short_column)
+
+
+@pytest.mark.parametrize("cell", list(STREAM_CELLS))
+def test_block_size_changes_no_output(cell, monkeypatch):
+    # each stage's generator carries on from block to block
+    cfg = dataclasses.replace(STREAM_CELLS[cell], trials=1000)
+    want = campaign(cfg)
+    est = mc.estimate_abort_probability(cfg)
+    monkeypatch.setattr(mc, "_BLOCK", 7)
+    assert len(list(mc.sample_campaign(cfg))) == -(-1000 // 7)
+    for got, ref in zip(campaign(cfg), want):
+        assert np.array_equal(got, ref)
+    assert mc.estimate_abort_probability(cfg) == est
+
+
+def test_campaign_memory_does_not_grow_with_trials():
+    # the trials run in blocks and the estimate keeps counts per stage,
+    # not per trial
+    cfg = make_config(n_pairs=2 ** 14, beta=0.98,
+                      noise=nm.TwoQubitCorrelatedNoise(0.99), rounds=4,
+                      f_min=fp.bbpssw_two_qubit_fixed_points(0.99)[0],
+                      trials=400_000)
+    mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
+    tracemalloc.start()
+    try:
+        est = mc.estimate_abort_probability(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.trials == 400_000
+    assert peak < 16 * 2 ** 20
 
 
 # ------------------------------------------------------------------- physics
@@ -140,11 +181,8 @@ def test_fidelity_estimator_is_calibrated():
     # correlation checks on isotropic pairs: mean -> ((1 + beta)/2)^2
     beta = 0.98
     cfg = make_config(n_pairs=2 ** 16, beta=beta, f_min=0.5, trials=400)
-    ests = []
-    for t in range(400):
-        out = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t))
-        assert out.flag == "ok"
-        ests.append(out.fidelity_estimate)
+    ests, stage, _ = campaign(cfg)
+    assert (stage == cfg.rounds + 1).all()
     target = (3 * beta + 1) / 4
     mean = float(np.mean(ests))
     se = float(np.std(ests, ddof=1)) / math.sqrt(len(ests))
@@ -152,186 +190,71 @@ def test_fidelity_estimator_is_calibrated():
 
 
 def test_pair_counts_halve_each_round():
-    cfg = make_config(rounds=3)
-    out = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, 0))
-    counts = out.pair_counts
-    assert counts[0] == cfg.n_pairs - math.isqrt(cfg.n_pairs)
+    # round m draws from the same stream whatever M is, so an m-round
+    # campaign's final pairs are a longer campaign's counts after round m
+    counts = [campaign(make_config(rounds=m))[2] for m in (1, 2, 3)]
+    k_d = 4096 - math.isqrt(4096)
+    assert (counts[0] <= k_d // 2).all()
     for before, after in zip(counts, counts[1:]):
-        assert 0 <= after <= before // 2
+        assert (0 <= after).all() and (after <= before // 2).all()
 
 
 def test_perfect_protocol_never_aborts_and_halves_exactly():
     cfg = mc.ProtocolConfig(n_pairs=4096, beta=1.0,
                             noise=nm.SingleQubitWhiteNoise(1.0), rounds=2,
                             f_min=0.9, seed=7, trials=100)
-    out = mc.simulate_run(cfg)
-    assert out.ok
-    assert out.pair_counts == (4032, 2016, 1008)
-    assert out.fidelity_estimate == 1.0
-    assert np.allclose(out.final_state, [1, 0, 0, 0], atol=1e-12)
+    f_hat, stage, pairs = campaign(cfg)
+    assert (stage == 3).all()
+    assert (pairs == 1008).all()             # 4032 -> 2016 -> 1008
+    assert (f_hat == 1.0).all()
+    marginals, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
+    assert np.allclose(marginals[-1], [1, 0, 0, 0], atol=1e-12)
 
 
 def test_low_beta_always_aborts_in_estimation():
     # F = 0.625 sits ~6 standard errors below the 0.91 threshold at this
     # estimation sample size, so every trial aborts before distilling
     cfg = make_config(n_pairs=2 ** 16, beta=0.5, f_min=0.9, trials=100)
-    for t in range(50):
-        out = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t))
-        assert out.flag == "fail"
-        assert out.abort_stage == "parameter_estimation"
-        assert out.rounds_completed == 0
+    _, stage, pairs = campaign(cfg)
+    assert (stage == 0).all()
+    assert (pairs == 2 ** 16 - 2 ** 8).all()
 
 
 def test_tiny_ensembles_abort_in_distillation():
     cfg = mc.ProtocolConfig(n_pairs=4, beta=1.0,
                             noise=nm.SingleQubitWhiteNoise(1.0), rounds=2,
                             f_min=0.9, seed=7, trials=100)
-    out = mc.simulate_run(cfg)
-    assert out.flag == "fail"
-    assert out.abort_stage == "round 2"      # 2 pairs -> 1 pair -> starved
-    assert out.rounds_completed == 1
+    _, stage, pairs = campaign(cfg)
+    assert (stage == 2).all()                # 2 pairs -> 1 pair -> starved
+    assert (pairs == 1).all()
 
 
 # ------------------------------------------------------------- random stream
 
-def reference_run(cfg, t):
-    """simulate_run rebuilt by hand: (flag, abort_stage, rounds_completed,
-    pair_counts, fidelity_estimate) from the first draws of the trial's
-    stream, one binomial for estimation, then one per round."""
-    rng = mc.trial_rng(cfg.seed, t)
-    p = cfg.channel_state().p
-    m_est = math.isqrt(cfg.n_pairs)
-    mpp = m_est // 2
-    wins = int(rng.binomial(mpp, (p[0] + p[2]) * (p[0] + p[3])))
-    f_hat = (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
-    counts = [cfg.n_pairs - m_est]
-    if f_hat < cfg.threshold:
-        return "fail", "parameter_estimation", 0, tuple(counts), f_hat
-    state = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
-                                                    flags="zero")
-    dist = nm.distribution_from(cfg.noise)
-    for m in range(1, cfg.rounds + 1):
-        state, success = dejmps_noisy_step(state, dist)
-        if counts[-1] // 2 == 0:
-            return "fail", f"round {m}", m - 1, tuple(counts), f_hat
-        counts.append(int(rng.binomial(counts[-1] // 2, success)))
-        if counts[-1] == 0:
-            return "fail", f"round {m}", m - 1, tuple(counts), f_hat
-    return "ok", None, cfg.rounds, tuple(counts), f_hat
-
-
-STREAM_CELLS = {
-    "ok": make_config(n_pairs=4096, beta=0.9,
-                      noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
-    "estimation": make_config(n_pairs=256, beta=0.6, rounds=4,
-                              noise=nm.TwoQubitCorrelatedNoise(0.99),
-                              f_min=0.52),
-    "rounds": make_config(n_pairs=16, beta=0.95, rounds=4,
-                          noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
-}
-
-# Outcomes of chosen trials under the current stream.  A change to the
-# stream (draw order, generator, seeding) must update these on purpose and
-# say so, because it moves every seeded Monte Carlo output.
+# (stage, final_pairs, fidelity_estimate) of chosen trials under the
+# current stream.  A change to the stream (draw order, generator, seeding)
+# must update these on purpose and say so, because it moves every seeded
+# Monte Carlo output.
 PINNED_OUTCOMES = [
-    ("ok", 0, ("ok", None, 2, (4032, 1812, 821), 0.9763764763772147)),
-    ("ok", 1, ("ok", None, 2, (4032, 1827, 814), 0.9523687548277815)),
-    ("estimation", 0, ("ok", None, 4, (240, 78, 28, 8, 3), 0.799038105676658)),
-    ("estimation", 25, ("fail", "parameter_estimation", 0, (240,),
-                        0.4185586535436917)),
-    ("estimation", 76, ("fail", "round 4", 3, (240, 71, 14, 1),
-                        0.799038105676658)),
-    ("rounds", 0, ("fail", "round 4", 3, (12, 6, 3, 1), 1.0)),
-    ("rounds", 9, ("fail", "round 3", 2, (12, 5, 1), 1.0)),
+    ("ok", 0, (3, 811, 0.9763764763772147)),
+    ("ok", 1, (3, 834, 0.9523687548277815)),
+    ("estimation", 0, (5, 4, 0.799038105676658)),
+    ("estimation", 25, (0, 240, 0.4185586535436917)),
+    ("estimation", 76, (5, 3, 0.799038105676658)),
+    ("rounds", 0, (4, 1, 1.0)),
+    ("rounds", 9, (4, 1, 1.0)),
+    ("rounds", 12, (3, 1, 1.0)),
 ]
-
-
-def outcome_key(o):
-    return o.flag, o.abort_stage, o.rounds_completed, o.pair_counts, \
-        o.fidelity_estimate
 
 
 @pytest.mark.parametrize("cell,trial,expected", PINNED_OUTCOMES)
 def test_pinned_outcomes(cell, trial, expected):
-    cfg = STREAM_CELLS[cell]
-    assert outcome_key(mc.simulate_run(cfg, trial=trial)) == expected
-    assert reference_run(cfg, trial) == expected
+    f_hat, stage, pairs = campaign(STREAM_CELLS[cell])
+    assert (int(stage[trial]), int(pairs[trial]), float(f_hat[trial])) \
+        == expected
 
 
-@pytest.mark.parametrize("cell,stages", [
-    ("ok", {None}),
-    ("estimation", {"parameter_estimation"}),
-    ("rounds", {"round 3", "round 4"}),
-])
-def test_simulate_run_matches_hand_rebuilt_stream(cell, stages):
-    cfg = STREAM_CELLS[cell]
-    seen = set()
-    for t in range(100):
-        out = mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t))
-        assert outcome_key(out) == reference_run(cfg, t)
-        seen.add(out.abort_stage)
-    assert stages <= seen                    # the cell reaches its stage
-
-
-KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1] + [
-    int(s) for s in np.random.default_rng(1610).integers(
-        0, 2 ** 64, 6, dtype=np.uint64)]
-
-
-def seed_sequence_rng(seed, t):
-    """The per-trial stream as numpy builds it from a spawned seed sequence."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-@pytest.mark.parametrize("seed", KEY_SEEDS)
-def test_trial_keys_match_seed_sequence(seed):
-    keys = mc._trial_keys(seed, np.arange(1001, dtype=np.uint32))
-    assert keys.shape == (1001, 2) and keys.dtype == np.uint64
-    for t in range(1001):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
-        assert np.array_equal(keys[t], ss.generate_state(2, np.uint64)), t
-    # one index at a time, up to the last 32-bit one
-    for t in (0, 1000, 2 ** 31, 2 ** 32 - 1):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
-        key = mc._trial_keys(seed, t)
-        assert key.dtype == np.uint64
-        assert np.array_equal(key, ss.generate_state(2, np.uint64)), t
-    assert np.array_equal(mc.trial_rng(seed, 7).integers(0, 2 ** 63, 9),
-                          seed_sequence_rng(seed, 7).integers(0, 2 ** 63, 9))
-
-
-@pytest.mark.parametrize("trial", [-1, 2 ** 32])
-def test_trial_rng_rejects_indices_beyond_32_bits(trial):
-    # the key function takes the index as one 32-bit word
-    with pytest.raises(ValueError, match="trial must lie in"):
-        mc.trial_rng(0, trial)
-
-
-@pytest.mark.parametrize("cell,stages", [
-    ("ok", {None}),
-    ("estimation", {"parameter_estimation"}),
-    ("rounds", {"round 3", "round 4"}),
-])
-@pytest.mark.parametrize("block", [mc._KEY_BLOCK, 7])
-def test_estimate_matches_a_seed_sequence_per_trial(cell, stages, block,
-                                                    monkeypatch):
-    # the campaign re-keys one generator per trial, keying the trials a
-    # block at a time; the stream must be the one a fresh seed sequence
-    # and generator per trial would give
-    monkeypatch.setattr(mc, "_KEY_BLOCK", block)
-    cfg = STREAM_CELLS[cell]
-    est = mc.estimate_abort_probability(cfg)
-    ref = [mc.simulate_run(cfg, seed_sequence_rng(cfg.seed, t))
-           for t in range(cfg.trials)]
-    assert [outcome_key(o) for o in est.outcomes] == [outcome_key(o)
-                                                      for o in ref]
-    for got, want in zip(est.outcomes, ref):
-        assert (got.final_state is None) == (want.final_state is None)
-        if got.final_state is not None:
-            assert np.array_equal(got.final_state, want.final_state)
-    assert stages <= {o.abort_stage for o in ref}
-
+# ------------------------------------------------------------- exact law
 
 def pe_abort_probability(mpp, q, threshold):
     """Exact P[estimation abort]: wins ~ Binom(mpp, q) and the trial aborts
@@ -341,14 +264,79 @@ def pe_abort_probability(mpp, q, threshold):
                if (3.0 * math.sqrt(w / mpp) - 1.0) / 2.0 < threshold)
 
 
+def log_factorials(n):
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+
+
+def binomial_pmf(n, p, log_fact):
+    """P[Binom(n, p) = k] for k = 0..n."""
+    if p in (0.0, 1.0):
+        return np.eye(n + 1)[int(p) * n]
+    k = np.arange(n + 1)
+    return np.exp(log_fact[n] - log_fact[k] - log_fact[n - k]
+                  + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def stage_abort_probabilities(cfg):
+    """Exact P[abort] in estimation and in each round, from a dense
+    dynamic program over the pair count of the trials still running.  A
+    round aborts a trial that holds one pair or keeps none; mass below
+    1e-300 is dropped."""
+    p = cfg.channel_state().p
+    m_est = math.isqrt(cfg.n_pairs)
+    law = [pe_abort_probability(m_est // 2, (p[0] + p[2]) * (p[0] + p[3]),
+                                cfg.threshold)]
+    k_d = cfg.n_pairs - m_est
+    log_fact = log_factorials(k_d // 2)
+    mass = np.zeros(k_d + 1)
+    mass[k_d] = 1.0 - law[0]
+    state = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                    flags="zero")
+    dist = nm.distribution_from(cfg.noise)
+    for _ in range(cfg.rounds):
+        state, success = dejmps_noisy_step(state, dist)
+        kept = np.zeros(len(mass) // 2 + 1)
+        abort = mass[1]
+        for c in np.nonzero(mass[2:] > 1e-300)[0] + 2:
+            pmf = binomial_pmf(c // 2, success, log_fact)
+            abort += mass[c] * pmf[0]
+            kept[1:len(pmf)] += mass[c] * pmf[1:]
+        law.append(float(abort))
+        mass = kept
+    return law
+
+
 def binomial_band(trials, p, tail):
     """Smallest [lo, hi] with P[X < lo] <= tail and P[X > hi] <= tail for
     X ~ Binom(trials, p)."""
-    pmf = [math.comb(trials, k) * p ** k * (1 - p) ** (trials - k)
-           for k in range(trials + 1)]
+    pmf = binomial_pmf(trials, p, log_factorials(trials))
     cdf = np.cumsum(pmf)                     # P[X <= k]
     sf = np.cumsum(pmf[::-1])[::-1]          # P[X >= k]
     return int(np.argmax(cdf > tail)), int(np.nonzero(sf > tail)[0][-1])
+
+
+def aborts_cell(n_pairs, beta, trials):
+    """A campaign of the benchmark's small-ensemble grid."""
+    return mc.ProtocolConfig(
+        n_pairs=n_pairs, beta=beta, noise=nm.TwoQubitCorrelatedNoise(0.99),
+        rounds=4, f_min=fp.bbpssw_two_qubit_fixed_points(0.99)[0],
+        seed=20240817, trials=trials)
+
+
+def test_stage_law_sums_to_the_trial_fate():
+    # the dynamic program conserves probability: what does not abort
+    # completes, and a perfect protocol loses nothing
+    cfg = STREAM_CELLS["estimation"]
+    law = stage_abort_probabilities(cfg)
+    assert len(law) == cfg.rounds + 1 and min(law) >= 0
+    assert sum(law) < 1
+    perfect = make_config(beta=1.0, noise=nm.SingleQubitWhiteNoise(1.0),
+                          f_min=0.9)
+    assert stage_abort_probabilities(perfect) == [0.0, 0.0, 0.0]
+    tiny = make_config(n_pairs=4, beta=1.0,
+                       noise=nm.SingleQubitWhiteNoise(0.99), f_min=0.9)
+    law = stage_abort_probabilities(tiny)
+    assert law[0] == 0.0 and sum(law) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n_pairs", [256, 1024])
@@ -356,17 +344,39 @@ def binomial_band(trials, p, tail):
 def test_estimation_aborts_follow_exact_binomial(n_pairs, beta):
     # the estimation sample is floor(isqrt(n)/2) pairs-of-pairs; a wrong
     # size moves the abort probability far outside this band
-    cfg = mc.ProtocolConfig(
-        n_pairs=n_pairs, beta=beta, noise=nm.TwoQubitCorrelatedNoise(0.99),
-        rounds=4, f_min=fp.bbpssw_two_qubit_fixed_points(0.99)[0],
-        seed=20240817, trials=1000)
+    cfg = aborts_cell(n_pairs, beta, 1000)
     p = cfg.channel_state().p
     prob = pe_abort_probability(math.isqrt(n_pairs) // 2,
                                 (p[0] + p[2]) * (p[0] + p[3]), cfg.threshold)
     lo, hi = binomial_band(cfg.trials, prob, 1e-9)
     est = mc.estimate_abort_probability(cfg)
-    pe = sum(o.abort_stage == "parameter_estimation" for o in est.outcomes)
-    assert lo <= pe <= hi
+    assert lo <= est.stage_aborts[0] <= hi
+
+
+LAW_CELLS = {**{name: dataclasses.replace(cfg, trials=10 ** 4)
+                for name, cfg in STREAM_CELLS.items()},
+             **{f"{n}-{beta}": aborts_cell(n, beta, 10 ** 4)
+                for n in (256, 1024) for beta in (0.6, 0.65, 0.7)}}
+
+
+@pytest.mark.parametrize("cell", list(LAW_CELLS))
+def test_stage_aborts_follow_exact_law(cell):
+    # every stage's abort count, not only the total, lies in the two-sided
+    # band around its exact probability
+    cfg = LAW_CELLS[cell]
+    est = mc.estimate_abort_probability(cfg)
+    law = stage_abort_probabilities(cfg)
+    assert len(est.stage_aborts) == len(law)
+    for stage, (count, prob) in enumerate(zip(est.stage_aborts, law)):
+        lo, hi = binomial_band(cfg.trials, prob, 1e-9)
+        assert lo <= count <= hi, (stage, count, prob)
+
+
+def test_exact_law_reaches_round_aborts():
+    # at least one cell checks the round branch where it matters
+    worst = max(max(stage_abort_probabilities(cfg)[1:])
+                for cfg in LAW_CELLS.values())
+    assert worst >= 1e-3
 
 
 # ---------------------------------------------------------------- aggregates
@@ -381,6 +391,7 @@ def test_abort_estimate_wilson_interval():
     est = mc.estimate_abort_probability(cfg)
     assert est.trials == 120
     assert est.aborts == 120
+    assert est.stage_aborts == (120, 0, 0)
     assert est.rate == 1.0
     lo, hi = est.ci
     assert lo <= est.rate <= hi + 1e-12
@@ -389,18 +400,15 @@ def test_abort_estimate_wilson_interval():
 
 
 def test_abort_estimate_keeps_the_trials_in_order():
+    # the estimate counts the campaign's own trials, stage by stage
     cfg = mc.ProtocolConfig(n_pairs=256, beta=0.65,
                             noise=nm.TwoQubitCorrelatedNoise(0.99), rounds=4,
                             f_min=0.5, seed=5, trials=100)
     est = mc.estimate_abort_probability(cfg)
-    again = [mc.simulate_run(cfg, mc.trial_rng(cfg.seed, t))
-             for t in range(cfg.trials)]
-    assert len(est.outcomes) == cfg.trials
-    assert [(o.flag, o.abort_stage, o.pair_counts, o.fidelity_estimate)
-            for o in est.outcomes] == [
-        (o.flag, o.abort_stage, o.pair_counts, o.fidelity_estimate)
-        for o in again]
-    assert est.aborts == sum(not o.ok for o in again)
+    _, stage, _ = campaign(cfg)
+    assert len(stage) == cfg.trials
+    assert est.stage_aborts == tuple(np.bincount(stage, minlength=6)[:5])
+    assert est.aborts == sum(est.stage_aborts) == int((stage < 5).sum())
     assert 0 < est.aborts < cfg.trials
 
 
@@ -437,10 +445,8 @@ def test_fidelity_trajectory_tracks_deterministic_marginals():
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     fids = [m[0] for m in marginals]
     assert all(f2 > f1 for f1, f2 in zip(fids, fids[1:]))
-    # a seeded run follows the trajectory while its pair counts halve
-    outcome = mc.simulate_run(cfg)
-    assert outcome.ok
-    assert np.array_equal(outcome.final_state, marginals[cfg.rounds])
-    counts = outcome.pair_counts
-    assert counts[0] == cfg.n_pairs - math.isqrt(cfg.n_pairs)
-    assert all(after <= before // 2 for before, after in zip(counts, counts[1:]))
+    # the seeded campaign completes every round while its pairs halve
+    _, stage, pairs = campaign(cfg)
+    assert (stage == cfg.rounds + 1).all()
+    k_d = cfg.n_pairs - math.isqrt(cfg.n_pairs)
+    assert (pairs <= k_d >> cfg.rounds).all()
