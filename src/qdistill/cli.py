@@ -25,6 +25,7 @@ import sys
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,17 @@ def emit_json(obj, fh) -> None:
     """JSON with floats at 17 significant digits (bit-exact round trip)."""
     fh.write(_json_token(obj))
     fh.write("\n")
+
+
+def _write_table(fh, header, rows, caption=None) -> None:
+    """One CSV table: an optional ``# caption`` line, the header, the rows.
+    Cells arrive formatted: the caller puts each float through
+    :func:`_fmt`."""
+    if caption:
+        fh.write(f"# {caption}\n")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 @contextmanager
@@ -233,10 +245,7 @@ def _cmd_scan(args, cfg) -> int:
             rows.append((val, report.location[0], report.lambda_max))
     with _open_out(args.out) as fh:
         if args.emit == "csv":
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(x) for x in row])
+            _write_table(fh, header, ([_fmt(x) for x in r] for r in rows))
         else:
             emit_json({
                 "protocol": args.protocol,
@@ -431,20 +440,18 @@ def _cmd_montecarlo(args, cfg) -> int:
         "meta": {"config": config.as_dict()},
     }
     if args.emit == "csv":
+        done = config.rounds + 1
+        names = ["parameter_estimation"] + [
+            f"round {m}" for m in range(1, done)] + [""]
+        trials = (trial for f_hat, stage, pairs in mc.sample_campaign(config)
+                  for trial in zip(f_hat.tolist(), stage.tolist(),
+                                   pairs.tolist()))
         with _open_out(args.out) as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "flag", "abort_stage", "rounds_completed",
-                        "fidelity_estimate", "final_pairs"])
-            done = config.rounds + 1
-            names = ["parameter_estimation"] + [
-                f"round {m}" for m in range(1, done)] + [""]
-            t = 0
-            for f_hat, stage, pairs in mc.sample_campaign(config):
-                for f, s, k in zip(f_hat.tolist(), stage.tolist(),
-                                   pairs.tolist()):
-                    w.writerow([t, "ok" if s == done else "fail", names[s],
-                                max(s - 1, 0), _fmt(f), k])
-                    t += 1
+            _write_table(
+                fh, ["trial", "flag", "abort_stage", "rounds_completed",
+                     "fidelity_estimate", "final_pairs"],
+                ([t, "ok" if s == done else "fail", names[s], max(s - 1, 0),
+                  _fmt(f), k] for t, (f, s, k) in enumerate(trials)))
         emit_json(payload, sys.stdout)
     else:
         with _open_out(args.out) as fh:
@@ -467,45 +474,43 @@ def _cmd_trace(args, cfg) -> int:
         p0 = np.array([float(x) for x in args.p0.split(",")])
         if p0.size != rmap.dim:
             raise ValueError(f"--p0 must have {rmap.dim} entries")
-        if not (np.isfinite(p0).all() and p0.min() >= 0 and p0.sum() > 0):
+        try:  # correctly rounded, so a vector that sums to 1 stays as it is
+            total = math.fsum(p0)
+        except (OverflowError, ValueError):  # the sum overflows, or inf - inf
+            total = math.nan
+        if not (np.isfinite(p0).all() and p0.min() >= 0
+                and 0 < total < math.inf):
             raise ValueError("--p0 entries must be finite and nonnegative"
-                             " with a positive sum")
+                             " with a positive finite sum")
         if rmap.dim == 1 and p0[0] > 1:
             raise ValueError("--p0 of a one-variable map must be at most 1")
+        # A table map is homogeneous: scaled to sum 1, its start gives the
+        # same update, and no step over- or underflows.
+        if rmap.dim > 1:
+            p0 = p0 / total
+    rows = ([r] + [_fmt(x) for x in p] + [_fmt(n)] for r, (p, n)
+            in enumerate(rec.trajectory(rmap, p0, args.rounds), 1))
     with _open_out(args.out) as fh:
-        rec.write_trace_csv(rmap, p0, args.rounds, fh)
+        _write_table(fh, ["round"] + [f"p{i}" for i in range(rmap.dim)] + ["N"],
+                     chain([[0] + [_fmt(x) for x in p0] + [""]], rows))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # figure data
 
-def _reduced_series(f_values, kind, rounds):
+#: White-noise strengths f of the dejmps-convergence figure.
+_CONVERGENCE_F = (0.97, 0.98, 0.99)
+
+
+def _dejmps_convergence_rows():
     series = []
-    for f in f_values:
-        dist = nm.distribution_from(nm.noise_from_config(
-            {"kind": kind, "parameter": f}))
-        rmap = rec.reduced_dejmps_map(dist)
+    for f in _CONVERGENCE_F:
+        dist = nm.distribution_from(nm.SingleQubitWhiteNoise(f))
         q_fix = fp.reduced_noisy_dejmps_fixed_point(dist).location
-        q = np.array(fp.DEJMPS_START)
-        errs = []
-        for _ in range(rounds):
-            q, _n = rmap(q)
-            errs.append(float(np.abs(q - q_fix).sum()))
-        series.append(errs)
-    return series
-
-
-def _fig_dejmps_convergence(fh):
-    fs = (0.97, 0.98, 0.99)
-    rounds = 60
-    series = _reduced_series(fs, "white", rounds)
-    fh.write("# dejmps-convergence: 1-norm error to the reduced fixed point"
-             " per round, single-qubit white noise\n")
-    w = csv.writer(fh)
-    w.writerow(["round"] + [f"err_f{f}" for f in fs])
-    for r in range(rounds):
-        w.writerow([r + 1] + [_fmt(series[i][r]) for i in range(len(fs))])
+        series.append([_fmt(np.abs(q - q_fix).sum()) for q, _n in rec.trajectory(
+            rec.reduced_dejmps_map(dist), fp.DEJMPS_START, 60)])
+    return [(r, *errs) for r, errs in enumerate(zip(*series), 1)]
 
 
 @cache
@@ -521,93 +526,71 @@ def _white_noise_solutions() -> tuple:
     return tuple(rows)
 
 
-def _fig_lambda_max(fh):
-    fh.write("# lambda-max: reduced-map spectral radius vs white-noise"
-             " strength\n")
-    w = csv.writer(fh)
-    w.writerow(["one_minus_f", "spectral_radius"])
-    for x, _q00, radius in _white_noise_solutions():
-        w.writerow([_fmt(x), _fmt(radius)])
-
-
-def _fig_p0000_fixed(fh):
-    fh.write("# p0000-fixed: dominant fixed-point probability vs white-noise"
-             " strength\n")
-    w = csv.writer(fh)
-    w.writerow(["one_minus_f", "p0000"])
-    for x, q00, _radius in _white_noise_solutions():
-        w.writerow([_fmt(x), _fmt(q00)])
-
-
-def _fig_bbpssw_convergence(fh):
-    fh.write("# bbpssw-convergence: noiseless error decay from p=0.75 and"
-             " successive-ratio approach to 2/3\n")
-    w = csv.writer(fh)
-    w.writerow(["round", "error", "ratio"])
+def _bbpssw_convergence_rows():
     p_fix = fp.bbpssw_fixed_point(1.0)
-    p = 0.75
-    prev = None
-    for r in range(1, 41):
-        p, _n = rec.bbpssw_step(p, 1.0)
-        err = abs(p - p_fix)
-        w.writerow([r, _fmt(err), _fmt(err / prev) if prev else ""])
-        prev = err
+    errs = [abs(p[0] - p_fix)
+            for p, _n in rec.trajectory(rec.bbpssw_map(1.0), [0.75], 40)]
+    return [(r, _fmt(err), _fmt(err / prev) if prev else "")
+            for r, (prev, err) in enumerate(zip([None] + errs, errs), 1)]
 
 
-def _fig_discriminant(fh):
-    fh.write("# discriminant: worst-case cubic discriminant vs f_I; sign"
-             " change marks the critical noise level\n")
-    w = csv.writer(fh)
-    w.writerow(["f_i", "discriminant"])
-    for f_i in np.arange(0.9, 1.0 + 2.5e-4, 5e-4):
-        w.writerow([_fmt(f_i), _fmt(fp.worstcase_discriminant(float(f_i)))])
-
-
-def _fig_gfix(fh):
-    fh.write("# gfix: real fixed points of the worst-case recurrence vs"
-             " f_I\n")
-    w = csv.writer(fh)
-    w.writerow(["f_i", "num_roots", "root1", "root2", "root3"])
+def _gfix_rows():
     for f_i in np.arange(0.9, 1.0 + 1e-3, 2e-3):
         roots = fp.worstcase_fixed_points(float(f_i))
-        cells = [_fmt(r) for r in roots] + [""] * (3 - roots.size)
-        w.writerow([_fmt(f_i), roots.size] + cells)
+        yield ([_fmt(f_i), roots.size] + [_fmt(r) for r in roots]
+               + [""] * (3 - roots.size))
 
 
-def _fig_worstcase_attractivity(fh):
-    fh.write("# worstcase-attractivity: |map derivative| at each real fixed"
-             " point vs f_I\n")
-    w = csv.writer(fh)
-    w.writerow(["f_i", "root", "abs_slope"])
+def _worstcase_attractivity_rows():
     for f_i in np.arange(0.9, 1.0 + 1e-3, 2e-3):
         rmap = rec.worstcase_map(float(f_i))
         for root in fp.worstcase_fixed_points(float(f_i)):
             radius = fp.jacobian_spectral_radius(rmap, np.array([root]))
-            w.writerow([_fmt(f_i), _fmt(root), _fmt(radius)])
+            yield _fmt(f_i), _fmt(root), _fmt(radius)
 
 
-def _fig_binary_postselect(fh):
-    fh.write("# binary-postselect: contraction exponent -log2|lambda|/4 vs"
-             " the polynomial degree 15; positive gap means the"
-             " post-selection bound eventually decreases\n")
-    w = csv.writer(fh)
-    w.writerow(["one_minus_f0", "quarter_log2_lambda", "degree", "gap_bits"])
+def _binary_postselect_rows():
     for e in range(-22, -15):
-        one_minus = Decimal(10) ** e
-        lam = fp.binary_lambda_max(Decimal(1) - one_minus)
+        lam = fp.binary_lambda_max(Decimal(1) - Decimal(10) ** e)
         gap = sb.postselect_crossing_gap(lam)
-        w.writerow([f"1e{e}", _fmt(gap + 15.0), _fmt(15.0), _fmt(gap)])
+        yield f"1e{e}", _fmt(gap + 15.0), _fmt(15.0), _fmt(gap)
 
 
+# name -> (caption, header, rows function)
 _FIGURES = {
-    "dejmps-convergence": _fig_dejmps_convergence,
-    "lambda-max": _fig_lambda_max,
-    "p0000-fixed": _fig_p0000_fixed,
-    "bbpssw-convergence": _fig_bbpssw_convergence,
-    "discriminant": _fig_discriminant,
-    "gfix": _fig_gfix,
-    "worstcase-attractivity": _fig_worstcase_attractivity,
-    "binary-postselect": _fig_binary_postselect,
+    "dejmps-convergence": (
+        "1-norm error to the reduced fixed point per round, single-qubit"
+        " white noise", ["round"] + [f"err_f{f}" for f in _CONVERGENCE_F],
+        _dejmps_convergence_rows),
+    "lambda-max": (
+        "reduced-map spectral radius vs white-noise strength",
+        ["one_minus_f", "spectral_radius"],
+        lambda: [(_fmt(x), _fmt(radius))
+                 for x, _q00, radius in _white_noise_solutions()]),
+    "p0000-fixed": (
+        "dominant fixed-point probability vs white-noise strength",
+        ["one_minus_f", "p0000"],
+        lambda: [(_fmt(x), _fmt(q00))
+                 for x, q00, _radius in _white_noise_solutions()]),
+    "bbpssw-convergence": (
+        "noiseless error decay from p=0.75 and successive-ratio approach"
+        " to 2/3", ["round", "error", "ratio"], _bbpssw_convergence_rows),
+    "discriminant": (
+        "worst-case cubic discriminant vs f_I; sign change marks the"
+        " critical noise level", ["f_i", "discriminant"],
+        lambda: [(_fmt(f_i), _fmt(fp.worstcase_discriminant(float(f_i))))
+                 for f_i in np.arange(0.9, 1.0 + 2.5e-4, 5e-4)]),
+    "gfix": (
+        "real fixed points of the worst-case recurrence vs f_I",
+        ["f_i", "num_roots", "root1", "root2", "root3"], _gfix_rows),
+    "worstcase-attractivity": (
+        "|map derivative| at each real fixed point vs f_I",
+        ["f_i", "root", "abs_slope"], _worstcase_attractivity_rows),
+    "binary-postselect": (
+        "contraction exponent -log2|lambda|/4 vs the polynomial degree 15;"
+        " positive gap means the post-selection bound eventually decreases",
+        ["one_minus_f0", "quarter_log2_lambda", "degree", "gap_bits"],
+        _binary_postselect_rows),
 }
 
 FIGURE_NAMES = tuple(_FIGURES)
@@ -618,7 +601,8 @@ def emit_figure_data(name: str, fh) -> None:
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; choose from "
                          + ", ".join(FIGURE_NAMES))
-    _FIGURES[name](fh)
+    caption, header, rows = _FIGURES[name]
+    _write_table(fh, header, rows(), caption=f"{name}: {caption}")
 
 
 # ---------------------------------------------------------------------------

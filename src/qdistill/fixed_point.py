@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .recurrence import RecurrenceMap, reduced_dejmps_map, dejmps_noisy_step
+from .recurrence import (RecurrenceMap, dejmps_noisy_step, reduced_dejmps_map,
+                         trajectory)
 from .quantum_core import CORRELATED_SUPPORT
 
 __all__ = [
@@ -327,12 +328,9 @@ def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int, p_fix) -> Converg
     Rounds whose error has fallen below 100 machine epsilons are excluded
     (they are noise-dominated); at least 10 usable rounds are required.
     """
-    p, p_fix = np.asarray(p0, dtype=float), np.asarray(p_fix, dtype=float)
-    errs = []
-    for _ in range(rounds):
-        p = rmap(p)[0]
-        errs.append(np.abs(p - p_fix).sum())
-    errs = np.array(errs)
+    p_fix = np.asarray(p_fix, dtype=float)
+    errs = np.array([np.abs(p - p_fix).sum()
+                     for p, _n in trajectory(rmap, p0, rounds)])
     ns = np.arange(1, rounds + 1)
     mask = errs > 100 * np.finfo(float).eps
     if mask.sum() < 10:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .quantum_core import BellDiagonalState, LabeledEnsembleState
 from .noise_models import apply_channel_phi, distribution_from, noise_to_config
-from .recurrence import dejmps_noisy_step
+from .recurrence import noisy_dejmps_map, trajectory
 from .security_bounds import (MAX_ROUNDS, RobustnessInput, RobustnessResult,
                               robustness_bound)
 
@@ -151,15 +151,14 @@ def config_hash(config: ProtocolConfig) -> str:
 def _trajectory(beta: float, noise, rounds: int):
     """Deterministic ensemble evolution: (marginals, success probabilities)
     for rounds 1..M, shared by every trial of a campaign."""
-    dist = distribution_from(noise)
     state = LabeledEnsembleState.from_bell_diagonal(
         apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])), beta),
         flags="zero")
     marginals = [state.bell_marginal().p]
     successes = []
-    for _ in range(rounds):
-        state, n = dejmps_noisy_step(state, dist)
-        marginals.append(state.bell_marginal().p)
+    for p, n in trajectory(noisy_dejmps_map(distribution_from(noise)),
+                           state.p, rounds):
+        marginals.append(LabeledEnsembleState(p).bell_marginal().p)
         successes.append(n)
     return tuple(marginals), tuple(successes)
 

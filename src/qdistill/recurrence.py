@@ -29,6 +29,7 @@ restriction to their support.  The closed forms of the noiseless and
 binary steps live in the tests, as references.  Floats/ndarrays take a
 vectorised path; ``fractions.Fraction`` entries take an exact path that
 sums the same terms in rational arithmetic, for exact test oracles.
+``trajectory`` runs any map round by round.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .quantum_core import CORRELATED_SUPPORT, BellDiagonalState, LabeledEnsembleState
+from .quantum_core import CORRELATED_SUPPORT, LabeledEnsembleState
 from .noise_models import NoiseDistribution
 
 __all__ = [
@@ -63,7 +64,7 @@ __all__ = [
     "bbpssw_map",
     "bbpssw_two_qubit_map",
     "worstcase_map",
-    "write_trace_csv",
+    "trajectory",
 ]
 
 
@@ -199,15 +200,11 @@ _BINARY_SUPPORT = tuple(LabeledEnsembleState.index(0, j, 0, l)
 def dejmps_noiseless_step(p):
     """One noiseless DEJMPS round on a Bell-diagonal 4-vector.
 
-    Returns (updated state, success probability N) with
-    N = (p00+p11)^2 + (p01+p10)^2.  Accepts a BellDiagonalState or a raw
-    4-vector (Fraction entries take the exact path).  This is the reduced
-    map under identity noise.
+    Returns (updated 4-vector, success probability N) with
+    N = (p00+p11)^2 + (p01+p10)^2; Fraction entries take the exact path.
+    This is the reduced map under identity noise.
     """
-    wrap = isinstance(p, BellDiagonalState)
-    out, n = _bilinear_step(_table_for(_XOR, _CORRELATED), p.p if wrap else p,
-                            _NO_NOISE, 4)
-    return (BellDiagonalState(out), n) if wrap else (out, n)
+    return _bilinear_step(_table_for(_XOR, _CORRELATED), p, _NO_NOISE, 4)
 
 
 def _noise_vector(noise):
@@ -219,12 +216,10 @@ def dejmps_noisy_step(p, noise, u: FlagUpdateFunction | None = None):
 
     ``noise`` is a NoiseDistribution (or a raw 16-vector; Fraction entries
     select exact arithmetic), ``u`` the flag update (default XOR).  Returns
-    (updated probabilities, success N) where N is the pre-normalization sum.
+    (updated 16-vector, success N) where N is the pre-normalization sum.
     """
-    wrap = isinstance(p, LabeledEnsembleState)
-    out, n = _bilinear_step(_index_table(u or default_flag_update()),
-                            p.p if wrap else p, _noise_vector(noise), 16)
-    return (LabeledEnsembleState(out), n) if wrap else (out, n)
+    return _bilinear_step(_index_table(u or default_flag_update()), p,
+                          _noise_vector(noise), 16)
 
 
 def binary_step(p, f0):
@@ -384,18 +379,13 @@ def worstcase_map(f_i) -> RecurrenceMap:
                        lambda F: _fidelity(F, f_i, 0, 1 - f_i)[2])
 
 
-def write_trace_csv(rmap: RecurrenceMap, p0, rounds: int, fh) -> None:
-    """Emit per-round (round, p-vector, N) rows as CSV to an open file.
+def trajectory(rmap: RecurrenceMap, p0, rounds: int) -> Iterator[tuple]:
+    """Yield (p, N) after each of ``rounds`` rounds of ``rmap`` from p0.
 
-    Round 0 is the input state (N left empty).
+    Lazy: a round runs only when its result is asked for, so a long trace
+    streams in constant memory and an early stop costs nothing further.
     """
-    import csv
-
     p = np.asarray(p0, dtype=float)
-    writer = csv.writer(fh)
-    writer.writerow(["round"] + [f"p{i}" for i in range(rmap.dim)] + ["N"])
-    writer.writerow([0] + [format(x, ".17g") for x in p] + [""])
-    for r in range(1, rounds + 1):
+    for _ in range(rounds):
         p, n = rmap(p)
-        writer.writerow([r] + [format(x, ".17g") for x in p]
-                        + [format(n, ".17g")])
+        yield p, n

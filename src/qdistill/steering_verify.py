@@ -47,18 +47,9 @@ __all__ = [
     "product_form_check",
 ]
 
-_ISQ2 = 1.0 / np.sqrt(2.0)
-
-#: Single-qubit tomographic kets, order (|+>, |+i>, |0>, |->).
-SINGLE_QUBIT_KETS = (
-    np.array([_ISQ2, _ISQ2], dtype=complex),
-    np.array([_ISQ2, 1j * _ISQ2], dtype=complex),
-    np.array([1.0, 0.0], dtype=complex),
-    np.array([_ISQ2, -_ISQ2], dtype=complex),
-)
-
-# The corresponding projectors, written out with exact dyadic entries
-# rather than via outer products of the kets (1/sqrt(2) squared rounds).
+#: Single-qubit tomographic projectors onto |+>, |+i>, |0> and |->, in
+#: that order, written out with exact dyadic entries (an outer product of
+#: kets with entries 1/sqrt(2) would round).
 SINGLE_QUBIT_PROJECTORS = (
     np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
     np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),

@@ -18,6 +18,7 @@ from qdistill import fixed_point as fp
 from qdistill import noise_models as nm
 from qdistill import recurrence as rc
 from qdistill import security_bounds as sb
+from qdistill.quantum_core import BellDiagonalState
 
 from conftest import STREAM_CELLS, campaign
 
@@ -782,7 +783,7 @@ def test_trace_csv_round_zero_is_input(capsys):
 
 
 @pytest.mark.parametrize("p0", ["nan,0,0,0", "inf,0,0,0", "-0.5,1,0,0.5",
-                                "0,0,0,0"])
+                                "0,0,0,0", "1e308,1e308,0,0"])
 def test_trace_p0_must_be_a_finite_nonnegative_weight(p0, capsys):
     code = cli.run(["trace", "--protocol", "dejmps", "--noise", "white:0.99",
                     "--rounds", "1", f"--p0={p0}"])
@@ -791,6 +792,53 @@ def test_trace_p0_must_be_a_finite_nonnegative_weight(p0, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "--p0" in captured.err
+
+
+def test_trace_csv_layout(capsys):
+    # white:1 is the identity noise, so the reduced map is the noiseless one.
+    p0 = ",".join(str(float(x)) for x in BellDiagonalState.werner(0.75).p)
+    code = cli.run(["trace", "--protocol", "dejmps", "--noise", "white:1",
+                    "--rounds", "3", "--p0", p0])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert lines[0].startswith("round,")
+    assert len(lines) == 5          # header + round 0 (input) + 3 rounds
+    r0 = lines[1].split(",")
+    assert r0[0] == "0"
+    assert float(r0[1]) == pytest.approx(0.75)
+    assert r0[-1] == ""             # no success probability before round 1
+    r1 = lines[2].split(",")
+    assert float(r1[1]) == pytest.approx(41 / 52, abs=1e-15)
+    assert float(r1[-1]) == pytest.approx(13 / 18, abs=1e-15)
+    # 17 significant digits: the printed text reproduces the stored float
+    s = r1[1]
+    assert "%.17g" % float(s) == s
+
+
+def trace_rows(argv, capsys):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return list(csv.reader(io.StringIO(captured.out)))
+
+
+@pytest.mark.parametrize("p0, unit", [("1e200,1e200,0,0", "0.5,0.5,0,0"),
+                                      ("0,0,0,1e-320", "0,0,0,1")])
+def test_trace_p0_is_scaled_to_sum_one(p0, unit, capsys):
+    """A table map is homogeneous: a start vector far from sum 1 traces as
+    its scaled copy, with no overflow, underflow or zero success."""
+    argv = ["trace", "--protocol", "dejmps", "--noise", "white:0.9",
+            "--rounds", "3"]
+    rows = trace_rows(argv + [f"--p0={p0}"], capsys)
+    assert len(rows) == 5
+    assert rows == trace_rows(argv + [f"--p0={unit}"], capsys)
+
+
+def test_trace_p0_summing_to_one_is_kept(capsys):
+    rows = trace_rows(["trace", "--protocol", "dejmps", "--noise", "white:0.99",
+                       "--rounds", "1", "--p0", "0.7,0.1,0.1,0.1"], capsys)
+    assert rows[1] == ["0", "0.69999999999999996", "0.10000000000000001",
+                       "0.10000000000000001", "0.10000000000000001", ""]
 
 
 def test_trace_scalar_p0_must_be_at_most_one(capsys):
@@ -822,6 +870,48 @@ def test_every_figure_emits_rows(capsys):
         assert "," in rows[1], name
         ncols = rows[1].count(",")
         assert all(r.count(",") == ncols for r in rows[2:]), name
+
+
+MC_CSV = ["montecarlo", "--n-pairs", "20", "--beta", "0.99", "--noise",
+          "corr2:0.99", "--rounds", "4", "--trials", "120", "--seed", "9",
+          "--emit", "csv"]
+
+# name -> (argv, whether every cell is a 17-digit float or empty)
+CSV_OUTPUTS = {
+    "trace-dejmps": (["trace", "--noise", "white:0.99"], True),
+    "trace-dejmps-full": (["trace", "--noise", "corr2:0.98", "--full",
+                           "--rounds", "4"], True),
+    "trace-binary": (["trace", "--protocol", "binary", "--noise",
+                      "binary:0.9"], True),
+    "trace-bbpssw": (["trace", "--protocol", "bbpssw", "--noise",
+                      "worst:0.97"], True),
+    "scan-dejmps": (["scan", "--protocol", "dejmps", "--noise-grid",
+                     "0.97:0.99:0.01"], True),
+    "scan-bbpssw": (["scan", "--protocol", "bbpssw", "--noise-grid",
+                     "0.97:0.99:0.01"], True),
+    "scan-binary": (["scan", "--protocol", "binary", "--noise-grid",
+                     "0.8:0.9:0.05"], True),
+    "montecarlo": (MC_CSV, False),
+} | {f"figure-{name}": (["trace", "--figure", name], False)
+     for name in cli.FIGURE_NAMES}
+
+
+@pytest.mark.parametrize("name", CSV_OUTPUTS)
+def test_every_csv_table_is_rectangular(name, tmp_path, capsys):
+    argv, floats = CSV_OUTPUTS[name]
+    path = tmp_path / "out.csv"
+    assert cli.run(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    if name.startswith("figure-"):
+        assert lines.pop(0).startswith("# " + name.removeprefix("figure-"))
+    header, *rows = csv.reader(lines)
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+    if floats:
+        assert all(cell == "" or "%.17g" % float(cell) == cell
+                   for row in rows for cell in row)
 
 
 def test_figure_names_are_the_published_set():

@@ -164,7 +164,7 @@ def noisy_trajectory(steps=5):
         BellDiagonalState.werner(0.9), flags="correlated")
     states = [state]
     for _ in range(steps):
-        state, _ = rc.dejmps_noisy_step(state, dist)
+        state = LabeledEnsembleState(rc.dejmps_noisy_step(state.p, dist)[0])
         states.append(state)
     return states
 
@@ -359,12 +359,12 @@ def loop_campaign(cfg):
     streams = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(cfg.seed, spawn_key=(s,))))
         for s in range(cfg.rounds + 1)]
-    state = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
-                                                    flags="zero")
+    q = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                flags="zero").p
     dist = nm.distribution_from(cfg.noise)
     successes = []
     for _ in range(cfg.rounds):
-        state, success = rc.dejmps_noisy_step(state, dist)
+        q, success = rc.dejmps_noisy_step(q, dist)
         successes.append(success)
     p = cfg.channel_state().p
     m_est = math.isqrt(cfg.n_pairs)

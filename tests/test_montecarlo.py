@@ -290,11 +290,11 @@ def stage_abort_probabilities(cfg):
     log_fact = log_factorials(k_d // 2)
     mass = np.zeros(k_d + 1)
     mass[k_d] = 1.0 - law[0]
-    state = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
-                                                    flags="zero")
+    q = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                flags="zero").p
     dist = nm.distribution_from(cfg.noise)
     for _ in range(cfg.rounds):
-        state, success = dejmps_noisy_step(state, dist)
+        q, success = dejmps_noisy_step(q, dist)
         kept = np.zeros(len(mass) // 2 + 1)
         abort = mass[1]
         for c in np.nonzero(mass[2:] > 1e-300)[0] + 2:

@@ -2,7 +2,6 @@
 variants, plus the correlated-support reduction used by the stability
 analysis."""
 
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -239,23 +238,26 @@ def test_recurrence_map_metadata_and_call():
     assert 0 < n <= 1
 
 
-def test_write_trace_csv_layout():
+def test_trajectory_is_lazy():
+    calls = []
     m = rc.noiseless_dejmps_map()
-    buf = io.StringIO()
-    rc.write_trace_csv(m, BellDiagonalState.werner(0.75).p, 3, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("round,")
-    assert len(lines) == 5          # header + round 0 (input) + 3 rounds
-    r0 = lines[1].split(",")
-    assert r0[0] == "0"
-    assert float(r0[1]) == pytest.approx(0.75)
-    assert r0[-1] == ""             # no success probability before round 1
-    r1 = lines[2].split(",")
-    assert float(r1[1]) == pytest.approx(41 / 52, abs=1e-15)
-    assert float(r1[-1]) == pytest.approx(13 / 18, abs=1e-15)
-    # 17 significant digits: the printed text reproduces the stored float
-    s = r1[1]
-    assert "%.17g" % float(s) == s
+    counted = rc.RecurrenceMap(4, lambda p: calls.append(p) or m.fn(p), m.jac)
+    p, n = next(rc.trajectory(counted, BellDiagonalState.werner(0.75).p,
+                              10 ** 12))
+    assert len(calls) == 1
+    assert p[0] == pytest.approx(41 / 52, abs=1e-15)
+    assert n == pytest.approx(13 / 18, abs=1e-15)
+
+
+def test_trajectory_repeats_the_map():
+    m = rc.binary_map(0.9)
+    p = np.array([0.7, 0.1, 0.1, 0.1])
+    steps = list(rc.trajectory(m, p, 5))
+    assert len(steps) == 5
+    for q, n in steps:
+        p, n_ref = m(p)
+        assert np.array_equal(q, p) and n == n_ref
+    assert list(rc.trajectory(m, p, 0)) == []
 
 
 # ------------------------------------------------------------ exact Jacobian
