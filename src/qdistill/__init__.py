@@ -33,17 +33,10 @@ from .recurrence import (
     DegenerateStepError,
     RecurrenceMap,
     bbpssw_map,
-    bbpssw_step,
-    bbpssw_success,
     bbpssw_two_qubit_map,
-    bbpssw_two_qubit_step,
-    bbpssw_worstcase_step,
     binary_map,
-    binary_step,
     conjunctive_flag_update,
     default_flag_update,
-    dejmps_noiseless_step,
-    dejmps_noisy_step,
     noiseless_dejmps_map,
     noisy_dejmps_map,
     reduced_dejmps_map,

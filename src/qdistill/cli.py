@@ -426,7 +426,24 @@ def _mc_config(args, cfg) -> mc.ProtocolConfig:
 
 def _cmd_montecarlo(args, cfg) -> int:
     config = _mc_config(args, cfg)
-    check = mc.check_robustness(config)
+    csv_out = args.emit == "csv"
+
+    def write_trials(blocks):
+        # With --emit csv the trials go to --out as the estimate counts
+        # them, in one pass, and the JSON goes to stdout.
+        done = config.rounds + 1
+        names = ["parameter_estimation"] + [
+            f"round {m}" for m in range(1, done)] + [""]
+        trials = (trial for f_hat, stage, pairs in blocks for trial in zip(
+            f_hat.tolist(), stage.tolist(), pairs.tolist()))
+        with _open_out(args.out) as fh:
+            _write_table(
+                fh, ["trial", "flag", "abort_stage", "rounds_completed",
+                     "fidelity_estimate", "final_pairs"],
+                ([t, "ok" if s == done else "fail", names[s], max(s - 1, 0),
+                  _fmt(f), k] for t, (f, s, k) in enumerate(trials)))
+
+    check = mc.check_robustness(config, write_trials if csv_out else None)
     est, res = check.estimate, check.bound
     payload = {
         "config_hash": mc.config_hash(config),
@@ -439,23 +456,8 @@ def _cmd_montecarlo(args, cfg) -> int:
         "seed": config.seed,
         "meta": {"config": config.as_dict()},
     }
-    if args.emit == "csv":
-        done = config.rounds + 1
-        names = ["parameter_estimation"] + [
-            f"round {m}" for m in range(1, done)] + [""]
-        trials = (trial for f_hat, stage, pairs in mc.sample_campaign(config)
-                  for trial in zip(f_hat.tolist(), stage.tolist(),
-                                   pairs.tolist()))
-        with _open_out(args.out) as fh:
-            _write_table(
-                fh, ["trial", "flag", "abort_stage", "rounds_completed",
-                     "fidelity_estimate", "final_pairs"],
-                ([t, "ok" if s == done else "fail", names[s], max(s - 1, 0),
-                  _fmt(f), k] for t, (f, s, k) in enumerate(trials)))
-        emit_json(payload, sys.stdout)
-    else:
-        with _open_out(args.out) as fh:
-            emit_json(payload, fh)
+    with _open_out(None if csv_out else args.out) as fh:
+        emit_json(payload, fh)
     return 0
 
 

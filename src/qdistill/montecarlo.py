@@ -149,18 +149,15 @@ def config_hash(config: ProtocolConfig) -> str:
 
 @lru_cache(maxsize=64)
 def _trajectory(beta: float, noise, rounds: int):
-    """Deterministic ensemble evolution: (marginals, success probabilities)
-    for rounds 1..M, shared by every trial of a campaign."""
-    state = LabeledEnsembleState.from_bell_diagonal(
-        apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])), beta),
-        flags="zero")
-    marginals = [state.bell_marginal().p]
-    successes = []
-    for p, n in trajectory(noisy_dejmps_map(distribution_from(noise)),
-                           state.p, rounds):
-        marginals.append(LabeledEnsembleState(p).bell_marginal().p)
-        successes.append(n)
-    return tuple(marginals), tuple(successes)
+    """The deterministic part shared by every trial of a campaign: the
+    Bell marginal of the channel state (round 0) and the success
+    probabilities of rounds 1..M."""
+    channel = apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])),
+                                beta)
+    p0 = LabeledEnsembleState.from_bell_diagonal(channel, flags="zero").p
+    successes = tuple(n for _p, n in trajectory(
+        noisy_dejmps_map(distribution_from(noise)), p0, rounds))
+    return channel.p, successes
 
 
 def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
@@ -174,14 +171,11 @@ def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
     abort, 0 when a round kept no pair, and 1 when a round started with
     one pair and so could not form a pair-of-pairs.
     """
-    # The trajectory's round-0 marginal is the channel state.
-    marginals, successes = _trajectory(config.beta, config.noise,
-                                       config.rounds)
+    p, successes = _trajectory(config.beta, config.noise, config.rounds)
     # Parameter estimation on floor(m/2) pairs-of-pairs.  Both correlation
     # measurements return +1 on |B00>; on a Bell-diagonal pair the first
     # succeeds with probability p00+p01' (phase bit 0) and the second with
     # p00+p10' (amplitude bit 0), independent across the two pairs.
-    p = marginals[0]
     q = (p[0] + p[2]) * (p[0] + p[3])
     m_est = math.isqrt(config.n_pairs)
     mpp = m_est // 2                 # >= 1, since n_pairs >= 4
@@ -231,15 +225,27 @@ class AbortEstimate:
         return self.ci_low, self.ci_high
 
 
-def estimate_abort_probability(config: ProtocolConfig) -> AbortEstimate:
+def estimate_abort_probability(config: ProtocolConfig,
+                               sink=None) -> AbortEstimate:
     """Abort frequency over ``config.trials`` trials with a 99% Wilson
-    interval; deterministic in the seed."""
+    interval; deterministic in the seed.  A ``sink`` that writes the trials
+    out gets the iterator of :func:`sample_campaign` blocks and must exhaust
+    it: the stages are counted as the blocks pass, in one pass."""
     if config.trials < 100:
         raise ValueError("need at least 100 trials for a rate estimate")
-    counts = np.zeros(config.rounds + 2, dtype=np.int64)
-    for _, stage, _ in sample_campaign(config):
-        counts += np.bincount(stage, minlength=config.rounds + 2)
-    stage_aborts = tuple(int(c) for c in counts[:-1])
+    tallies = []
+
+    def counted():
+        for block in sample_campaign(config):
+            tallies.append(np.bincount(block[1], minlength=config.rounds + 2))
+            yield block
+
+    if sink is None:
+        for _ in counted():
+            pass
+    else:
+        sink(counted())
+    stage_aborts = tuple(int(c) for c in sum(tallies)[:-1])
     aborts = sum(stage_aborts)
     lo, hi = _wilson_interval(aborts, config.trials)
     return AbortEstimate(config.trials, aborts, aborts / config.trials, lo, hi,
@@ -267,10 +273,12 @@ class RobustnessCheck:
         return self.estimate.rate <= self.bound.value + 3 * self.se
 
 
-def check_robustness(config: ProtocolConfig) -> RobustnessCheck:
-    """Run the campaign and set its abort rate beside the robustness bound."""
+def check_robustness(config: ProtocolConfig, sink=None) -> RobustnessCheck:
+    """Run the campaign and set its abort rate beside the robustness bound;
+    ``sink`` as in :func:`estimate_abort_probability`."""
     k = config.n_pairs
     xi = (k - math.sqrt(k)) / 2 ** (2 * config.rounds + 2)
     bound = robustness_bound(RobustnessInput(config.beta, config.f_min, k,
                                              config.rounds, xi))
-    return RobustnessCheck(estimate_abort_probability(config), xi, bound)
+    return RobustnessCheck(estimate_abort_probability(config, sink), xi,
+                           bound)

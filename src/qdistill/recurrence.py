@@ -3,9 +3,8 @@
 Implements the noiseless DEJMPS recurrence, the fully general noisy DEJMPS
 recurrence on the 16 ensemble probabilities p_{ijkl} (Bell label x demon
 flag), its binary (bit-flip-only) specialization, the three BBPSSW
-recurrences, and the reduced 4-variable map on the correlated support.
-Each map carries its exact Jacobian; the scalar BBPSSW maps take the
-quotient-rule derivative of their step, which is exact on Fractions too.
+recurrences, and the reduced 4-variable map on the correlated support,
+each as a :class:`RecurrenceMap` with its exact Jacobian.
 
 Bell labels follow ``quantum_core.BELL_ORDER`` = (00, 11, 01, 10).  One
 distillation step consumes two pairs; a step on post-noise Bell labels
@@ -21,12 +20,15 @@ is u = (k1&k2, l1&l2); restricted to the binary support it reproduces the
 binary-pair closed formulas term by term.  The two agree on correlated
 inputs.
 
-Every DEJMPS-type step is one quadratic update raw_o = sum f[F] p[A] p[B]
-over a table of (OUT, F, A, B) terms, normalized by N = sum raw, and one
-evaluator serves them all: the noisy step runs the full 2048-term table;
-the reduced, noiseless (identity noise) and binary steps run its
-restriction to their support.  The closed forms of the noiseless and
-binary steps live in the tests, as references.  Floats/ndarrays take a
+Every map is one quadratic update raw_o = sum f[F] p[A] p[B] over a table
+of (OUT, F, A, B) terms, normalized by N = sum raw, and one evaluator
+serves them all: the noisy map runs the full 2048-term table; the reduced,
+noiseless (identity noise) and binary maps run its restriction to their
+support.  A BBPSSW round is the reduced round on a Werner input followed
+by the twirl back to Werner form, so the three BBPSSW maps run the reduced
+table at the Werner embedding (the worst case with 48 more terms for its
+error branch) and read their slope off the table's Jacobian.  The closed
+forms live in the tests, as references.  Floats/ndarrays take a
 vectorised path; ``fractions.Fraction`` entries take an exact path that
 sums the same terms in rational arithmetic, for exact test oracles.
 ``trajectory`` runs any map round by round.
@@ -50,13 +52,6 @@ __all__ = [
     "RecurrenceMap",
     "default_flag_update",
     "conjunctive_flag_update",
-    "dejmps_noiseless_step",
-    "dejmps_noisy_step",
-    "binary_step",
-    "bbpssw_step",
-    "bbpssw_success",
-    "bbpssw_two_qubit_step",
-    "bbpssw_worstcase_step",
     "noiseless_dejmps_map",
     "noisy_dejmps_map",
     "reduced_dejmps_map",
@@ -187,132 +182,44 @@ def _bilinear_jacobian(table, p, f, dim: int):
 
 
 # Tables of the two fixed-update restrictions, looked up without rebuilding
-# a truth table per step; noise label (0,0,0,0) with certainty; and the
-# binary pair (Bell amplitude bit j, flag bit l) as labels (0, j, 0, l).
+# a truth table per step, and the binary pair (Bell amplitude bit j, flag
+# bit l) as labels (0, j, 0, l).
 _XOR = default_flag_update().truth_table()
 _AND = conjunctive_flag_update().truth_table()
 _CORRELATED = tuple(map(int, CORRELATED_SUPPORT))
-_NO_NOISE = np.array([1] + [0] * 15)
 _BINARY_SUPPORT = tuple(LabeledEnsembleState.index(0, j, 0, l)
                         for j in (0, 1) for l in (0, 1))
 
 
-def dejmps_noiseless_step(p):
-    """One noiseless DEJMPS round on a Bell-diagonal 4-vector.
-
-    Returns (updated 4-vector, success probability N) with
-    N = (p00+p11)^2 + (p01+p10)^2; Fraction entries take the exact path.
-    This is the reduced map under identity noise.
-    """
-    return _bilinear_step(_table_for(_XOR, _CORRELATED), p, _NO_NOISE, 4)
+def _per_pair(g) -> list:
+    """The same per-pair noise g over (id, sx, sz, sy) on both pairs, as
+    the 16-vector of products; exact on Fractions."""
+    return [x * y for x in g for y in g]
 
 
-def _noise_vector(noise):
-    return noise.f if isinstance(noise, NoiseDistribution) else noise
-
-
-def dejmps_noisy_step(p, noise, u: FlagUpdateFunction | None = None):
-    """One noisy DEJMPS round on the 16 ensemble probabilities p_{ijkl}.
-
-    ``noise`` is a NoiseDistribution (or a raw 16-vector; Fraction entries
-    select exact arithmetic), ``u`` the flag update (default XOR).  Returns
-    (updated 16-vector, success N) where N is the pre-normalization sum.
-    """
-    return _bilinear_step(_index_table(u or default_flag_update()), p,
-                          _noise_vector(noise), 16)
-
-
-def binary_step(p, f0):
-    """One round on a binary pair: 4-vector over (Bell amplitude bit j,
-    flag bit l) in order (p00, p01, p10, p11), bit-flip noise f0.
-
-    The general map with the conjunctive flag update, restricted to the
-    binary support, under independent bit flips (f0, f1) on both pairs;
-    N = (f0^2+f1^2)((p00+p01)^2+(p10+p11)^2) + 4 f0 f1 (p00+p01)(p10+p11).
-    Fraction inputs take the exact path.
-    """
-    return _bilinear_step(_table_for(_AND, _BINARY_SUPPORT), p,
-                          _binary_noise(f0), 4)
-
-
-def _binary_noise(f0) -> list:
-    """Independent bit flips (f0, 1 - f0) on both pairs as a 16-vector."""
-    flip = (f0, 1 - f0, 0, 0)
-    return [x * y for x in flip for y in flip]
-
-
-def bbpssw_success(p, f):
-    """Success probability of one BBPSSW round at Werner parameter p.
-
-    The recurrence denominator is 3 p^2 f^2 + 3; scaled by 1/6 it lies in
-    (1/2, 1] and at f = 1 equals the exact two-pair coincidence probability
-    (1 + p^2)/2, which is the convention used here so that analytic
-    iteration and Monte Carlo pair attrition agree.
-    """
-    return (3 * p * p * f * f + 3) / 6
-
-
-def bbpssw_step(p, f):
-    """One BBPSSW round on the Werner parameter: b(p) = (4p^2f^2+2pf)/(3p^2f^2+3).
-
-    Returns (b(p), success) with success as in :func:`bbpssw_success`.
-    """
-    num = 4 * p * p * f * f + 2 * p * f
-    den = 3 * p * p * f * f + 3
-    return num / den, bbpssw_success(p, f)
-
-
-def _bbpssw_slope(p, f):
-    """b'(p) = 2f(1 + 4pf - p^2f^2) / (3(1 + p^2f^2)^2); exact on Fractions."""
-    pf = p * f
-    d = 1 + pf * pf
-    return 2 * f * (1 + 4 * pf - pf * pf) / (3 * d * d)
-
-
-def _fidelity(F, a, c, c2):
-    """(F', den, dF'/dF) of F' = num / den, num = a (F^2 + r^2) + c,
-    den = a (F^2 + 2 F r + 5 r^2) + c2, r = (1 - F)/3; exact on Fractions."""
-    rest = (1 - F) / 3
-    num = a * (F * F + rest * rest) + c
-    den = a * (F * F + 2 * F * rest + 5 * rest * rest) + c2
-    # quotient rule with num' = 2a(3F - r)/3 and den' = 4a(F - r)/3
-    slope = a * (2 * (3 * F - rest) * den - 4 * (F - rest) * num) / (3 * den * den)
-    return num / den, den, slope
-
-
-def _two_qubit(F, f_tilde):
-    ft2 = f_tilde * f_tilde
-    return _fidelity(F, ft2, (1 - ft2) / 8, (1 - ft2) / 2)
-
-
-def bbpssw_two_qubit_step(F, f_tilde):
-    """BBPSSW fidelity recurrence under two-qubit correlated noise f~.
-
-    Returns (F', success) where success is the denominator (the coincidence
-    probability of the round).
-    """
-    return _two_qubit(F, f_tilde)[:2]
-
-
-def bbpssw_worstcase_step(F, f_i):
-    """Worst-case BBPSSW fidelity recurrence (equality case of the bound).
-
-    The error branch contributes only to the denominator (it passes the
-    parity check but carries no B00 weight).  At f_i = 1 this is identically
-    the noiseless fidelity recurrence.
-    """
-    return _fidelity(F, f_i, 0, 1 - f_i)[:2]
+@cache
+def _worstcase_table():
+    """The reduced XOR table plus the worst case's error branch on a 17th
+    noise slot: 48 terms raw_o += f[16] p_a p_b, for each label o but B00
+    and every a, b.  The branch passes with certainty, (sum p)^2 = 1."""
+    o, a, b = np.indices((3, 4, 4)).reshape(3, -1)
+    arrays = tuple(np.concatenate(pair).astype(np.intp) for pair in zip(
+        _table_for(_XOR, _CORRELATED)[0], (o + 1, np.full(48, 16), a, b)))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays, tuple(x.tolist() for x in arrays)
 
 
 @dataclass(frozen=True)
 class RecurrenceMap:
     """A pure one-round update map p -> (p', N) with its exact Jacobian.
 
-    ``fn`` maps a float vector of length ``dim`` to the update and N.  The
-    table maps are homogeneous: a raw nonnegative input gives the
-    normalized update, well defined on rays, and N is the pre-normalization
-    sum, the success probability for a normalized input.  The scalar maps
-    are not homogeneous: their variable is a Werner parameter or a fidelity.
+    The input passes through to ``fn`` unchanged: floats take the float
+    path, ``Fraction`` entries the exact one.  The table maps are
+    homogeneous: a raw nonnegative input gives the normalized update, well
+    defined on rays, and N is the pre-normalization sum, the success
+    probability for a normalized input.  The scalar maps are not
+    homogeneous: their variable is a Werner parameter or a fidelity.
     ``jac`` gives the exact ``dim`` x ``dim`` Jacobian of the update at p.
     """
 
@@ -321,22 +228,29 @@ class RecurrenceMap:
     jac: Callable
 
     def __call__(self, p):
-        return self.fn(np.asarray(p, dtype=float))
+        return self.fn(p)
 
 
 def _table_map(dim, table, f) -> RecurrenceMap:
-    """The map that runs one bilinear table under noise vector f, with the
-    table's exact Jacobian."""
+    """The map that runs one bilinear table under noise f, a vector or a
+    NoiseDistribution, with the table's exact Jacobian."""
+    f = f.f if isinstance(f, NoiseDistribution) else f
     return RecurrenceMap(dim, lambda p: _bilinear_step(table, p, f, dim),
                          lambda p: _bilinear_jacobian(table, p, f, dim))
 
 
 def noiseless_dejmps_map() -> RecurrenceMap:
-    return _table_map(4, _table_for(_XOR, _CORRELATED), _NO_NOISE)
+    """Noiseless DEJMPS on a Bell-diagonal 4-vector, with
+    N = (p00+p11)^2 + (p01+p10)^2: the reduced map under identity noise."""
+    return _table_map(4, _table_for(_XOR, _CORRELATED),
+                      _per_pair((1, 0, 0, 0)))
 
 
 def noisy_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
-    return _table_map(16, _index_table(u or default_flag_update()), _noise_vector(noise))
+    """Noisy DEJMPS on the 16 ensemble probabilities p_{ijkl}; ``noise`` is
+    a NoiseDistribution or a raw 16-vector, ``u`` the flag update (default
+    XOR)."""
+    return _table_map(16, _index_table(u or default_flag_update()), noise)
 
 
 def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
@@ -349,34 +263,66 @@ def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> Recurrence
     Jacobian spectra of this map are the ones the stability analysis quotes.
     """
     return _table_map(4, _index_table(u or default_flag_update(),
-                                      CORRELATED_SUPPORT), _noise_vector(noise))
+                                      CORRELATED_SUPPORT), noise)
 
 
 def binary_map(f0) -> RecurrenceMap:
-    return _table_map(4, _table_for(_AND, _BINARY_SUPPORT), _binary_noise(f0))
+    """A binary pair: 4-vector over (Bell amplitude bit j, flag bit l) in
+    order (p00, p01, p10, p11).  The general map with the conjunctive flag
+    update, restricted to the binary support, under independent bit flips
+    (f0, f1) on both pairs; N = (f0^2+f1^2)((p00+p01)^2+(p10+p11)^2)
+    + 4 f0 f1 (p00+p01)(p10+p11)."""
+    return _table_map(4, _table_for(_AND, _BINARY_SUPPORT),
+                      _per_pair((f0, 1 - f0, 0, 0)))
 
 
-def _scalar_map(step, slope) -> RecurrenceMap:
-    """The map of step x -> (x', N) with derivative slope(x), at float x."""
-    def fn(p):
-        out, n = step(float(np.ravel(p)[0]))
-        return np.array([out]), n
-    return RecurrenceMap(
-        1, fn, lambda p: np.array([[float(slope(float(np.ravel(p)[0])))]]))
+def _werner_map(table, f, werner_parameter=False) -> RecurrenceMap:
+    """A BBPSSW round as a one-variable map: the 4-label table under noise
+    f at the Werner embedding e(F) = (F, r, r, r), r = (1 - F)/3, read back
+    as F'.  The variable is F or, with ``werner_parameter``, p with
+    F = 1 - 3(1 - p)/4 and p' = 1 - 4(1 - F')/3; either way its slope is
+    J[0] . e'(F) = J[0] . (1, -1/3, -1/3, -1/3), with J the table's exact
+    Jacobian at e(F)."""
+    def embed(x):
+        F = 1 - 3 * (1 - x[0]) / 4 if werner_parameter else x[0]
+        return [F] + [(1 - F) / 3] * 3
+
+    def fn(x):
+        (F, *_), n = _bilinear_step(table, embed(x), f, 4)
+        return np.array([1 - 4 * (1 - F) / 3 if werner_parameter else F]), n
+
+    return RecurrenceMap(1, fn, lambda x: np.array([[_bilinear_jacobian(
+        table, embed(x), f, 4)[0] @ (1, -1 / 3, -1 / 3, -1 / 3)]]))
 
 
 def bbpssw_map(f) -> RecurrenceMap:
-    return _scalar_map(lambda p: bbpssw_step(p, f), lambda p: _bbpssw_slope(p, f))
+    """BBPSSW on the Werner parameter p under white noise f (per-pair
+    identity weight (3f + 1)/4): b(p) = (4p^2f^2 + 2pf)/(3p^2f^2 + 3), with
+    N = (1 + p^2f^2)/2, the denominator over 6.  N lies in (1/2, 1] and at
+    f = 1 is the two-pair coincidence probability (1 + p^2)/2, so analytic
+    iteration and Monte Carlo pair attrition agree."""
+    g = ((3 * f + 1) / 4,) + ((1 - f) / 4,) * 3
+    return _werner_map(_table_for(_XOR, _CORRELATED), _per_pair(g),
+                       werner_parameter=True)
 
 
 def bbpssw_two_qubit_map(f_tilde) -> RecurrenceMap:
-    return _scalar_map(lambda F: bbpssw_two_qubit_step(F, f_tilde),
-                       lambda F: _two_qubit(F, f_tilde)[2])
+    """BBPSSW on the fidelity F under two-qubit correlated noise f~ (the
+    corr2 vector at a = f~^2): F' = (a (F^2 + r^2) + (1 - a)/8) / N with
+    r = (1 - F)/3 and N = a (F^2 + 2Fr + 5r^2) + (1 - a)/2, the round's
+    coincidence probability."""
+    a = f_tilde * f_tilde
+    rest = (1 - a) / 16
+    return _werner_map(_table_for(_XOR, _CORRELATED), [a + rest] + [rest] * 15)
 
 
 def worstcase_map(f_i) -> RecurrenceMap:
-    return _scalar_map(lambda F: bbpssw_worstcase_step(F, f_i),
-                       lambda F: _fidelity(F, f_i, 0, 1 - f_i)[2])
+    """Worst-case BBPSSW on the fidelity F (equality case of the bound):
+    F' = f_I (F^2 + r^2) / N, N = f_I (F^2 + 2Fr + 5r^2) + 1 - f_I.  The
+    error branch, of weight 1 - f_I, passes the parity check but carries
+    no B00 weight; at f_I = 1 this is the noiseless recurrence."""
+    return _werner_map(_worstcase_table(),
+                       [f_i] + [0] * 15 + [(1 - f_i) / 3])
 
 
 def trajectory(rmap: RecurrenceMap, p0, rounds: int) -> Iterator[tuple]:

@@ -39,11 +39,12 @@ def report(num, name, ok, detail=""):
 
 
 def test_criterion_01_bbpssw_noiseless_convergence():
+    step = rc.bbpssw_map(1.0)
     t0 = time.perf_counter()
     p = 0.75
     errs = [abs(p - 1.0)]
     for _ in range(16):
-        p, _ = rc.bbpssw_step(p, 1.0)
+        (p,), _ = step([p])
         errs.append(abs(p - 1.0))
     ratio = errs[15] / errs[14]
     elapsed = time.perf_counter() - t0
@@ -85,7 +86,7 @@ def test_criterion_03_bbpssw_fixed_points():
     worst = 0.0
     for f in np.linspace(0.96, 1.0, 41):
         q = fp.bbpssw_fixed_point(f)
-        out, _ = rc.bbpssw_step(q, f)
+        (out,), _ = rc.bbpssw_map(f)([q])
         worst = max(worst, abs(out - q))
     pair = fp.bbpssw_two_qubit_fixed_points(1.0)
     pair_dev = max(abs(pair[0] - 0.5), abs(pair[1] - 1.0))
@@ -114,10 +115,9 @@ def test_criterion_05_cross_probability_decay():
     dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.99))
     state = LabeledEnsembleState.from_bell_diagonal(
         BellDiagonalState.werner(0.9), flags="correlated")
-    p = state.p
-    for _ in range(200):
-        p, _ = rc.dejmps_noisy_step(p, dist)
-    final = LabeledEnsembleState(np.asarray(p))
+    for p, _ in rc.trajectory(rc.noisy_dejmps_map(dist), state.p, 200):
+        pass
+    final = LabeledEnsembleState(p)
     cross = final.cross_mass()
     target = fp.reduced_noisy_dejmps_fixed_point(dist).location
     limit_dev = np.abs(final.bell_marginal().p - target).max()
@@ -266,10 +266,9 @@ def test_criterion_11_secret_twirl_decoupling():
     dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.99))
     state = LabeledEnsembleState.from_bell_diagonal(
         BellDiagonalState.werner(0.9), flags="correlated")
-    p = state.p
-    for _ in range(5):
-        p, _ = rc.dejmps_noisy_step(p, dist)
-    psi = ensemble_purification(LabeledEnsembleState(np.asarray(p)))
+    for p, _ in rc.trajectory(rc.noisy_dejmps_map(dist), state.p, 5):
+        pass
+    psi = ensemble_purification(LabeledEnsembleState(p))
     rho = np.outer(psi, psi.conj())
     twirled = secret_twirl(rho).mat
     basis = np.kron(bell_basis(), np.eye(64))

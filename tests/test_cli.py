@@ -111,7 +111,7 @@ def test_figure_worstcase_slopes_are_exact_at_each_root():
     rows = list(csv.DictReader(buf.getvalue().splitlines()[1:]))
     assert rows
     x, f = sympy.symbols("x f")
-    slope = sympy.diff(rc.bbpssw_worstcase_step(x, f)[0], x)
+    slope = sympy.diff(rc.worstcase_map(f)([x])[0][0], x)
     for row in rows:
         exact = slope.xreplace({x: sympy.Rational(Fraction(row["root"])),
                                 f: sympy.Rational(Fraction(row["f_i"]))})
@@ -625,6 +625,26 @@ def test_montecarlo_csv_per_trial(tmp_path, capsys):
             "fidelity_estimate", "final_pairs"} <= set(rows[0])
     measured = sum(r["flag"] != "ok" for r in rows) / 120
     assert measured == pytest.approx(agg["abort_rate"], abs=1e-12)
+
+
+def test_montecarlo_csv_samples_the_campaign_once(tmp_path, monkeypatch,
+                                                 capsys):
+    calls = []
+    sample = cli.mc.sample_campaign
+    monkeypatch.setattr(cli.mc, "sample_campaign",
+                        lambda c: calls.append(c) or sample(c))
+    argv = ["montecarlo", "--beta", "0.7", "--noise", "corr2:0.99",
+            "--n-pairs", "256", "--rounds", "4", "--f-min", "auto",
+            "--seed", "7", "--emit", "csv"]
+    assert cli.run(argv + ["--trials", "300", "--out",
+                           str(tmp_path / "t.csv")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    # too few trials for a rate: exit 2 before the table is opened
+    err = usage_error(argv + ["--trials", "50", "--out",
+                              str(tmp_path / "none.csv")], capsys)
+    assert "at least 100 trials" in err
+    assert not (tmp_path / "none.csv").exists()
 
 
 def test_montecarlo_f_min_auto_at_zero_noise_weight_is_usage_error(capsys):

@@ -36,7 +36,7 @@ def test_binary_fixed_point_domain():
 @given(st.floats(0.7501, 1.0))
 def test_binary_fixed_point_is_fixed(f0):
     q = fp.binary_fixed_point(f0)
-    out, _ = rc.binary_step(q, f0)
+    out, _ = rc.binary_map(f0)(q)
     assert np.abs(np.asarray(out) - q).max() < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_bbpssw_fixed_point_reference():
 @given(st.floats(0.965, 1.0))
 def test_bbpssw_fixed_point_is_fixed(f):
     q = fp.bbpssw_fixed_point(f)
-    out, _ = rc.bbpssw_step(q, f)
+    (out,), _ = rc.bbpssw_map(f)([q])
     assert out == pytest.approx(q, abs=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_worstcase_fixed_points_reference():
                        atol=1e-8)
     # every root really is fixed under the one-round map
     for r in roots:
-        out, _ = rc.bbpssw_worstcase_step(r, 0.97)
+        (out,), _ = rc.worstcase_map(0.97)([r])
         assert out == pytest.approx(r, abs=1e-10)
 
 

@@ -1,11 +1,11 @@
-"""The index table, the steps it drives, the ensemble embeddings, the
+"""The index table, the maps it drives, the ensemble embeddings, the
 batched product-form audit and the Monte Carlo sampler against the
 explicit loops and closed forms they are computed without.
 
 Each reference below is the plain loop version of a vectorised function,
-or the hand-written closed form of a step that the one table evaluator
+or the hand-written closed form of a map that the one table evaluator
 now computes.  Where the arithmetic is unchanged the results must be
-equal; where the summation order changed (``cross_mass``, the steps) a
+equal; where the summation order changed (``cross_mass``, the maps) a
 tolerance of a few units in the last place of a unit-sum float64 vector
 applies, and the exact ``Fraction`` paths must agree exactly.
 """
@@ -87,6 +87,30 @@ def binary_raw(p, f0):
     return [r00, r01, r10, r11]
 
 
+def bbpssw_closed(p, f):
+    """BBPSSW on the Werner parameter: (b(p), N) with
+    b(p) = (4p^2f^2 + 2pf)/(3p^2f^2 + 3) and N = (1 + p^2f^2)/2."""
+    pf = p * f
+    return (4 * pf * pf + 2 * pf) / (3 * pf * pf + 3), (1 + pf * pf) / 2
+
+
+def fidelity_closed(F, a, c, c2):
+    """(F', N) of F' = (a (F^2 + r^2) + c) / N,
+    N = a (F^2 + 2Fr + 5r^2) + c2, r = (1 - F)/3."""
+    r = (1 - F) / 3
+    den = a * (F * F + 2 * F * r + 5 * r * r) + c2
+    return (a * (F * F + r * r) + c) / den, den
+
+
+def two_qubit_closed(F, f_tilde):
+    a = f_tilde * f_tilde
+    return fidelity_closed(F, a, (1 - a) / 8, (1 - a) / 2)
+
+
+def worstcase_closed(F, f_i):
+    return fidelity_closed(F, f_i, 0, 1 - f_i)
+
+
 def normalized(raw):
     n = sum(raw)
     return [r / n for r in raw], n
@@ -98,7 +122,7 @@ def embedded_reduced_step(q, noise, u):
     renormalize; N is the full success probability times the kept share."""
     p = np.zeros(16)
     p[CORRELATED_SUPPORT] = q
-    out16, n_full = rc.dejmps_noisy_step(p, noise, u)
+    out16, n_full = rc.noisy_dejmps_map(noise, u)(p)
     raw = out16[CORRELATED_SUPPORT]
     s = raw.sum()
     return raw / s, n_full * s
@@ -162,11 +186,8 @@ def noisy_trajectory(steps=5):
     dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.99))
     state = LabeledEnsembleState.from_bell_diagonal(
         BellDiagonalState.werner(0.9), flags="correlated")
-    states = [state]
-    for _ in range(steps):
-        state = LabeledEnsembleState(rc.dejmps_noisy_step(state.p, dist)[0])
-        states.append(state)
-    return states
+    return [state] + [LabeledEnsembleState(p) for p, _ in rc.trajectory(
+        rc.noisy_dejmps_map(dist), state.p, steps)]
 
 
 def ensembles():
@@ -227,11 +248,15 @@ def test_restricted_table_matches_filtered_loop(u, support, size):
 
 def test_xor_restriction_drops_no_weight():
     # Under XOR every full-table term with A and B on the correlated
-    # support writes onto it, so the 128 kept terms are all of them.
-    (OUT, _F, A, B), _ = rc._index_table(rc.default_flag_update())
-    on = np.isin(A, CORRELATED_SUPPORT) & np.isin(B, CORRELATED_SUPPORT)
-    assert on.sum() == 128
-    assert np.isin(OUT[on], CORRELATED_SUPPORT).all()
+    # support writes onto it, so the 128 kept terms are all of them: the
+    # full map fixes the embedding of a reduced fixed point, which is why
+    # the reduced solver needs no full-map check.  Under AND, 96 leave.
+    for u, leaving in [(rc.default_flag_update(), 0),
+                       (rc.conjunctive_flag_update(), 96)]:
+        (OUT, _F, A, B), _ = rc._index_table(u)
+        on = np.isin(A, CORRELATED_SUPPORT) & np.isin(B, CORRELATED_SUPPORT)
+        assert on.sum() == 128
+        assert (~np.isin(OUT[on], CORRELATED_SUPPORT)).sum() == leaving
 
 
 def test_noiseless_step_matches_closed_form_exactly():
@@ -239,7 +264,7 @@ def test_noiseless_step_matches_closed_form_exactly():
     for _ in range(8):
         v = [Fraction(int(x), 97) for x in rng.integers(0, 40, 4)]
         v[0] += 1
-        out, n = rc.dejmps_noiseless_step(v)
+        out, n = rc.noiseless_dejmps_map()(v)
         assert (out, n) == normalized(noiseless_raw(v))
 
 
@@ -248,7 +273,7 @@ def test_noiseless_step_matches_closed_form_in_floats():
     for _ in range(50):
         v = rng.dirichlet(np.ones(4))
         want, n_want = normalized(noiseless_raw(v))
-        out, n = rc.dejmps_noiseless_step(v)
+        out, n = rc.noiseless_dejmps_map()(v)
         assert np.abs(out - np.array(want)).max() <= 1e-15
         assert abs(n - n_want) <= 1e-15
 
@@ -260,7 +285,7 @@ def test_binary_step_matches_closed_form_exactly(f0):
     for _ in range(6):
         p = [Fraction(int(x), 89) for x in rng.integers(0, 30, 4)]
         p[0] += 1
-        out, n = rc.binary_step(p, f0)
+        out, n = rc.binary_map(f0)(p)
         assert (out, n) == normalized(binary_raw(p, f0))
 
 
@@ -270,9 +295,32 @@ def test_binary_step_matches_closed_form_in_floats():
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
             want, n_want = normalized(binary_raw(p, f0))
-            out, n = rc.binary_step(p, f0)
+            out, n = rc.binary_map(f0)(p)
             assert np.abs(out - np.array(want)).max() <= 1e-15
             assert abs(n - n_want) <= 1e-15
+
+
+# Each scalar map with its closed form, checked at the points of its sympy
+# slope check and then at seeded random ones.
+SCALAR_CLOSED_FORMS = {
+    "bbpssw": (rc.bbpssw_map, bbpssw_closed),
+    "bbpssw2q": (rc.bbpssw_two_qubit_map, two_qubit_closed),
+    "worstcase": (rc.worstcase_map, worstcase_closed),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CLOSED_FORMS)
+def test_scalar_map_matches_closed_form_exactly(name):
+    make_map, closed = SCALAR_CLOSED_FORMS[name]
+    rng = np.random.default_rng(17)
+    points = [(Fraction(3, 4), Fraction(97, 100)),
+              (Fraction(1, 5), Fraction(19, 20)),
+              (Fraction(9, 10), Fraction(1)), (Fraction(0), Fraction(24, 25))]
+    points += [(Fraction(int(x), 97), Fraction(int(a), 97))
+               for x, a in rng.integers(0, 98, (12, 2))]
+    for x, param in points:
+        (out,), n = make_map(param)([x])
+        assert (out, n) == closed(x, param)
 
 
 @pytest.mark.parametrize("u", [rc.default_flag_update(),
@@ -361,10 +409,10 @@ def loop_campaign(cfg):
         for s in range(cfg.rounds + 1)]
     q = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
                                                 flags="zero").p
-    dist = nm.distribution_from(cfg.noise)
+    step = rc.noisy_dejmps_map(nm.distribution_from(cfg.noise))
     successes = []
     for _ in range(cfg.rounds):
-        q, success = rc.dejmps_noisy_step(q, dist)
+        q, success = step(q)
         successes.append(success)
     p = cfg.channel_state().p
     m_est = math.isqrt(cfg.n_pairs)

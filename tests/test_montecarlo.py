@@ -11,8 +11,8 @@ import pytest
 import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
+import qdistill.recurrence as rc
 from qdistill.quantum_core import LabeledEnsembleState
-from qdistill.recurrence import dejmps_noisy_step
 
 from conftest import STREAM_CELLS, campaign, make_config
 
@@ -108,8 +108,8 @@ def test_trajectory_starts_at_channel_state(beta):
     # the sampler estimates from the trajectory's round-0 marginal instead
     # of rebuilding the channel state; the two must agree bit for bit
     cfg = make_config(beta=beta, f_min=0.0)
-    marginals, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
-    assert np.array_equal(marginals[0], cfg.channel_state().p)
+    p0, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
+    assert np.array_equal(p0, cfg.channel_state().p)
 
 
 def test_channel_state_is_isotropic_mix():
@@ -156,6 +156,22 @@ def test_block_size_changes_no_output(cell, monkeypatch):
     assert mc.estimate_abort_probability(cfg) == est
 
 
+@pytest.mark.parametrize("cell", list(STREAM_CELLS))
+def test_sink_sees_the_pass_the_estimate_counts(cell, monkeypatch):
+    # a caller that writes the trials out gets the one sampled pass
+    cfg = dataclasses.replace(STREAM_CELLS[cell], trials=1000)
+    want, est = campaign(cfg), mc.estimate_abort_probability(cfg)
+    calls = []
+    sample = mc.sample_campaign
+    monkeypatch.setattr(mc, "sample_campaign",
+                        lambda c: calls.append(c) or sample(c))
+    seen = []
+    assert mc.estimate_abort_probability(cfg, seen.extend) == est
+    assert len(calls) == 1
+    for got, ref in zip(zip(*seen), want):
+        assert np.array_equal(np.concatenate(got), ref)
+
+
 def test_campaign_memory_does_not_grow_with_trials():
     # the trials run in blocks and the estimate keeps counts per stage,
     # not per trial
@@ -175,6 +191,16 @@ def test_campaign_memory_does_not_grow_with_trials():
 
 
 # ------------------------------------------------------------------- physics
+
+def bell_marginals(cfg):
+    """Bell marginals of the campaign's deterministic ensemble after rounds
+    0..M, from the zero-flag embedding of the channel state."""
+    p0 = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                 flags="zero").p
+    states = [p0] + [p for p, _ in rc.trajectory(
+        rc.noisy_dejmps_map(nm.distribution_from(cfg.noise)), p0, cfg.rounds)]
+    return [LabeledEnsembleState(p).bell_marginal().p for p in states]
+
 
 def test_fidelity_estimator_is_calibrated():
     # estimator (3 sqrt(mean) - 1)/2 inverts the double-win probability of
@@ -207,8 +233,7 @@ def test_perfect_protocol_never_aborts_and_halves_exactly():
     assert (stage == 3).all()
     assert (pairs == 1008).all()             # 4032 -> 2016 -> 1008
     assert (f_hat == 1.0).all()
-    marginals, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
-    assert np.allclose(marginals[-1], [1, 0, 0, 0], atol=1e-12)
+    assert np.allclose(bell_marginals(cfg)[-1], [1, 0, 0, 0], atol=1e-12)
 
 
 def test_low_beta_always_aborts_in_estimation():
@@ -292,9 +317,9 @@ def stage_abort_probabilities(cfg):
     mass[k_d] = 1.0 - law[0]
     q = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
                                                 flags="zero").p
-    dist = nm.distribution_from(cfg.noise)
+    step = rc.noisy_dejmps_map(nm.distribution_from(cfg.noise))
     for _ in range(cfg.rounds):
-        q, success = dejmps_noisy_step(q, dist)
+        q, success = step(q)
         kept = np.zeros(len(mass) // 2 + 1)
         abort = mass[1]
         for c in np.nonzero(mass[2:] > 1e-300)[0] + 2:
@@ -430,7 +455,9 @@ def test_fidelity_trajectory_tracks_deterministic_marginals():
     cfg = mc.ProtocolConfig(n_pairs=2 ** 14, beta=2 / 3,
                             noise=nm.SingleQubitWhiteNoise(1.0), rounds=3,
                             f_min=0.5, seed=11, trials=100)
-    marginals, successes = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
+    p0, successes = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
+    marginals = bell_marginals(cfg)
+    assert np.array_equal(marginals[0], p0)
     assert len(marginals) == cfg.rounds + 1
     assert len(successes) == cfg.rounds
     assert np.allclose(marginals[0], [0.75, 1 / 12, 1 / 12, 1 / 12],

@@ -19,6 +19,7 @@ from qdistill.quantum_core import (
 )
 
 WHITE98 = nm.distribution_from(nm.SingleQubitWhiteNoise(0.98))
+NOISELESS = rc.noiseless_dejmps_map()
 
 probs4 = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda v: np.array(v) / sum(v))
@@ -28,7 +29,7 @@ probs4 = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
 
 def test_noiseless_step_werner_three_quarters_exact():
     p = [Fraction(3, 4)] + [Fraction(1, 12)] * 3
-    out, n = rc.dejmps_noiseless_step(p)
+    out, n = NOISELESS(p)
     assert out == [Fraction(41, 52), Fraction(1, 52),
                    Fraction(1, 52), Fraction(9, 52)]
     assert n == Fraction(13, 18)
@@ -36,15 +37,15 @@ def test_noiseless_step_werner_three_quarters_exact():
 
 def test_noiseless_step_float_matches_exact():
     p = [Fraction(3, 4)] + [Fraction(1, 12)] * 3
-    exact, n_exact = rc.dejmps_noiseless_step(p)
-    approx, n_float = rc.dejmps_noiseless_step([float(x) for x in p])
+    exact, n_exact = NOISELESS(p)
+    approx, n_float = NOISELESS([float(x) for x in p])
     assert np.allclose(approx, [float(x) for x in exact], atol=1e-15)
     assert n_float == pytest.approx(float(n_exact), abs=1e-15)
 
 
 @given(probs4)
 def test_noiseless_step_output_is_distribution(p):
-    out, n = rc.dejmps_noiseless_step(p)
+    out, n = NOISELESS(p)
     assert np.all(np.asarray(out) >= 0)
     assert np.sum(out) == pytest.approx(1.0, abs=1e-12)
     # success probability (a^2 + b^2 with a + b = 1) is always in [1/2, 1]
@@ -53,33 +54,35 @@ def test_noiseless_step_output_is_distribution(p):
 
 @given(st.floats(0.51, 0.999))
 def test_noiseless_step_improves_werner_fidelity(f):
-    out, _ = rc.dejmps_noiseless_step(BellDiagonalState.werner(f).p)
+    out, _ = NOISELESS(BellDiagonalState.werner(f).p)
     assert out[0] > f
 
 
 # ----------------------------------------------------------------- noisy step
 
 def test_noisy_step_reduces_to_noiseless_at_unit_fidelity(rng):
-    ideal = nm.distribution_from(nm.SingleQubitWhiteNoise(1.0))
+    ideal = rc.noisy_dejmps_map(
+        nm.distribution_from(nm.SingleQubitWhiteNoise(1.0)))
     for _ in range(20):
         q = rng.random(4)
         q /= q.sum()
         s = LabeledEnsembleState.from_bell_diagonal(
             BellDiagonalState(q), flags="correlated")
-        full, n_full = rc.dejmps_noisy_step(s.p, ideal)
+        full, n_full = ideal(s.p)
         marg = LabeledEnsembleState(full).bell_marginal().p
-        clean, n_clean = rc.dejmps_noiseless_step(q)
+        clean, n_clean = NOISELESS(q)
         assert np.abs(marg - np.asarray(clean)).max() < 1e-14
         assert n_full == pytest.approx(n_clean, abs=1e-14)
 
 
 def test_noisy_step_preserves_correlated_support(rng):
+    step = rc.noisy_dejmps_map(WHITE98)
     for _ in range(20):
         q = rng.random(4)
         q /= q.sum()
         s = LabeledEnsembleState.from_bell_diagonal(
             BellDiagonalState(q), flags="correlated")
-        full, _ = rc.dejmps_noisy_step(s.p, WHITE98)
+        full, _ = step(s.p)
         assert LabeledEnsembleState(full).cross_mass() == 0.0
 
 
@@ -93,9 +96,9 @@ def test_zero_flag_start_converges_to_uniform_flags():
     dist = nm.distribution_from(nm.SingleQubitWhiteNoise(0.99))
     p = LabeledEnsembleState.from_bell_diagonal(
         BellDiagonalState.werner(0.9), flags="zero").p
-    for _ in range(60):
-        p, _ = rc.dejmps_noisy_step(p, dist)
-    s = LabeledEnsembleState(np.asarray(p))
+    for p, _ in rc.trajectory(rc.noisy_dejmps_map(dist), p, 60):
+        pass
+    s = LabeledEnsembleState(p)
     assert s.cross_mass() == pytest.approx(0.75, abs=1e-12)
     target = fp.reduced_noisy_dejmps_fixed_point(dist).location
     assert np.abs(s.bell_marginal().p - target).max() < 1e-12
@@ -106,6 +109,7 @@ def test_zero_flag_start_converges_to_uniform_flags():
 def test_bell_marginal_is_autonomous_under_default_flags(rng):
     # two ensembles with the same Bell marginal but different flag
     # conditionals produce the same output marginal
+    step = rc.noisy_dejmps_map(WHITE98)
     for _ in range(10):
         q = rng.random(4)
         q /= q.sum()
@@ -119,8 +123,8 @@ def test_bell_marginal_is_autonomous_under_default_flags(rng):
             for t, (k, l) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
                 a[LabeledEnsembleState.index(i, j, k, l)] = q[pos] * wa[t]
                 b[LabeledEnsembleState.index(i, j, k, l)] = q[pos] * wb[t]
-        fa, na = rc.dejmps_noisy_step(a, WHITE98)
-        fb, nb = rc.dejmps_noisy_step(b, WHITE98)
+        fa, na = step(a)
+        fb, nb = step(b)
         ma = LabeledEnsembleState(fa).bell_marginal().p
         mb = LabeledEnsembleState(fb).bell_marginal().p
         assert np.abs(ma - mb).max() < 1e-14
@@ -129,12 +133,13 @@ def test_bell_marginal_is_autonomous_under_default_flags(rng):
 
 def test_reduced_map_matches_embedded_marginal(rng):
     red = rc.reduced_dejmps_map(WHITE98)
+    full_map = rc.noisy_dejmps_map(WHITE98)
     for _ in range(100):
         q = rng.random(4)
         q /= q.sum()
         s = LabeledEnsembleState.from_bell_diagonal(
             BellDiagonalState(q), flags="correlated")
-        full, n_full = rc.dejmps_noisy_step(s.p, WHITE98)
+        full, n_full = full_map(s.p)
         marg = LabeledEnsembleState(full).bell_marginal().p
         r, n_red = red(q)
         assert np.abs(marg - r).max() < 1e-14
@@ -145,7 +150,7 @@ def test_noisy_step_zero_noise_vector_is_degenerate():
     p = np.zeros(16)
     p[0] = 1.0
     with pytest.raises(rc.DegenerateStepError):
-        rc.dejmps_noisy_step(p, np.zeros(16))
+        rc.noisy_dejmps_map(np.zeros(16))(p)
 
 
 def test_degenerate_step_error_is_a_value_error():
@@ -164,11 +169,11 @@ def test_binary_step_equals_general_map_on_binary_support():
     for j in (0, 1):
         for l in (0, 1):
             p16[LabeledEnsembleState.index(0, j, 0, l)] = p4[2 * j + l]
-    full, n_full = rc.dejmps_noisy_step(
-        p16, fvec, rc.conjunctive_flag_update())
+    full, n_full = rc.noisy_dejmps_map(
+        fvec, rc.conjunctive_flag_update())(p16)
     back = [full[LabeledEnsembleState.index(0, j, 0, l)]
             for j in (0, 1) for l in (0, 1)]
-    out, n = rc.binary_step(p4, f0)
+    out, n = rc.binary_map(f0)(p4)
     assert out == back          # exact Fraction equality
     assert n == n_full
     assert sum(full) - sum(back) == 0   # support exactly preserved
@@ -176,7 +181,7 @@ def test_binary_step_equals_general_map_on_binary_support():
 
 @given(probs4, st.floats(0.0, 1.0))
 def test_binary_step_output_is_distribution(p, f0):
-    out, n = rc.binary_step(p, f0)
+    out, n = rc.binary_map(f0)(p)
     assert np.all(np.asarray(out) >= -1e-15)
     assert np.sum(out) == pytest.approx(1.0, abs=1e-12)
     assert 0 < n <= 1 + 1e-12
@@ -185,7 +190,7 @@ def test_binary_step_output_is_distribution(p, f0):
 def test_binary_step_noiseless_reduces_to_squares():
     # f0 = 1: flags and amplitudes decouple, r = (p00+p01)^2-type masses
     p = [0.6, 0.1, 0.1, 0.2]
-    out, n = rc.binary_step(p, 1.0)
+    out, n = rc.binary_map(1.0)(p)
     a, b = p[0] + p[1], p[2] + p[3]
     assert n == pytest.approx(a * a + b * b, abs=1e-15)
 
@@ -194,35 +199,24 @@ def test_binary_step_noiseless_reduces_to_squares():
 
 def test_bbpssw_success_convention():
     # scaled so that at f = 1 it equals the two-pair coincidence (1 + p^2)/2
-    assert rc.bbpssw_success(1.0, 1.0) == pytest.approx(1.0)
+    step = rc.bbpssw_map(1.0)
+    assert step([1.0])[1] == pytest.approx(1.0)
     for p in (0.2, 0.5, 0.9):
-        assert rc.bbpssw_success(p, 1.0) == pytest.approx((1 + p * p) / 2)
+        assert step([p])[1] == pytest.approx((1 + p * p) / 2)
+    p, f = Fraction(1, 3), Fraction(9, 10)
+    assert rc.bbpssw_map(f)([p])[1] == (1 + p * p * f * f) / 2
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.8, 1.0))
 def test_bbpssw_step_stays_in_unit_interval(p, f):
-    out, n = rc.bbpssw_step(p, f)
+    (out,), n = rc.bbpssw_map(f)([p])
     assert -1e-12 <= out <= 1 + 1e-12
     assert 0 < n <= 1 + 1e-12
 
 
-@given(st.floats(0.0, 1.0), st.floats(0.9, 1.0))
-def test_fidelity_steps_keep_their_closed_forms_bit_for_bit(F, a):
-    # the two fidelity recurrences share one body; each must still round
-    # exactly as its own closed form does
-    rest = (1 - F) / 3
-    a2 = a * a
-    num = a2 * (F * F + rest * rest) + (1 - a2) / 8
-    den = a2 * (F * F + 2 * F * rest + 5 * rest * rest) + (1 - a2) / 2
-    assert rc.bbpssw_two_qubit_step(F, a) == (num / den, den)
-    num = a * (F * F + rest * rest)
-    den = a * (F * F + 2 * F * rest + 5 * rest * rest) + (1 - a)
-    assert rc.bbpssw_worstcase_step(F, a) == (num / den, den)
-
-
 def test_worstcase_step_unit_noise_fixed_points():
     for fpt in (0.25, 0.5, 1.0):
-        out, _ = rc.bbpssw_worstcase_step(fpt, 1.0)
+        (out,), _ = rc.worstcase_map(1.0)([fpt])
         assert out == pytest.approx(fpt, abs=1e-12)
 
 
@@ -270,7 +264,7 @@ JAC_TABLES = {
     "reduced": (rc._index_table(rc.default_flag_update(), CORRELATED_SUPPORT),
                 4, JAC_NOISE, range(4)),
     "binary": (rc._table_for(rc._AND, rc._BINARY_SUPPORT), 4,
-               rc._binary_noise(Fraction(9, 10)), range(4)),
+               rc._per_pair((Fraction(9, 10), Fraction(1, 10), 0, 0)), range(4)),
     # Two columns on the correlated support and two off it: the symbolic
     # 2048-term step costs ~0.3 s per column.
     "noisy16": (rc._index_table(rc.default_flag_update()), 16, JAC_NOISE,
@@ -331,29 +325,24 @@ def test_map_jacobian_matches_central_difference(name, rng):
         assert np.abs(rmap.jac(p) - _fd_jacobian(rmap, p)).max() < 1e-7
 
 
-# Each scalar map with its step and its private slope, both functions of
-# the variable x and the map's parameter.
-SCALAR_MAPS = {
-    "bbpssw": (rc.bbpssw_map, rc.bbpssw_step, rc._bbpssw_slope),
-    "bbpssw2q": (rc.bbpssw_two_qubit_map, rc.bbpssw_two_qubit_step,
-                 lambda x, a: rc._two_qubit(x, a)[2]),
-    "worstcase": (rc.worstcase_map, rc.bbpssw_worstcase_step,
-                  lambda x, a: rc._fidelity(x, a, 0, 1 - a)[2]),
-}
+# The scalar maps at the points of their sympy slope check: (variable,
+# parameter) pairs, each map differentiated through its own exact path.
+SCALAR_MAPS = {"bbpssw": rc.bbpssw_map, "bbpssw2q": rc.bbpssw_two_qubit_map,
+               "worstcase": rc.worstcase_map}
+SCALAR_POINTS = [(Fraction(3, 4), Fraction(97, 100)),
+                 (Fraction(1, 5), Fraction(19, 20)),
+                 (Fraction(9, 10), Fraction(1)),
+                 (Fraction(0), Fraction(24, 25))]
 
 
 @pytest.mark.parametrize("name", SCALAR_MAPS)
 def test_scalar_jacobian_matches_sympy_derivative(name):
-    make_map, step, slope = SCALAR_MAPS[name]
+    make_map = SCALAR_MAPS[name]
     x = sympy.Symbol("x")
-    for x0, param in [(Fraction(3, 4), Fraction(97, 100)),
-                      (Fraction(1, 5), Fraction(19, 20)),
-                      (Fraction(9, 10), Fraction(1)),
-                      (Fraction(0), Fraction(24, 25))]:
-        exact = sympy.diff(step(x, sympy.Rational(param))[0], x).subs(x, x0)
-        # the slope is exact on Fractions, and the float jac rounds it
-        assert isinstance(slope(x0, param), Fraction)
-        assert sympy.Rational(slope(x0, param)) == exact
+    for x0, param in SCALAR_POINTS:
+        (out,), _ = make_map(sympy.Rational(param))([x])
+        exact = sympy.diff(out, x).subs(x, x0)
+        assert exact.is_Rational
         jac = make_map(float(param)).jac(np.array([float(x0)]))
         assert jac.shape == (1, 1)
         assert abs(jac[0, 0] - float(exact)) <= 1e-15 * abs(float(exact))
