@@ -111,11 +111,16 @@ def parse_noise(spec: str):
     return nm.noise_from_config({"kind": kind, "parameter": param})
 
 
+#: The parser of every request without --config; shared, so never written.
+_NO_CONFIG = configparser.ConfigParser()
+
+
 def _load_config(path):
+    if not path:
+        return _NO_CONFIG
     cfg = configparser.ConfigParser()
-    if path:
-        if not cfg.read(path):
-            raise ValueError(f"config file {path!r} not found or unreadable")
+    if not cfg.read(path):
+        raise ValueError(f"config file {path!r} not found or unreadable")
     return cfg
 
 

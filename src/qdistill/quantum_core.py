@@ -279,13 +279,20 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (mn, mn))
 
 
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norm of each matrix of an (..., n, n) Hermitian stack, as the
+    sum of its |eigenvalues|; only the lower triangles are read."""
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
+
+
 def trace_norm(a, b) -> float:
-    """Trace norm of the difference, ||a - b||_1 = sum of singular values.
+    """Trace norm of the difference, ||a - b||_1 = sum of |eigenvalues| of
+    the Hermitian difference.
 
     Parameters
     ----------
     a, b : DensityMatrix or array_like
-        States of equal dimension.
+        States of equal dimension; a - b must be Hermitian within 1e-12.
 
     Returns
     -------
@@ -295,7 +302,10 @@ def trace_norm(a, b) -> float:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.linalg.svd(ma - mb, compute_uv=False).sum())
+    diff = ma - mb
+    if not np.abs(diff - diff.conj().T).max() <= HERMITICITY_TOL:
+        raise ValueError("difference is not Hermitian within 1e-12")
+    return float(_trace_norms(diff))
 
 
 def partial_trace(rho, keep, dims) -> DensityMatrix:

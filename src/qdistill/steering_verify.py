@@ -6,7 +6,8 @@ probabilities factors as a tensor power of one 4x4 integer block whose
 inverse has induced 1-norm exactly 2.  On top of that sit the conditional
 state ("steering") discrepancy, the marginal-eigenbasis rotation that
 keeps every outcome probability at or above 1/16, and the product-form
-bound ||rho_AB - rho_A ⊗ rho_B||_1 <= 2 C eps with C = 4^8.
+bound ||rho_AB - rho_A ⊗ rho_B||_1 <= 2 C eps with C = 4^8; every trace
+norm in them is the sum of |eigenvalues| of a Hermitian difference.
 
 The single-qubit projectors are stored with exact dyadic entries (halves
 and quarters), so on states whose entries are themselves dyadic the whole
@@ -28,7 +29,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .quantum_core import (DensityMatrix, _as_matrix, _check_states, _kron_stack,
-                           _pauli_strings, partial_trace)
+                           _pauli_strings, _trace_norms, partial_trace)
 
 __all__ = [
     "ProductFormVerdict",
@@ -216,8 +217,7 @@ def _discrepancies(mats: np.ndarray, rho_b: np.ndarray,
     if not kept.any(axis=1).all():
         raise ValueError("all tomographic outcomes fall below the threshold")
     diff = cond / np.where(kept, p, 1.0)[..., None, None] - rho_b[:, None]
-    dist = np.linalg.svd(diff, compute_uv=False).sum(axis=-1)
-    return np.where(kept, dist, -np.inf).max(axis=1)
+    return np.where(kept, _trace_norms(diff), -np.inf).max(axis=1)
 
 
 def steering_discrepancy(rho, threshold: float = 0.0):
@@ -322,8 +322,7 @@ def product_form_batch(states, epsilon: float | None = None, rotate: bool = True
     if over.size:
         raise ValueError(f"measured discrepancy {disc[over[0]]:.3e} exceeds "
                          f"the claimed epsilon {epsilon:.3e}")
-    lhs = np.linalg.svd(mats - _kron_stack(rho_a, rho_b),
-                        compute_uv=False).sum(axis=-1)
+    lhs = _trace_norms(mats - _kron_stack(rho_a, rho_b))
     rhs = 2.0 * steering_constant() * eps
     return [ProductFormVerdict(e, d, l, r, l <= r, sid)
             for e, d, l, r, sid in zip(eps.tolist(), disc.tolist(), lhs.tolist(),

@@ -776,6 +776,21 @@ def test_seed_precedence_flag_overrides_env(tmp_path, capsys, monkeypatch):
     assert doc["seed"] == 5
 
 
+def test_config_does_not_leak_into_later_requests(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.delenv("DISTILL_SEED", raising=False)
+    ini = write_ini(tmp_path)
+    assert run_json(["montecarlo", "--config", str(ini)], capsys)[1]["seed"] == 42
+    code, doc = run_json(["fixed-point", "--protocol", "dejmps",
+                          "--noise", "white:0.99"], capsys)
+    assert code == 0
+    assert doc["meta"]["seed"] == 0
+    assert cli.run(["montecarlo"]) == 2
+    assert "--noise spec" in capsys.readouterr().err
+    assert cli._load_config(None) is cli._load_config(None)
+    assert cli._load_config(None).sections() == []
+
+
 def test_missing_config_file_is_validation_error(capsys):
     assert cli.run(["montecarlo", "--config", "/nonexistent/x.ini"]) == 2
     capsys.readouterr()

@@ -22,6 +22,7 @@ from qdistill.quantum_core import (
     secret_twirl,
     trace_norm,
     _check_states,
+    _trace_norms,
 )
 
 from conftest import ginibre_density
@@ -148,6 +149,51 @@ def test_trace_norm_of_orthogonal_pure_states():
     b = np.zeros((4, 4))
     b[3, 3] = 1.0
     assert trace_norm(a, b) == pytest.approx(2.0, abs=1e-14)
+
+
+def hermitian_stack(rng, kind, dim, size=64):
+    """``size`` random Hermitian dim x dim matrices of one kind."""
+    g = rng.normal(size=(size, dim, dim)) + 1j * rng.normal(size=(size, dim, dim))
+    gh = g.conj().swapaxes(-1, -2)
+    if kind == "psd":
+        return g @ gh
+    if kind == "rank-deficient":   # rank dim/2, eigenvalues of both signs
+        signs = np.where(np.arange(dim // 2) % 2, -1.0, 1.0)
+        return (g[..., :dim // 2] * signs) @ gh[..., :dim // 2, :]
+    h = g + gh
+    if kind == "indefinite":
+        return h
+    # traceless, like the conditional-state differences of the audit
+    return h - np.trace(h, axis1=-2, axis2=-1)[:, None, None] * np.eye(dim) / dim
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+@pytest.mark.parametrize("kind", ["psd", "indefinite", "rank-deficient",
+                                  "traceless"])
+def test_trace_norms_match_singular_value_sums(rng, kind, dim):
+    stack = hermitian_stack(rng, kind, dim)
+    want = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    got = _trace_norms(stack)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-12 * want).all()
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_trace_norms_are_exactly_zero_on_zero(rng, dim):
+    assert _trace_norms(np.zeros((3, dim, dim), dtype=complex)).tolist() == [0.0] * 3
+    rho = ginibre_density(rng, dim)
+    assert trace_norm(rho, rho.copy()) == 0.0
+
+
+def test_trace_norm_rejects_non_hermitian_difference(rng):
+    # A nilpotent difference: its trace norm is 1, its eigenvalues all 0.
+    rho = ginibre_density(rng, 4)
+    bump = np.zeros((4, 4))
+    bump[0, 3] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(rho + bump, rho)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(np.full((4, 4), np.nan), rho)
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -202,6 +202,18 @@ def test_product_form_check_exact_zero_for_dyadic_products(rng):
         assert verdict.holds
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_product_stack_holds_with_positive_epsilon(seed):
+    # Ginibre products are products only up to rounding, so every epsilon
+    # is a few ulps above 0 and both sides of the bound are compared.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([np.kron(ginibre_density(rng, 4), ginibre_density(rng, 4))
+                      for _ in range(256)])
+    verdicts = sv.product_form_batch(stack)
+    assert sum(not v.holds for v in verdicts) == 0
+    assert min(v.epsilon for v in verdicts) > 0.0
+
+
 def test_product_form_check_epsilon_precondition(rng):
     psi = np.zeros(16)
     psi[0] = psi[15] = 1 / np.sqrt(2)
