@@ -242,12 +242,14 @@ def _cmd_scan(args, cfg) -> int:
             rows.append((f0, fp.binary_fixed_point(f0)[0],
                          fp.binary_lambda_max(f0)))
     else:
-        header = (args.noise_kind + "_parameter", "q00_fixed", "spectral_radius")
+        header = (args.noise_kind + "_parameter", "q00_fixed", "spectral_radius",
+                  "iterations", "newton_steps")
         for val in grid:
             report = fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(
                 nm.noise_from_config({"kind": args.noise_kind,
                                       "parameter": float(val)})))
-            rows.append((val, report.location[0], report.lambda_max))
+            rows.append((val, report.location[0], report.lambda_max,
+                         report.iterations_used, report.newton_steps))
     with _open_out(args.out) as fh:
         if args.emit == "csv":
             _write_table(fh, header, ([_fmt(x) for x in r] for r in rows))
@@ -255,7 +257,7 @@ def _cmd_scan(args, cfg) -> int:
             emit_json({
                 "protocol": args.protocol,
                 "columns": list(header),
-                "rows": [list(map(float, r)) for r in rows],
+                "rows": [list(r) for r in rows],
                 "meta": {"grid": args.noise_grid,
                          "seed": resolve_seed(args, cfg)},
             }, fh)

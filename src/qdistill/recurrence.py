@@ -21,23 +21,24 @@ binary-pair closed formulas term by term.  The two agree on correlated
 inputs.
 
 Every map is one quadratic update raw_o = sum f[F] p[A] p[B] over a table
-of (OUT, F, A, B) terms, normalized by N = sum raw, and one evaluator
-serves them all: the noisy map runs the full 2048-term table; the reduced,
-noiseless (identity noise) and binary maps run its restriction to their
-support.  A BBPSSW round is the reduced round on a Werner input followed
-by the twirl back to Werner form, so the three BBPSSW maps run the reduced
-table at the Werner embedding (the worst case with 48 more terms for its
-error branch) and read their slope off the table's Jacobian.  The closed
-forms live in the tests, as references.  Floats/ndarrays take a
-vectorised path; ``fractions.Fraction`` entries take an exact path that
-sums the same terms in rational arithmetic, for exact test oracles.
-``trajectory`` runs any map round by round.
+of (OUT, F, A, B) terms, normalized by N = sum raw: the noisy map runs the
+full 2048-term table; the reduced, noiseless (identity noise) and binary
+maps run its restriction to their support.  A BBPSSW round is the reduced
+round on a Werner input followed by the twirl back to Werner form, so the
+three BBPSSW maps run the reduced table at the Werner embedding (the worst
+case with 48 more terms for its error branch) and read their slope off the
+table's Jacobian.  The closed forms live in the tests, as references.  A
+map folds table and noise into one coefficient tensor S when it is
+built, symmetric in its last two axes, with raw_o = sum_ab S[o,a,b] p_a p_b:
+a float step is one contraction M = S p, then raw = M p, and the exact
+Jacobian is read off the same M (d raw / dp = 2M).  Exact entries (Fraction,
+Decimal, sympy) sum the table's terms one by one in their own arithmetic,
+the independent oracle.  ``trajectory`` runs any map round by round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator
 
@@ -140,45 +141,50 @@ def _table_for(truth_table: tuple, support: tuple | None = None):
     return arrays, tuple(a.tolist() for a in arrays)
 
 
-def _bilinear_step(table, p, f, dim: int):
-    """raw_o = sum over the table's terms of f[F] p[A] p[B]; returns
-    (raw / N, N) with N = sum raw.  Fraction entries in ``p`` or ``f`` (an
-    object array once numpy holds them) take the exact path."""
-    (OUT, F, A, B), lists = table
-    pv, fv = np.asarray(p), np.asarray(f)
-    if pv.dtype == object or fv.dtype == object:
-        pv, fv = pv.tolist(), fv.tolist()
-        raw = [Fraction(0)] * dim
-        for o, x, a, b in zip(*lists):
-            w = fv[x] * pv[a] * pv[b]
-            if w:
-                raw[o] += w
-        n = sum(raw)
-        if n == 0:
-            raise DegenerateStepError("success probability is zero")
-        return [r / n for r in raw], n
-    pv, fv = pv.astype(float, copy=False), fv.astype(float, copy=False)
-    raw = np.bincount(OUT, weights=fv[F] * pv[A] * pv[B], minlength=dim)
-    n = raw.sum()
-    if n == 0:
-        raise DegenerateStepError("success probability is zero")
-    return raw / n, float(n)
-
-
-def _bilinear_jacobian(table, p, f, dim: int):
-    """Exact Jacobian of p -> raw / N (the float path of
-    :func:`_bilinear_step`): J = (J_R - g 1^T J_R) / N with g = raw / N and
-    J_R[o, c] = d raw_o / d p_c, read off the same table as two bincounts."""
+def _coefficients(table, f, dim: int) -> np.ndarray:
+    """S under noise f: one bincount of the terms weighted by f[F], then
+    S = (T + T^T) / 2.  Returned as a (dim^2, dim) matrix, rows (o, a):
+    numpy contracts that with p several times faster than a 3-axis S."""
     (OUT, F, A, B), _ = table
-    pv, fv = np.asarray(p, dtype=float), np.asarray(f, dtype=float)[F]
-    jr = (np.bincount(OUT * dim + A, weights=fv * pv[B], minlength=dim * dim)
-          + np.bincount(OUT * dim + B, weights=fv * pv[A], minlength=dim * dim)
-          ).reshape(dim, dim)
-    raw = jr @ pv / 2  # Euler's identity: raw is homogeneous of degree 2
-    n = raw.sum()
+    t = np.bincount((OUT * dim + A) * dim + B,
+                    weights=np.asarray(f, dtype=float)[F],
+                    minlength=dim ** 3).reshape(dim, dim, dim)
+    return ((t + t.transpose(0, 2, 1)) / 2).reshape(dim * dim, dim)
+
+
+def _exact_step(table, p, f, dim: int):
+    """raw_o = sum over the table's terms of f[F] p[A] p[B], term by term
+    in the entries' own arithmetic (Fraction, Decimal, sympy); returns
+    (raw / N, N) with N = sum raw.  The oracle of the float path."""
+    _, lists = table
+    pv, fv = np.asarray(p).tolist(), np.asarray(f).tolist()
+    raw = [0] * dim
+    for o, x, a, b in zip(*lists):
+        w = fv[x] * pv[a] * pv[b]
+        if w:
+            raw[o] += w
+    n = sum(raw)
     if n == 0:
         raise DegenerateStepError("success probability is zero")
-    return (jr - np.outer(raw / n, jr.sum(axis=0))) / n
+    return [r / n for r in raw], n
+
+
+def _contract(s, p):
+    """(M, raw, N) at a float p from S as :func:`_coefficients` returns
+    it: M = S p, raw = M p and N = sum raw."""
+    m = s.dot(p).reshape(p.size, -1)
+    raw = m.dot(p)
+    n = sum(raw.tolist())
+    if n == 0:
+        raise DegenerateStepError("success probability is zero")
+    return m, raw, n
+
+
+def _jacobian(s, p):
+    """Exact Jacobian of p -> raw / N at p: raw = M p is a symmetric
+    quadratic form, so J_R = 2M, and J = (J_R - (raw / N) 1^T J_R) / N."""
+    m, raw, n = _contract(s, np.asarray(p, dtype=float))
+    return (m - np.outer(raw / n, m.sum(axis=0))) / (n / 2)
 
 
 # Tables of the two fixed-update restrictions, looked up without rebuilding
@@ -215,8 +221,8 @@ class RecurrenceMap:
     """A pure one-round update map p -> (p', N) with its exact Jacobian.
 
     The input passes through to ``fn`` unchanged: floats take the float
-    path, ``Fraction`` entries the exact one.  The table maps are
-    homogeneous: a raw nonnegative input gives the normalized update, well
+    path, ``Fraction`` or ``Decimal`` entries the exact one.  The table maps
+    are homogeneous: a raw nonnegative input gives the normalized update, well
     defined on rays, and N is the pre-normalization sum, the success
     probability for a normalized input.  The scalar maps are not
     homogeneous: their variable is a Werner parameter or a fidelity.
@@ -233,10 +239,21 @@ class RecurrenceMap:
 
 def _table_map(dim, table, f) -> RecurrenceMap:
     """The map that runs one bilinear table under noise f, a vector or a
-    NoiseDistribution, with the table's exact Jacobian."""
-    f = f.f if isinstance(f, NoiseDistribution) else f
-    return RecurrenceMap(dim, lambda p: _bilinear_step(table, p, f, dim),
-                         lambda p: _bilinear_jacobian(table, p, f, dim))
+    NoiseDistribution, on the table's coefficient tensor, built once here.
+    Exact noise entries (an object array once numpy holds them) make every
+    call exact; the Jacobian then builds the tensor on each call."""
+    f = np.asarray(f.f if isinstance(f, NoiseDistribution) else f)
+    s = None if f.dtype == object else _coefficients(table, f, dim)
+
+    def fn(p):
+        p = np.asarray(p)
+        if s is None or p.dtype == object:
+            return _exact_step(table, p, f, dim)
+        _, raw, n = _contract(s, p)
+        return raw / n, n
+
+    return RecurrenceMap(dim, fn, lambda p: _jacobian(
+        _coefficients(table, f, dim) if s is None else s, p))
 
 
 def noiseless_dejmps_map() -> RecurrenceMap:
@@ -283,16 +300,18 @@ def _werner_map(table, f, werner_parameter=False) -> RecurrenceMap:
     F = 1 - 3(1 - p)/4 and p' = 1 - 4(1 - F')/3; either way its slope is
     J[0] . e'(F) = J[0] . (1, -1/3, -1/3, -1/3), with J the table's exact
     Jacobian at e(F)."""
+    rmap = _table_map(4, table, f)
+
     def embed(x):
         F = 1 - 3 * (1 - x[0]) / 4 if werner_parameter else x[0]
         return [F] + [(1 - F) / 3] * 3
 
     def fn(x):
-        (F, *_), n = _bilinear_step(table, embed(x), f, 4)
+        (F, *_), n = rmap(embed(x))
         return np.array([1 - 4 * (1 - F) / 3 if werner_parameter else F]), n
 
-    return RecurrenceMap(1, fn, lambda x: np.array([[_bilinear_jacobian(
-        table, embed(x), f, 4)[0] @ (1, -1 / 3, -1 / 3, -1 / 3)]]))
+    return RecurrenceMap(1, fn, lambda x: np.array([[
+        rmap.jac(embed(x))[0] @ (1, -1 / 3, -1 / 3, -1 / 3)]]))
 
 
 def bbpssw_map(f) -> RecurrenceMap:

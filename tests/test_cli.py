@@ -194,12 +194,13 @@ def test_scan_dejmps_rows_are_the_solver_reports(kind, grid, capsys):
                           "--noise-grid", grid, "--emit", "json"], capsys)
     assert code == 0
     assert doc["columns"] == [f"{kind}_parameter", "q00_fixed",
-                              "spectral_radius"]
+                              "spectral_radius", "iterations", "newton_steps"]
     values = cli._parse_grid(grid).tolist()
     reports = [fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(
         nm.noise_from_config({"kind": kind, "parameter": v}))) for v in values]
-    assert doc["rows"] == [[v, r.location[0], r.lambda_max]
-                           for v, r in zip(values, reports)]
+    assert doc["rows"] == [[v, r.location[0], r.lambda_max, r.iterations_used,
+                            r.newton_steps] for v, r in zip(values, reports)]
+    assert all(type(x) is int for row in doc["rows"] for x in row[3:])
     # the grid reaches the plain path, the maximally mixed basin (q00 = 1/4)
     # and a Newton-polished distillation fixed point
     assert any(r.newton_steps == 0 for r in reports)

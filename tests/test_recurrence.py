@@ -2,6 +2,7 @@
 variants, plus the correlated-support reduction used by the stability
 analysis."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -280,7 +281,7 @@ def sympy_jacobian_columns(table, point, f, dim, columns):
     for c in columns:
         p = np.array(point, dtype=object)
         p[c] = p[c] + t
-        g, _ = rc._bilinear_step(table, p, np.array(f, dtype=object), dim)
+        g, _ = rc._exact_step(table, p, f, dim)
         cols.append([float(sympy.diff(gi, t).subs(t, 0)) for gi in g])
     return np.array(cols).T
 
@@ -290,9 +291,60 @@ def test_bilinear_jacobian_matches_sympy_derivative(name):
     table, dim, f, columns = JAC_TABLES[name]
     point = [Fraction(i + 1, dim * (dim + 1) // 2) for i in range(dim)]
     exact = sympy_jacobian_columns(table, point, f, dim, columns)
-    jac = rc._bilinear_jacobian(table, np.array(point, dtype=float),
-                                np.array(f, dtype=float), dim)
+    jac = rc._table_map(dim, table, np.array(f, dtype=float)).jac(
+        np.array(point, dtype=float))
     assert np.abs(jac[:, list(columns)] - exact).max() < 1e-14
+
+
+# Every table with its noise, the worst case with its 17th noise slot.
+FORM_TABLES = {
+    "noiseless": (rc._table_for(rc._XOR, rc._CORRELATED), 4,
+                  rc._per_pair((1, 0, 0, 0))),
+    "reduced": JAC_TABLES["reduced"][:3],
+    "binary": JAC_TABLES["binary"][:3],
+    "worstcase": (rc._worstcase_table(), 4,
+                  [Fraction(24, 25)] + [0] * 15 + [Fraction(1, 75)]),
+    "noisy16-xor": JAC_TABLES["noisy16"][:3],
+    "noisy16-and": (rc._index_table(rc.conjunctive_flag_update()), 16,
+                    JAC_NOISE),
+}
+
+
+@pytest.mark.parametrize("name", FORM_TABLES)
+def test_coefficient_tensor_matches_exact_step(name, rng):
+    # The float map on S against the exact map summing the table's terms,
+    # on the same inputs: dyadic points and the float noise read back
+    # exactly.
+    table, dim, f = FORM_TABLES[name]
+    f = np.array(f, dtype=float)
+    s = rc._coefficients(table, f, dim).reshape(dim, dim, dim)
+    assert np.array_equal(s, s.transpose(0, 2, 1))
+    float_map = rc._table_map(dim, table, f)
+    exact_map = rc._table_map(dim, table, [Fraction(x) for x in f])
+    for _ in range(5):
+        p = [Fraction(int(x), 64) for x in rng.integers(1, 64, dim)]
+        want, n_want = exact_map(p)
+        out, n = float_map(np.array(p, dtype=float))
+        want = np.array(want, dtype=float)
+        assert np.all(np.abs(out - want) <= 1e-15 * want)
+        assert abs(n - float(n_want)) <= 1e-15 * float(n_want)
+
+
+def test_exact_step_takes_decimals():
+    # 50-digit Decimal arithmetic through the same term loop as Fraction.
+    point = [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)]
+    want, n_want = rc.reduced_dejmps_map(JAC_NOISE)(point)
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def dec(x):
+            return Decimal(x.numerator) / x.denominator
+
+        out, n = rc.reduced_dejmps_map([dec(x) for x in JAC_NOISE])(
+            [dec(x) for x in point])
+        for got, ref in zip(out + [n], want + [n_want]):
+            assert isinstance(got, Decimal)
+            assert abs(got - dec(ref)) <= Decimal("1e-40") * dec(ref)
 
 
 def _fd_jacobian(rmap, p, h=1e-6):
@@ -349,6 +401,7 @@ def test_scalar_jacobian_matches_sympy_derivative(name):
 
 
 def test_bilinear_jacobian_degenerate_step():
-    table = rc._index_table(rc.default_flag_update())
-    with pytest.raises(rc.DegenerateStepError):
-        rc._bilinear_jacobian(table, np.eye(16)[0], np.zeros(16), 16)
+    rmap = rc.noisy_dejmps_map(np.zeros(16))
+    for call in (rmap, rmap.jac):
+        with pytest.raises(rc.DegenerateStepError):
+            call(np.eye(16)[0])
