@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import json
 import math
 import os
 import sys
@@ -26,6 +25,7 @@ from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from functools import cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _json_token(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -62,8 +62,9 @@ def _json_token(obj) -> str:
             return "Infinity" if x > 0 else "-Infinity"
         return _fmt(x)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_json_token(v)}"
-                          for k, v in obj.items())
+        items = ", ".join(
+            f"{encode_basestring_ascii(str(k))}: {_json_token(v)}"
+            for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_token(v) for v in obj) + "]"
@@ -437,18 +438,26 @@ def _cmd_montecarlo(args, cfg) -> int:
 
     def write_trials(blocks):
         # With --emit csv the trials go to --out as the estimate counts
-        # them, in one pass, and the JSON goes to stdout.
-        done = config.rounds + 1
-        names = ["parameter_estimation"] + [
-            f"round {m}" for m in range(1, done)] + [""]
-        trials = (trial for f_hat, stage, pairs in blocks for trial in zip(
-            f_hat.tolist(), stage.tolist(), pairs.tolist()))
+        # them, in one pass, and the JSON goes to stdout.  A row's middle
+        # cells follow from its stage and its estimate takes at most mpp + 1
+        # values, so each is formatted once and a block is one write; no
+        # cell needs CSV quoting (a number, a stage name or empty).
+        lead = ["fail,parameter_estimation,0"] + [
+            f"fail,round {m},{m - 1}" for m in range(1, config.rounds + 1)
+        ] + [f"ok,,{config.rounds}"]
+        first = 0
         with _open_out(args.out) as fh:
-            _write_table(
-                fh, ["trial", "flag", "abort_stage", "rounds_completed",
-                     "fidelity_estimate", "final_pairs"],
-                ([t, "ok" if s == done else "fail", names[s], max(s - 1, 0),
-                  _fmt(f), k] for t, (f, s, k) in enumerate(trials)))
+            _write_table(fh, ["trial", "flag", "abort_stage",
+                              "rounds_completed", "fidelity_estimate",
+                              "final_pairs"], ())
+            for f_hat, stage, pairs in blocks:
+                values, index = np.unique(f_hat, return_inverse=True)
+                text = [_fmt(v) for v in values.tolist()]
+                fh.write("".join(
+                    f"{t},{lead[s]},{text[i]},{k}\r\n" for t, s, i, k in zip(
+                        range(first, first + stage.size), stage.tolist(),
+                        index.tolist(), pairs.tolist())))
+                first += stage.size
 
     check = mc.check_robustness(config, write_trials if csv_out else None)
     est, res = check.estimate, check.bound

@@ -7,7 +7,11 @@ fidelity estimate is below F_min + delta, then run M distillation rounds
 with per-pair-of-pairs Bernoulli attrition at the round's true success
 probability.  Symmetrization is implicit: the simulated pairs are i.i.d.
 and hence exchangeable, so only the size of the estimation subset matters,
-never which pairs it holds.
+never which pairs it holds.  The channel is the honest depolarizing one,
+which sends a Werner state: there both measurements succeed with
+probability q = ((2F + 1)/3)^2, which the estimate (3 sqrt(w/mpp) - 1)/2
+from w successes in mpp pairs-of-pairs inverts exactly.  On other
+Bell-diagonal inputs it does not.
 
 A campaign simulates all its trials together, one stage at a time, each
 stage drawing from its own counter-based stream: stage 0 (estimation) and

@@ -116,7 +116,7 @@ def distribution_from(model) -> NoiseDistribution:
     """
     if isinstance(model, (SingleQubitWhiteNoise, BinaryNoise)):
         g = model.single_pair_vector()
-        return NoiseDistribution(np.kron(g, g))
+        return NoiseDistribution(np.outer(g, g).ravel())
     if isinstance(model, TwoQubitCorrelatedNoise):
         f = np.full(16, (1.0 - model.f_tilde) / 16.0)
         f[0] += model.f_tilde

@@ -1,6 +1,7 @@
 """The index table, the maps it drives, the ensemble embeddings, the
-batched product-form audit and the Monte Carlo sampler against the
-explicit loops and closed forms they are computed without.
+batched product-form audit, the Monte Carlo sampler and its per-trial
+table against the explicit loops and closed forms they are computed
+without.
 
 Each reference below is the plain loop version of a vectorised function,
 or the hand-written closed form of a map that the one table evaluator
@@ -10,13 +11,16 @@ tolerance of a few units in the last place of a unit-sum float64 vector
 applies, and the exact ``Fraction`` paths must agree exactly.
 """
 
+import csv
 import dataclasses
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qdistill.cli as cli
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
 import qdistill.steering_verify as sv
@@ -451,3 +455,56 @@ def test_sampler_matches_scalar_loop(cell, stages):
     rows = loop_campaign(cfg)
     assert list(zip(stage.tolist(), pairs.tolist(), f_hat.tolist())) == rows
     assert stages <= {s for s, _, _ in rows}   # the cell reaches its stages
+
+
+def loop_trial_table(cfg):
+    """The ``montecarlo --emit csv`` table written one row at a time by
+    ``csv.writer``, from the sampler's arrays."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["trial", "flag", "abort_stage", "rounds_completed",
+                     "fidelity_estimate", "final_pairs"])
+    names = ["parameter_estimation"] + [
+        f"round {m}" for m in range(1, cfg.rounds + 1)] + [""]
+    f_hat, stage, pairs = campaign(cfg)
+    for t, (f, s, k) in enumerate(zip(f_hat.tolist(), stage.tolist(),
+                                      pairs.tolist())):
+        writer.writerow([t, "ok" if s == cfg.rounds + 1 else "fail",
+                         names[s], max(s - 1, 0), format(f, ".17g"), k])
+    return fh.getvalue(), set(zip(stage.tolist(), pairs.tolist()))
+
+
+TABLE_CELLS = {
+    # 70 000 trials: two sampler blocks of up to 65 536
+    "two-blocks": dataclasses.replace(STREAM_CELLS["estimation"],
+                                      trials=70_000),
+    # estimation aborts, round aborts with 0 and 1 pairs left, completions
+    "every-stage": dataclasses.replace(STREAM_CELLS["rounds"], beta=0.9,
+                                       rounds=3, trials=500),
+}
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("cell", TABLE_CELLS)
+def test_trial_table_matches_row_writer(cell, to_file, tmp_path, capsys):
+    # the table is written a block at a time, without csv.writer; its bytes,
+    # \r\n line ends included, are those of the row-at-a-time writer
+    cfg = TABLE_CELLS[cell]
+    want, ends = loop_trial_table(cfg)
+    if cell == "every-stage":
+        assert {(0, 12), (2, 0), (3, 0), (3, 1), (4, 1)} <= ends
+    argv = ["montecarlo", "--n-pairs", str(cfg.n_pairs), "--beta",
+            repr(cfg.beta), "--noise", f"corr2:{cfg.noise.f_tilde!r}",
+            "--rounds", str(cfg.rounds), "--f-min", repr(cfg.f_min),
+            "--trials", str(cfg.trials), "--seed", str(cfg.seed)]
+    assert cli.run(argv) == 0
+    payload = capsys.readouterr().out
+    out = tmp_path / "trials.csv"
+    assert cli.run(argv + ["--emit", "csv"]
+                   + (["--out", str(out)] if to_file else [])) == 0
+    printed = capsys.readouterr().out
+    if to_file:
+        assert out.read_bytes() == want.encode()
+        assert printed == payload
+    else:  # as bytes, whose mismatch pytest reports without a line diff
+        assert printed.encode() == (want + payload).encode()
