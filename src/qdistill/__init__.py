@@ -81,7 +81,6 @@ from .steering_verify import (
     ProductFormVerdict,
     build_t_matrix,
     product_form_batch,
-    product_form_check,
     steer_rotate,
     steering_constant,
     steering_discrepancy,

@@ -35,7 +35,7 @@ from . import noise_models as nm
 from . import recurrence as rec
 from . import security_bounds as sb
 from . import steering_verify as sv
-from .quantum_core import CORRELATED_SUPPORT, _kron_stack
+from .quantum_core import BellDiagonalState, LabeledEnsembleState, _kron_stack
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +125,20 @@ def _load_config(path):
     return cfg
 
 
+def _setting(args, cfg, section, name, conv, env=None):
+    """Setting ``name``: its flag, then the ``env`` variable if one is named,
+    then option ``name`` of config ``section``; ``conv`` of the first one
+    given, or None."""
+    value = getattr(args, name, None)
+    if value is None and env is not None:
+        value = os.environ.get(env)
+    if value is None:
+        value = cfg.get(section, name, fallback=None)
+    return None if value is None else conv(value)
+
+
 def resolve_seed(args, cfg) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("DISTILL_SEED")
-    if env is not None:
-        return int(env)
-    if cfg.has_option("run", "seed"):
-        return cfg.getint("run", "seed")
-    return 0
+    return _setting(args, cfg, "run", "seed", int, env="DISTILL_SEED") or 0
 
 
 def _resolve_noise(args, cfg):
@@ -156,8 +161,8 @@ def _protocol_map(protocol: str, model, full: bool = False):
             raise ValueError("dejmps expects white:f or corr2:f noise")
         dist = nm.distribution_from(model)
         if full:
-            p0 = np.zeros(16)
-            p0[CORRELATED_SUPPORT] = fp.DEJMPS_START
+            p0 = LabeledEnsembleState.from_bell_diagonal(
+                BellDiagonalState(fp.DEJMPS_START)).p
             return rec.noisy_dejmps_map(dist), p0
         return rec.reduced_dejmps_map(dist), np.array(fp.DEJMPS_START)
     if protocol == "binary":
@@ -400,27 +405,12 @@ def _cmd_steering_audit(args, cfg) -> int:
 
 def _mc_config(args, cfg) -> mc.ProtocolConfig:
     model = _resolve_noise(args, cfg)
-
-    def from_cfg(opt, conv, fallback):
-        if cfg.has_option("montecarlo", opt):
-            return conv("montecarlo", opt)
-        return fallback
-
-    n_pairs = args.n_pairs if args.n_pairs is not None else from_cfg(
-        "n_pairs", cfg.getint, None)
-    beta = args.beta if args.beta is not None else from_cfg(
-        "beta", cfg.getfloat, None)
-    rounds = args.rounds if args.rounds is not None else from_cfg(
-        "rounds", cfg.getint, None)
-    trials = args.trials if args.trials is not None else from_cfg(
-        "trials", cfg.getint, 1000)
-    delta = args.delta if args.delta is not None else from_cfg(
-        "delta", cfg.getfloat, None)
+    n_pairs, beta, rounds, trials, delta, f_min = (
+        _setting(args, cfg, "montecarlo", name, conv) for name, conv in (
+            ("n_pairs", int), ("beta", float), ("rounds", int),
+            ("trials", int), ("delta", float), ("f_min", str)))
     if None in (n_pairs, beta, rounds):
         raise ValueError("--n-pairs, --beta and --rounds are required")
-    f_min = args.f_min
-    if f_min is None and cfg.has_option("montecarlo", "f_min"):
-        f_min = cfg.get("montecarlo", "f_min")
     if f_min is None or f_min == "auto":
         if isinstance(model, nm.TwoQubitCorrelatedNoise):
             f_min = fp.bbpssw_two_qubit_fixed_points(model.f_tilde)[0]
@@ -429,7 +419,8 @@ def _mc_config(args, cfg) -> mc.ProtocolConfig:
                 "--f-min auto needs corr2 noise; give an explicit value")
     return mc.ProtocolConfig(n_pairs=n_pairs, beta=beta, noise=model,
                              rounds=rounds, f_min=float(f_min), delta=delta,
-                             seed=resolve_seed(args, cfg), trials=trials)
+                             seed=resolve_seed(args, cfg),
+                             trials=1000 if trials is None else trials)
 
 
 def _cmd_montecarlo(args, cfg) -> int:

@@ -80,21 +80,27 @@ def pauli_string(labels) -> np.ndarray:
     return reduce(np.kron, (_PAULI_LIST[k] for k in labels))
 
 
+def _tensor_powers(factors, num_qubits: int) -> np.ndarray:
+    """All 4^q Kronecker products of q of the four single-qubit ``factors``,
+    shape (4^q, 2^q, 2^q), lexicographic in the per-qubit factor index;
+    read-only.  Entry for entry the products ``reduce(np.kron, ...)`` forms."""
+    out = base = np.asarray(factors, dtype=complex)
+    for _ in range(num_qubits - 1):
+        out = _kron_stack(out[:, None], base)
+        out = out.reshape((-1,) + out.shape[-2:])
+    out.flags.writeable = False
+    return out
+
+
 @cache
-def _pauli_strings(num_qubits: int):
-    """All 4^q Pauli strings for q qubits, cached per qubit count."""
-    idx = np.indices((4,) * num_qubits).reshape(num_qubits, -1).T
-    return (
-        [tuple(row) for row in idx],
-        np.stack([pauli_string(tuple(row)) for row in idx]),
-    )
+def _pauli_strings(num_qubits: int) -> np.ndarray:
+    """All 4^q Pauli strings on q qubits, lexicographic in ``PAULI_ORDER``."""
+    return _tensor_powers(_PAULI_LIST, num_qubits)
 
 
 def _as_matrix(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         return state.mat
-    if isinstance(state, (BellDiagonalState, LabeledEnsembleState)):
-        return state.to_density_matrix().mat
     return np.asarray(state, dtype=complex)
 
 
@@ -347,8 +353,7 @@ def pauli_decompose(rho) -> np.ndarray:
     """
     mat = _as_matrix(rho)
     q = mat.shape[0].bit_length() - 1
-    _, strings = _pauli_strings(q)
-    return np.einsum("aij,ji->a", strings, mat).real
+    return np.einsum("aij,ji->a", _pauli_strings(q), mat).real
 
 
 def secret_twirl(rho) -> DensityMatrix:

@@ -14,9 +14,9 @@ and quarters), so on states whose entries are themselves dyadic the whole
 discrepancy pipeline runs in exact float arithmetic and a true product
 state reports a discrepancy of exactly 0.0.
 
-The steering functions take one 16x16 state or an (S, 16, 16) stack and
-treat a stack in one array pass, with the same arithmetic per state:
-``product_form_check`` is the one-state case of ``product_form_batch``.
+The steering functions take an (S, 16, 16) stack of two-pair states, one
+state being a stack of one, and treat it in one array pass with the same
+arithmetic per state.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
-from .quantum_core import (DensityMatrix, _as_matrix, _check_states, _kron_stack,
-                           _pauli_strings, _trace_norms, partial_trace)
+from .quantum_core import (_as_matrix, _check_states, _kron_stack, _pauli_strings,
+                           _tensor_powers, _trace_norms)
 
 __all__ = [
     "ProductFormVerdict",
@@ -45,7 +45,6 @@ __all__ = [
     "steering_discrepancy",
     "steer_rotate",
     "product_form_batch",
-    "product_form_check",
 ]
 
 #: Single-qubit tomographic projectors onto |+>, |+i>, |0> and |->, in
@@ -63,13 +62,7 @@ SINGLE_QUBIT_PROJECTORS = (
 def _tset(num_qubits: int) -> np.ndarray:
     """All 4^q product projectors on q qubits, shape (4^q, 2^q, 2^q),
     lexicographic in the per-qubit state index."""
-    idx = np.indices((4,) * num_qubits).reshape(num_qubits, -1).T
-    projs = np.stack([
-        reduce(np.kron, (SINGLE_QUBIT_PROJECTORS[s] for s in row))
-        for row in idx
-    ])
-    projs.flags.writeable = False
-    return projs
+    return _tensor_powers(SINGLE_QUBIT_PROJECTORS, num_qubits)
 
 
 def single_qubit_block() -> np.ndarray:
@@ -78,20 +71,14 @@ def single_qubit_block() -> np.ndarray:
     return build_t_matrix(1)
 
 
-# A plain function around a cached one, so that perfbench's tracer, which
-# wraps plain functions only, still sees each call.
+@cache
 def build_t_matrix(num_qubits: int = 4) -> np.ndarray:
     """T[k, a] = <phi_k| sigma_a |phi_k>, outcomes k and Pauli strings a
     both lexicographic; probabilities are p = 2^{-q} T alpha for the
     coefficients alpha of rho = 2^{-q} sum alpha_a sigma_a.  The returned
     array is shared and read-only."""
-    return _t_mat(num_qubits)
-
-
-@cache
-def _t_mat(num_qubits: int) -> np.ndarray:
-    _, strings = _pauli_strings(num_qubits)
-    mat = np.einsum("kij,aji->ka", _tset(num_qubits), strings).real
+    mat = np.einsum("kij,aji->ka", _tset(num_qubits),
+                    _pauli_strings(num_qubits)).real
     mat.flags.writeable = False
     return mat
 
@@ -172,29 +159,19 @@ def recover_pauli_coefficients(probs, num_qubits: int = 4) -> np.ndarray:
     return (2 ** num_qubits) * x
 
 
-def min_outcome_probability(rho) -> float:
-    """Minimum over the 16 A-side tomographic projectors of p_A(phi)."""
-    mat = _as_matrix(rho)
-    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
-    return float(min(np.einsum("ab,ba->", p, rho_a).real
-                     for p in _tset(2)))
-
-
 # einsum subscripts of the partial traces of an (S, 16, 16) stack viewed as
 # (S, A, B, A', B'): keep pair A (trace B against B') or keep pair B.
 _KEEP_A = "sabcb->sac"
 _KEEP_B = "sabad->sbd"
 
 
-def _two_pair_stack(rho) -> tuple[np.ndarray, bool]:
-    """The input as an (S, 16, 16) stack, and whether it was one state."""
-    mats = _as_matrix(rho)
-    single = mats.ndim == 2
-    if single:
-        mats = mats[None]
+def _two_pair_stack(states) -> np.ndarray:
+    """The input as an (S, 16, 16) complex stack of two-pair states."""
+    mats = _as_matrix(states)
     if mats.ndim != 3 or mats.shape[1:] != (16, 16):
-        raise ValueError("expected a two-pair (16-dimensional) state")
-    return mats, single
+        raise ValueError("expected an (S, 16, 16) stack of two-pair states, "
+                         f"got shape {mats.shape}")
+    return mats
 
 
 def _marginal(mats: np.ndarray, spec: str) -> np.ndarray:
@@ -220,34 +197,38 @@ def _discrepancies(mats: np.ndarray, rho_b: np.ndarray,
     return np.where(kept, _trace_norms(diff), -np.inf).max(axis=1)
 
 
-def steering_discrepancy(rho, threshold: float = 0.0):
+def min_outcome_probability(states) -> np.ndarray:
+    """Minimum over the 16 A-side tomographic projectors of p_A(phi), for
+    each state of an (S, 16, 16) stack."""
+    rho_a = _marginal(_two_pair_stack(states), _KEEP_A)
+    return np.einsum("kab,sba->sk", _tset(2), rho_a).real.min(axis=1)
+
+
+def steering_discrepancy(states, threshold: float = 0.0) -> np.ndarray:
     """max_phi || rho_B^phi - rho_B ||_1 over A-side tomographic outcomes
-    with p_A(phi) >= threshold.
+    with p_A(phi) >= threshold, for each state of an (S, 16, 16) stack.
 
     rho_B^phi = tr_A[(phi ⊗ id) rho] / p_A(phi) is the state conditioned
     on outcome phi on the first pair.  Outcomes rarer than the threshold
     are skipped (their conditional states are unconstrained); if every
     outcome of a state is below threshold — impossible after steer_rotate
-    at 1/16 — a ValueError is raised.  One state gives a float, an
-    (S, 16, 16) stack an array of S discrepancies.
+    at 1/16 — a ValueError is raised.
     """
-    mats, single = _two_pair_stack(rho)
-    best = _discrepancies(mats, _marginal(mats, _KEEP_B), threshold)
-    return float(best[0]) if single else best
+    mats = _two_pair_stack(states)
+    return _discrepancies(mats, _marginal(mats, _KEEP_B), threshold)
 
 
-def steer_rotate(rho):
+def steer_rotate(states):
     """Rotate the A marginal into its eigenbasis, largest eigenvalue first.
 
-    Returns (U, rotated) with rotated = (U ⊗ id) rho (U ⊗ id)^dagger.  U
+    Returns (U, rotated), an (S, 4, 4) and a validated (S, 16, 16) stack,
+    with rotated = (U ⊗ id) rho (U ⊗ id)^dagger for each state rho.  U
     maps the maximal-eigenvalue eigenvector of rho_A to |00>, so every
     A-side tomographic outcome then has probability at least
     lambda_max * 1/4 >= 1/16.  Eigenvalue ties break to the first
-    maximizing index of the ascending eigensolver ordering.  One state
-    gives a 4x4 U and a DensityMatrix; an (S, 16, 16) stack gives the
-    (S, 4, 4) rotations and the validated (S, 16, 16) rotated states.
+    maximizing index of the ascending eigensolver ordering.
     """
-    mats, single = _two_pair_stack(rho)
+    mats = _two_pair_stack(states)
     w, v = np.linalg.eigh(_marginal(mats, _KEEP_A))
     kmax = np.argmax(w, axis=1)
     rest = np.arange(3)
@@ -255,8 +236,6 @@ def steer_rotate(rho):
     u = np.take_along_axis(v, order[:, None, :], axis=2).conj().swapaxes(1, 2)
     big = _kron_stack(u, np.eye(4))
     rotated = big @ mats @ big.conj().swapaxes(1, 2)
-    if single:
-        return u[0], DensityMatrix(rotated[0])
     _check_states(rotated)
     return u, rotated
 
@@ -290,7 +269,7 @@ def product_form_batch(states, epsilon: float | None = None, rotate: bool = True
                        threshold: float = 1.0 / 16.0,
                        state_ids=None) -> list[ProductFormVerdict]:
     """Check ||rho_AB - rho_A ⊗ rho_B||_1 <= 2 * 4^8 * eps for every state
-    of an (S, 16, 16) stack (one 16x16 state counts as a stack of one).
+    of an (S, 16, 16) stack.
 
     With rotate=True (the default) each state is first passed through
     steer_rotate so the threshold 1/16 is guaranteed; local rotation of A
@@ -302,7 +281,7 @@ def product_form_batch(states, epsilon: float | None = None, rotate: bool = True
     exceeds it violates the precondition.  ``state_ids``, one per state,
     label the verdicts.
     """
-    mats, _ = _two_pair_stack(states)
+    mats = _two_pair_stack(states)
     if epsilon is not None:
         epsilon = float(epsilon)
         if not math.isfinite(epsilon):
@@ -327,11 +306,3 @@ def product_form_batch(states, epsilon: float | None = None, rotate: bool = True
     return [ProductFormVerdict(e, d, l, r, l <= r, sid)
             for e, d, l, r, sid in zip(eps.tolist(), disc.tolist(), lhs.tolist(),
                                        rhs.tolist(), state_ids)]
-
-
-def product_form_check(rho, epsilon: float | None = None, rotate: bool = True,
-                       threshold: float = 1.0 / 16.0,
-                       state_id: str | None = None) -> ProductFormVerdict:
-    """The product-form check of one state: ``product_form_batch`` on a
-    stack of one."""
-    return product_form_batch(rho, epsilon, rotate, threshold, [state_id])[0]

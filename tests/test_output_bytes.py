@@ -1,0 +1,84 @@
+"""Byte-exact CLI outputs.
+
+A refactor that claims "same results" must leave these outputs
+byte-identical, so each one is pinned by its sha256: the eight figure
+CSVs, a dejmps scan on a white and a corr2 grid, the full 16-variable
+trace and a 300-state steering audit (two audit chunks).
+
+The digests were recorded with numpy 2.4.6 on Python 3.11.7 (x86-64).
+Another numpy may move a last bit (an eigensolver, a summation order);
+then check that the change is that and nothing more, and re-record with
+``PYTHONPATH=src python tests/test_output_bytes.py``, which prints the
+digests of the current code.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from qdistill import cli
+
+OUTPUTS = {
+    **{f"figure-{name}": ["trace", "--figure", name]
+       for name in cli.FIGURE_NAMES},
+    "scan-dejmps-white": ["scan", "--protocol", "dejmps", "--noise-kind",
+                          "white", "--noise-grid", "0.88:1:0.02"],
+    "scan-dejmps-corr2": ["scan", "--protocol", "dejmps", "--noise-kind",
+                          "corr2", "--noise-grid", "0.8:1:0.02"],
+    "trace-full-white": ["trace", "--full", "--noise", "white:0.99"],
+    "steering-audit-300": ["steering-audit", "--states", "300",
+                           "--seed", "11"],
+}
+
+DIGESTS = {
+    "figure-dejmps-convergence":
+        "8cbf446369857e1b387154db161286e2f2cd38ed4b78430ba5f3e178070d9b66",
+    "figure-lambda-max":
+        "dc684872a10778ec9105994cb046b7424986904ee479c1c2e6543449382abbf4",
+    "figure-p0000-fixed":
+        "1ea5be44706248818990660efba55250c16fd9dcda4b721efae9312273df29df",
+    "figure-bbpssw-convergence":
+        "c4f6cdf74b4a79bfa3ec7170996b22092f042d2407f033e637f4d1377e5ffa31",
+    "figure-discriminant":
+        "2252448a96f92790962001b1acfb4841eb1bd4266b96a546e81e546927dad09a",
+    "figure-gfix":
+        "d5ab2e14bdaceb5b6b8d1d6c67822bed89ae9820295871a844105611c618e053",
+    "figure-worstcase-attractivity":
+        "0796a957af05638ebaae576b1ced8eee89e2d6ecc2b082d7b992a01b6eeac69a",
+    "figure-binary-postselect":
+        "7098d2f17013e141e05c5ca69e88f97c534e4924fbb5e79b692eb5d6b032bf95",
+    "scan-dejmps-white":
+        "ff9e246f449c0fdf8d6064eaa44ff4bbbb9785e6635795de8f0b1f81208aabe0",
+    "scan-dejmps-corr2":
+        "8d5120a4fbff39a0d691e796ef0310e30a7c63fc74abb52570ca2c9ddff730b0",
+    "trace-full-white":
+        "5136cfbb25cdc258f63b0adf80a5eaf44253186bb0e868f59cd662fb1b1d7db1",
+    "steering-audit-300":
+        "256ae208486bf37f9fc29df1456d5b5dbba625a2bb14809c03ff18b58074ea1b",
+}
+
+
+def output_digest(argv, path) -> str:
+    """sha256 of the bytes ``qdistill argv --out path`` writes."""
+    assert cli.run([*argv, "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_every_output_has_a_digest():
+    assert sorted(DIGESTS) == sorted(OUTPUTS)
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_output_bytes(name, tmp_path):
+    assert output_digest(OUTPUTS[name], tmp_path / "out") == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in OUTPUTS.items():
+            digest = output_digest(argv, pathlib.Path(tmp) / "out")
+            sys.stdout.write(f'    "{name}":\n        "{digest}",\n')

@@ -123,8 +123,8 @@ def test_recovery_error_propagation(rng):
 
 def test_steer_rotate_minimum_probability_floor(rng):
     for _ in range(50):
-        u, rotated = sv.steer_rotate(ginibre_density(rng, 16))
-        assert sv.min_outcome_probability(rotated.mat) >= 1 / 16 - 1e-12
+        u, rotated = sv.steer_rotate(ginibre_density(rng, 16)[None])
+        assert sv.min_outcome_probability(rotated)[0] >= 1 / 16 - 1e-12
 
 
 def test_steer_rotate_pure_marginal(rng):
@@ -133,25 +133,25 @@ def test_steer_rotate_pure_marginal(rng):
     e0 = np.zeros(4)
     e0[0] = 1.0
     rho = np.kron(np.outer(e0, e0), ginibre_density(rng, 4))
-    u, rotated = sv.steer_rotate(rho)
-    assert np.abs(np.abs(u[0, :]) - np.abs(e0)).max() < 1e-12
-    assert sv.min_outcome_probability(rotated.mat) >= 0.25 - 1e-12
+    u, rotated = sv.steer_rotate(rho[None])
+    assert np.abs(np.abs(u[0, 0, :]) - np.abs(e0)).max() < 1e-12
+    assert sv.min_outcome_probability(rotated)[0] >= 0.25 - 1e-12
 
 
 def test_steer_rotate_maximally_mixed_marginal(rng):
     rho = np.kron(np.eye(4) / 4, ginibre_density(rng, 4))
-    _, rotated = sv.steer_rotate(rho)
+    _, rotated = sv.steer_rotate(rho[None])
     # every local projector pair has trace-1 factors: outcome mass 1/4
-    assert sv.min_outcome_probability(rotated.mat) == pytest.approx(
+    assert sv.min_outcome_probability(rotated)[0] == pytest.approx(
         0.25, abs=1e-12)
 
 
 def test_steer_rotate_is_a_local_unitary(rng):
     rho = ginibre_density(rng, 16)
-    u, rotated = sv.steer_rotate(rho)
+    (u,), (rotated,) = sv.steer_rotate(rho[None])
     assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
     big = np.kron(u, np.eye(4))
-    assert np.abs(big @ rho @ big.conj().T - rotated.mat).max() < 1e-12
+    assert np.abs(big @ rho @ big.conj().T - rotated).max() < 1e-12
 
 
 # ---------------------------------------------------------------- discrepancy
@@ -159,7 +159,7 @@ def test_steer_rotate_is_a_local_unitary(rng):
 def test_discrepancy_zero_for_exact_product_states(rng):
     for _ in range(25):
         rho = np.kron(dyadic_state(rng), dyadic_state(rng))
-        d = sv.steering_discrepancy(rho, threshold=1 / 16)
+        d = sv.steering_discrepancy(rho[None], threshold=1 / 16)[0]
         assert d == 0.0          # bitwise: dyadic entries, exact projectors
 
 
@@ -168,23 +168,24 @@ def test_discrepancy_positive_for_ghz():
     psi = np.zeros(16)
     psi[0] = psi[15] = 1 / np.sqrt(2)
     rho = np.outer(psi, psi)
-    assert sv.steering_discrepancy(rho) == pytest.approx(1.0, abs=1e-12)
+    assert sv.steering_discrepancy(rho[None])[0] == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_discrepancy_threshold_exhaustion():
     psi = np.zeros(16)
     psi[0] = psi[15] = 1 / np.sqrt(2)
     rho = np.outer(psi, psi)
-    with pytest.raises(ValueError):
-        sv.steering_discrepancy(rho, threshold=0.9)   # no outcome that likely
+    with pytest.raises(ValueError, match="below the threshold"):
+        sv.steering_discrepancy(rho[None], threshold=0.9)  # none that likely
 
 
 # ----------------------------------------------------------------- audit flow
 
 def test_product_form_check_random_states(rng):
     for i in range(50):
-        verdict = sv.product_form_check(ginibre_density(rng, 16),
-                                        state_id=f"s{i}")
+        (verdict,) = sv.product_form_batch(ginibre_density(rng, 16)[None],
+                                           state_ids=[f"s{i}"])
         assert verdict.holds
         assert verdict.lhs <= verdict.rhs
         assert verdict.slack >= 0
@@ -196,7 +197,8 @@ def test_product_form_check_random_states(rng):
 def test_product_form_check_exact_zero_for_dyadic_products(rng):
     for _ in range(25):
         rho = np.kron(dyadic_state(rng), dyadic_state(rng))
-        verdict = sv.product_form_check(rho, rotate=False, threshold=1 / 16)
+        (verdict,) = sv.product_form_batch(rho[None], rotate=False,
+                                           threshold=1 / 16)
         assert verdict.epsilon == 0.0
         assert verdict.lhs == 0.0    # exactly: nothing to distinguish
         assert verdict.holds
@@ -218,19 +220,19 @@ def test_product_form_check_epsilon_precondition(rng):
     psi = np.zeros(16)
     psi[0] = psi[15] = 1 / np.sqrt(2)
     rho = np.outer(psi, psi)
-    with pytest.raises(ValueError):
-        sv.product_form_check(rho, epsilon=1e-6)   # discrepancy is ~1
+    with pytest.raises(ValueError, match="exceeds the claimed epsilon"):
+        sv.product_form_batch(rho[None], epsilon=1e-6)   # discrepancy is ~1
 
 
 def test_product_form_bound_scales_with_constant(rng):
-    verdict = sv.product_form_check(ginibre_density(rng, 16))
+    (verdict,) = sv.product_form_batch(ginibre_density(rng, 16)[None])
     assert verdict.rhs == pytest.approx(
         2 * sv.steering_constant() * verdict.epsilon, rel=1e-12)
 
 
 def test_product_form_lhs_measures_marginal_product_distance(rng):
     rho = ginibre_density(rng, 16)
-    verdict = sv.product_form_check(rho, rotate=False)
+    (verdict,) = sv.product_form_batch(rho[None], rotate=False)
     ra = partial_trace(rho, [0], [4, 4]).mat
     rb = partial_trace(rho, [1], [4, 4]).mat
     assert verdict.lhs == pytest.approx(
@@ -241,7 +243,7 @@ def test_product_form_lhs_measures_marginal_product_distance(rng):
 def test_product_form_check_rejects_non_finite_epsilon(rng, epsilon):
     # nan once gave holds=False with rhs=nan, inf a vacuous holds=True
     with pytest.raises(ValueError, match="epsilon must be finite"):
-        sv.product_form_check(ginibre_density(rng, 16), epsilon=epsilon)
+        sv.product_form_batch(ginibre_density(rng, 16)[None], epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------- batch
@@ -262,7 +264,8 @@ def test_batch_matches_one_state_at_a_time(rng, rotate):
     batch = sv.product_form_batch(stack, rotate=rotate, state_ids=ids)
     assert [v.state_id for v in batch] == ids
     for rho, sid, v in zip(stack, ids, batch):
-        one = sv.product_form_check(rho, rotate=rotate, state_id=sid)
+        (one,) = sv.product_form_batch(rho[None], rotate=rotate,
+                                       state_ids=[sid])
         assert v.epsilon == one.epsilon          # bitwise
         assert v.discrepancy == one.discrepancy
         assert abs(v.lhs - one.lhs) < 1e-14
@@ -296,6 +299,16 @@ def test_batch_needs_one_id_per_state(rng):
         sv.product_form_batch(stack, state_ids=["only-one"])
     with pytest.raises(ValueError, match="two-pair"):
         sv.product_form_batch(stack[:, :8, :8])
+
+
+@pytest.mark.parametrize("func", [sv.steering_discrepancy, sv.steer_rotate,
+                                  sv.min_outcome_probability,
+                                  sv.product_form_batch],
+                         ids=lambda f: f.__name__)
+def test_one_state_must_come_as_a_stack_of_one(rng, func):
+    rho = ginibre_density(rng, 16)
+    with pytest.raises(ValueError, match=r"\(S, 16, 16\) stack"):
+        func(rho)
 
 
 @pytest.mark.parametrize("rotate", [True, False])
