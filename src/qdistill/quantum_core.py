@@ -240,31 +240,28 @@ class DensityMatrix:
     """Hermitian PSD complex matrix with unit trace, dimension a power of two.
 
     Hermiticity is required within 1e-12, trace within 1e-12 of one, and the
-    minimum eigenvalue must not fall below -1e-10 (states coming out of
-    floating-point channel applications are renormalized by the caller, never
-    silently clipped past that floor).
+    minimum eigenvalue must not fall below -1e-10, as decided by a Cholesky
+    factorization of rho + 1e-10 * I (states out of floating-point channel
+    applications are renormalized by the caller, never clipped past it).
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex).copy()
-        n = mat.shape[0]
-        if mat.ndim != 2 or mat.shape[1] != n or n & (n - 1):
-            raise ValueError(f"not a square power-of-two matrix: {mat.shape}")
         _check_states(mat[None])
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
 
 def _check_states(mats: np.ndarray) -> None:
-    """The ``DensityMatrix`` checks on every matrix of an (S, n, n) stack.
-
-    Non-finite entries are rejected first, before any arithmetic on them.
-    """
-    finite = np.isfinite(mats)
-    if not finite.all():
-        raise ValueError(f"matrix entry {complex(mats[~finite][0])!r} is not finite")
+    """The ``DensityMatrix`` checks on every matrix of an (S, n, n) stack:
+    non-finite entries first, before any arithmetic on them, and the
+    eigenvalue floor last, by a Cholesky factorization of rho + 1e-10 * I."""
+    n = mats.shape[-1] if mats.ndim == 3 else 0
+    if n < 1 or mats.shape[1] != n or n & (n - 1):
+        raise ValueError(f"not a square power-of-two matrix: {mats.shape[1:]}")
+    _check_finite(mats)
     herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if not (herm <= HERMITICITY_TOL).all():
         raise ValueError("matrix is not Hermitian within 1e-12")
@@ -272,8 +269,16 @@ def _check_states(mats: np.ndarray) -> None:
     bad = ~((abs(tr.real - 1.0) <= TRACE_TOL) & (abs(tr.imag) <= TRACE_TOL))
     if bad.any():
         raise ValueError(f"trace is {tr[bad][0]!r}, not 1")
-    if not (np.linalg.eigvalsh(mats).min(axis=-1) >= EIGENVALUE_FLOOR).all():
-        raise ValueError("matrix has an eigenvalue below -1e-10")
+    try:
+        np.linalg.cholesky(mats - EIGENVALUE_FLOOR * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix has an eigenvalue below -1e-10") from None
+
+
+def _check_finite(mats: np.ndarray) -> None:
+    finite = np.isfinite(mats)
+    if not finite.all():
+        raise ValueError(f"matrix entry {complex(mats[~finite][0])!r} is not finite")
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,6 +314,7 @@ def trace_norm(a, b) -> float:
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     diff = ma - mb
+    _check_finite(diff)
     if not np.abs(diff - diff.conj().T).max() <= HERMITICITY_TOL:
         raise ValueError("difference is not Hermitian within 1e-12")
     return float(_trace_norms(diff))

@@ -401,6 +401,25 @@ def test_batched_audit_matches_loop():
     assert raw.tolist() == [loop_discrepancy(m, 1 / 16) for m in stack]
 
 
+@pytest.mark.parametrize("size", [1, 16, 17, 40])
+def test_conditional_states_match_einsum_across_blocks(size):
+    # The reduce runs 16 states at a time: 17 and 40 cross a block edge.
+    rng = np.random.default_rng(26 + size)
+    kinds = (lambda: ginibre_density(rng, 16),
+             lambda: np.kron(ginibre_density(rng, 4), ginibre_density(rng, 4)),
+             lambda: np.kron(dyadic_state(rng), dyadic_state(rng)))
+    stack = np.stack([kinds[i % 3]() for i in range(size)])
+    got = sv._conditional_states(stack).view(float)
+    want = np.einsum("kab,sbiaj->skij", sv._tset(2),
+                     stack.reshape(-1, 4, 4, 4, 4)).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    raw = sv.steering_discrepancy(stack, threshold=1 / 16)
+    assert raw.tolist() == [loop_discrepancy(m, 1 / 16) for m in stack]
+    eps = [v.epsilon for v in sv.product_form_batch(stack)]
+    assert eps == [loop_product_form(m)[0] for m in stack]
+
+
 # ---------------------------------------------------------------- Monte Carlo
 
 def loop_campaign(cfg):

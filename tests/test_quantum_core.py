@@ -192,8 +192,14 @@ def test_trace_norm_rejects_non_hermitian_difference(rng):
     bump[0, 3] = 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
         trace_norm(rho + bump, rho)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        trace_norm(np.full((4, 4), np.nan), rho)
+
+
+def test_trace_norm_rejects_non_finite_entries(rng):
+    # a NaN once failed the Hermiticity test and was reported as such
+    with pytest.raises(ValueError, match=re.escape("entry (nan+0j) is not finite")):
+        trace_norm(np.eye(2) / 2, [[np.nan, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not finite"):
+        trace_norm(np.full((4, 4), np.nan), ginibre_density(rng, 4))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -286,7 +292,7 @@ def test_density_matrix_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_density_matrix_rejects_non_finite_entries(bad):
     # a non-finite entry is a ValueError, raised before any arithmetic on
-    # it (inf - inf warns) and before eigvalsh's LinAlgError
+    # it (inf - inf warns) and before the Cholesky factorization
     with pytest.raises(ValueError, match="not finite"):
         DensityMatrix(np.full((16, 16), bad))
 
@@ -308,3 +314,42 @@ def test_state_stack_checks_every_matrix(rng):
     bad[0] = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="eigenvalue below"):
         _check_states(bad)
+
+
+@pytest.mark.parametrize("mat", [1.0, np.zeros((0, 0))], ids=["0-d", "0x0"])
+def test_density_matrix_rejects_degenerate_shapes(mat):
+    with pytest.raises(ValueError, match="not a square power-of-two matrix"):
+        DensityMatrix(mat)
+
+
+def test_state_stack_rejects_empty_matrices():
+    with pytest.raises(ValueError, match="not a square power-of-two matrix"):
+        _check_states(np.zeros((3, 0, 0), dtype=complex))
+
+
+def _with_min_eigenvalue(rng, n, lam):
+    """Unit-trace Hermitian n x n matrix in a random eigenbasis whose least
+    eigenvalue is ``lam``."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    w = rng.uniform(0.5, 1.5, n)
+    w[0] = 0.0
+    w *= (1.0 - lam) / w.sum()
+    w[0] = lam
+    mat = (q * w) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+def test_state_stack_eigenvalue_floor(rng, n, where):
+    # The floor sits 1e-12 from each matrix; rounding is ~1e-15.
+    for lam, ok in ((-0.99e-10, True), (-1.01e-10, False)):
+        stack = np.stack([ginibre_density(rng, n) for _ in range(5)])
+        stack[where] = _with_min_eigenvalue(rng, n, lam)
+        assert abs(np.linalg.eigvalsh(stack[where])[0] - lam) < 1e-14
+        if ok:
+            _check_states(stack)
+        else:
+            with pytest.raises(ValueError,
+                               match=re.escape("eigenvalue below -1e-10")):
+                _check_states(stack)

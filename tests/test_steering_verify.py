@@ -319,3 +319,24 @@ def test_batch_rejects_nan_outside_both_marginals(rng, rotate):
     stack[3, 0, 5] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         sv.product_form_batch(stack, rotate=rotate)
+
+
+@pytest.mark.parametrize("func", [
+    sv.steering_discrepancy, sv.steer_rotate, sv.min_outcome_probability,
+    sv.product_form_batch,
+    lambda s: sv.product_form_batch(s, rotate=False)],
+    ids=["steering_discrepancy", "steer_rotate", "min_outcome_probability",
+         "product_form_batch", "product_form_batch-raw"])
+def test_steering_rejects_an_indefinite_state(rng, func):
+    # 1.5 |0000><0000| - 0.5 |0101><0101| in a random local basis: unit
+    # trace and Hermitian, and both marginals have an eigenvalue -0.5
+    diag = np.zeros(16)
+    diag[0], diag[5] = 1.5, -0.5
+    q = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+         for _ in range(2)]
+    u = np.kron(q[0], q[1])
+    bad = (u * diag) @ u.conj().T
+    stack = np.stack([ginibre_density(rng, 16), (bad + bad.conj().T) / 2,
+                      ginibre_density(rng, 16)])
+    with pytest.raises(ValueError, match="eigenvalue below"):
+        func(stack)
