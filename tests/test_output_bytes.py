@@ -3,7 +3,12 @@
 A refactor that claims "same results" must leave these outputs
 byte-identical, so each one is pinned by its sha256: the eight figure
 CSVs, a dejmps scan on a white and a corr2 grid, the full 16-variable
-trace and a 300-state steering audit (two audit chunks).
+trace, a 300-state steering audit (two audit chunks) and three Monte Carlo
+runs: the JSON of a criterion-10 cell on a 64-bit seed, the trial table of
+a small-ensemble cell that aborts in estimation on a 32-bit seed, and a
+70 000-trial table, which spans two sampler blocks.  The trial tables
+carry every trial's fidelity estimate and final pair count, so they pin
+the estimation stream and every round's stream.
 
 The digests were recorded with numpy 2.4.6 on Python 3.11.7 (x86-64).
 Another numpy may move a last bit (an eigensolver, a summation order);
@@ -12,7 +17,9 @@ then check that the change is that and nothing more, and re-record with
 digests of the current code.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 
 import pytest
@@ -29,6 +36,18 @@ OUTPUTS = {
     "trace-full-white": ["trace", "--full", "--noise", "white:0.99"],
     "steering-audit-300": ["steering-audit", "--states", "300",
                            "--seed", "11"],
+    "montecarlo-criterion10-json": [
+        "montecarlo", "--n-pairs", "16384", "--beta", "0.98",
+        "--noise", "corr2:0.999", "--rounds", "4", "--f-min", "auto",
+        "--trials", "1000", "--seed", str(2 ** 64 - 59)],
+    "montecarlo-aborts-csv": [
+        "montecarlo", "--n-pairs", "256", "--beta", "0.6",
+        "--noise", "corr2:0.99", "--rounds", "4", "--f-min", "auto",
+        "--trials", "1000", "--seed", str(2 ** 32 - 1), "--emit", "csv"],
+    "montecarlo-two-block-csv": [
+        "montecarlo", "--n-pairs", "1024", "--beta", "0.7",
+        "--noise", "corr2:0.99", "--rounds", "4", "--f-min", "auto",
+        "--trials", "70000", "--seed", str(2 ** 63 + 5), "--emit", "csv"],
 }
 
 DIGESTS = {
@@ -56,12 +75,20 @@ DIGESTS = {
         "5136cfbb25cdc258f63b0adf80a5eaf44253186bb0e868f59cd662fb1b1d7db1",
     "steering-audit-300":
         "256ae208486bf37f9fc29df1456d5b5dbba625a2bb14809c03ff18b58074ea1b",
+    "montecarlo-criterion10-json":
+        "33d9f997895db1d7b2308d907088d0f3a2e10a1494b1f56ec9fc485c39302de7",
+    "montecarlo-aborts-csv":
+        "6677d245ae28b6a7a05cff0f05847caaaeb1e1eeba21e19d3bee833d0bd90aa0",
+    "montecarlo-two-block-csv":
+        "17fce95b749458fae0007e0eeade0a651a5b3cc73e6f5cdce07cb8669b1b96e5",
 }
 
 
 def output_digest(argv, path) -> str:
-    """sha256 of the bytes ``qdistill argv --out path`` writes."""
-    assert cli.run([*argv, "--out", str(path)]) == 0
+    """sha256 of the bytes ``qdistill argv --out path`` writes; what goes
+    to stdout (the JSON summary of a ``--emit csv`` run) is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run([*argv, "--out", str(path)]) == 0
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
