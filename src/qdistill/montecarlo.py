@@ -15,8 +15,15 @@ Bell-diagonal inputs it does not.
 
 A campaign simulates all its trials together, one stage at a time, each
 stage drawing from its own counter-based stream: stage 0 (estimation) and
-round m draw from Philox seeded by numpy's ``SeedSequence(seed,
-spawn_key=(stage,))``.  Stage 0 draws one binomial per trial; round m
+round m draw from Philox keyed by numpy's ``SeedSequence(seed,
+spawn_key=(stage,))``.  Philox's stream is fixed by its 128-bit key, so
+only the key is computed: from the pool of the parent ``SeedSequence(seed)``,
+taken once, with the stage's spawn word mixed in and the result hashed
+into two 64-bit words the way numpy does it.  The key equals
+``SeedSequence(seed, spawn_key=(stage,)).generate_state(2, np.uint64)``
+for every seed below 2**64, so every stream is numpy's own, bit for bit,
+and no output moved when the key stopped being built by a full
+``SeedSequence`` per stage.  Stage 0 draws one binomial per trial; round m
 draws one per trial in trial order, of size zero for a trial that has
 already aborted, and numpy draws nothing for a binomial of size zero.  The
 trials run in fixed blocks, and each stage's stream carries on from block
@@ -30,13 +37,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .quantum_core import BellDiagonalState, LabeledEnsembleState
-from .noise_models import apply_channel_phi, distribution_from, noise_to_config
+from .noise_models import (PAULI_MIXTURES, apply_channel_phi,
+                           distribution_from, noise_to_config)
 from .recurrence import noisy_dejmps_map, trajectory
 from .security_bounds import (MAX_ROUNDS, RobustnessInput, RobustnessResult,
                               robustness_bound)
@@ -102,11 +110,9 @@ class ProtocolConfig:
             raise ValueError("trials must be >= 1")
         if self.trials >= 2 ** 32:
             raise ValueError("trials must be below 2**32")
-        try:
-            distribution_from(self.noise)
-        except TypeError:
+        if not isinstance(self.noise, PAULI_MIXTURES):
             raise ValueError(f"{type(self.noise).__name__} has no Pauli-mixture"
-                             " expansion; use white, corr2 or binary noise") from None
+                             " expansion; use white, corr2 or binary noise")
 
     @property
     def resolved_delta(self) -> float:
@@ -151,6 +157,69 @@ def config_hash(config: ProtocolConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int) -> tuple:
+    """The (xor, multiplier) pairs of ``count`` successive hashes from the
+    ``first``-th on: a hash xors in the running constant init * mult**k mod
+    2**32, steps it once and multiplies by the new value."""
+    consts = [init]
+    for _ in range(first + count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return tuple(zip(consts[first:-1], consts[first + 1:]))
+
+
+def _hashmix(value: int, xor: int, mult: int) -> int:
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+# A seed below 2**64 fills at most two of the pool's four slots, and numpy
+# pads it to four words whether or not a spawn key follows, so the pool
+# costs 16 hashes and a one-word spawn key takes the 17th to 20th, whose
+# constants no seed moves.  generate_state hashes the four slots on a
+# constant of its own.
+_SPAWN_HASH = _hash_constants(_INIT_A, _MULT_A, 16, 4)
+_OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 0, 4)
+
+
+@cache
+def _spawn_words(stage: int) -> tuple:
+    """The four hashes of spawn word ``stage`` that mix into the pool."""
+    return tuple(_hashmix(stage, xor, mult) for xor, mult in _SPAWN_HASH)
+
+
+def _stage_keys(seed: int, stages) -> np.ndarray:
+    """The Philox key of each of ``stages``, one row per stage: for a seed
+    below 2**64 and stage s, ``SeedSequence(seed, spawn_key=(s,))
+    .generate_state(2, np.uint64)``."""
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = []
+    for s in stages:
+        for x, h, (xor, mult) in zip(pool, _spawn_words(s), _OUT_HASH):
+            m = (_MIX_MULT_L * x - _MIX_MULT_R * h) & _MASK32
+            words.append(_hashmix(m ^ m >> _XSHIFT, xor, mult))
+    return np.array(words, "<u4").view("<u8").reshape(-1, 2)
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox a precomputed key as its seed sequence: Philox asks it
+    once for ``generate_state(2, np.uint64)``.  ``Philox(key=)`` would still
+    draw OS entropy for a sequence it never reads."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 @lru_cache(maxsize=64)
 def _trajectory(beta: float, noise, rounds: int):
     """The deterministic part shared by every trial of a campaign: the
@@ -184,9 +253,8 @@ def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
     m_est = math.isqrt(config.n_pairs)
     mpp = m_est // 2                 # >= 1, since n_pairs >= 4
     done = config.rounds + 1
-    rngs = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(config.seed, spawn_key=(s,))))
-        for s in range(done)]
+    rngs = [np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+            for key in _stage_keys(config.seed, range(done))]
     for first in range(0, config.trials, _BLOCK):
         size = min(_BLOCK, config.trials - first)
         wins = rngs[0].binomial(mpp, q, size)

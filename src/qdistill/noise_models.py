@@ -33,6 +33,7 @@ __all__ = [
     "TwoQubitCorrelatedNoise",
     "BinaryNoise",
     "WorstCaseNoise",
+    "PAULI_MIXTURES",
     "distribution_from",
     "apply_channel_phi",
     "noise_to_config",
@@ -107,21 +108,26 @@ class WorstCaseNoise:
         object.__setattr__(self, "f_i", _check_unit_interval(self.f_i, "f_i"))
 
 
+# The noise models that distribution_from expands into a Pauli mixture.
+PAULI_MIXTURES = (SingleQubitWhiteNoise, BinaryNoise, TwoQubitCorrelatedNoise)
+
+
 def distribution_from(model) -> NoiseDistribution:
     """Expand a noise model into the 16-entry two-pair Pauli distribution.
 
     Single-qubit white noise and binary noise factorize as a product of two
     identical per-pair 4-vectors; correlated two-qubit noise places
-    f~ + (1-f~)/16 on the identity label and (1-f~)/16 elsewhere.
+    f~ + (1-f~)/16 on the identity label and (1-f~)/16 elsewhere.  A model
+    outside :data:`PAULI_MIXTURES` raises TypeError.
     """
-    if isinstance(model, (SingleQubitWhiteNoise, BinaryNoise)):
-        g = model.single_pair_vector()
-        return NoiseDistribution(np.outer(g, g).ravel())
+    if not isinstance(model, PAULI_MIXTURES):
+        raise TypeError(f"no Pauli-mixture expansion for {type(model).__name__}")
     if isinstance(model, TwoQubitCorrelatedNoise):
         f = np.full(16, (1.0 - model.f_tilde) / 16.0)
         f[0] += model.f_tilde
         return NoiseDistribution(f)
-    raise TypeError(f"no Pauli-mixture expansion for {type(model).__name__}")
+    g = model.single_pair_vector()
+    return NoiseDistribution(np.outer(g, g).ravel())
 
 
 def apply_channel_phi(state: BellDiagonalState, beta: float) -> BellDiagonalState:

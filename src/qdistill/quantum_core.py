@@ -303,7 +303,8 @@ def trace_norm(a, b) -> float:
     Parameters
     ----------
     a, b : DensityMatrix or array_like
-        States of equal dimension; a - b must be Hermitian within 1e-12.
+        Square matrices of equal shape; a - b must be Hermitian within
+        1e-12.
 
     Returns
     -------
@@ -313,6 +314,8 @@ def trace_norm(a, b) -> float:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    if ma.ndim != 2 or ma.shape[0] != ma.shape[1] or not ma.size:
+        raise ValueError(f"expected one square matrix, got shape {ma.shape}")
     diff = ma - mb
     _check_finite(diff)
     if not np.abs(diff - diff.conj().T).max() <= HERMITICITY_TOL:

@@ -267,7 +267,8 @@ def noisy_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMa
     """Noisy DEJMPS on the 16 ensemble probabilities p_{ijkl}; ``noise`` is
     a NoiseDistribution or a raw 16-vector, ``u`` the flag update (default
     XOR)."""
-    return _table_map(16, _index_table(u or default_flag_update()), noise)
+    return _table_map(16, _table_for(_XOR) if u is None else _index_table(u),
+                      noise)
 
 
 def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> RecurrenceMap:
@@ -279,8 +280,9 @@ def reduced_dejmps_map(noise, u: FlagUpdateFunction | None = None) -> Recurrence
     dropped and N equals the full-map success probability; fixed points and
     Jacobian spectra of this map are the ones the stability analysis quotes.
     """
-    return _table_map(4, _index_table(u or default_flag_update(),
-                                      CORRELATED_SUPPORT), noise)
+    table = (_table_for(_XOR, _CORRELATED) if u is None
+             else _index_table(u, CORRELATED_SUPPORT))
+    return _table_map(4, table, noise)
 
 
 def binary_map(f0) -> RecurrenceMap:

@@ -218,7 +218,9 @@ def _discrepancies(mats: np.ndarray, rho_b: np.ndarray,
 def min_outcome_probability(states) -> np.ndarray:
     """Minimum over the 16 A-side tomographic projectors of p_A(phi), for
     each state of an (S, 16, 16) stack."""
-    rho_a, = _marginals(_two_pair_stack(states), _KEEP_A)
+    mats = _two_pair_stack(states)
+    _check_states(mats)
+    rho_a, = _marginals(mats, _KEEP_A)
     return np.einsum("kab,sba->sk", _tset(2), rho_a).real.min(axis=1)
 
 
@@ -233,6 +235,7 @@ def steering_discrepancy(states, threshold: float = 0.0) -> np.ndarray:
     at 1/16 — a ValueError is raised.
     """
     mats = _two_pair_stack(states)
+    _check_states(mats)
     return _discrepancies(mats, _marginals(mats, _KEEP_B)[0], threshold)
 
 

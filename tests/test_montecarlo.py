@@ -13,6 +13,7 @@ import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
 from qdistill.quantum_core import LabeledEnsembleState
+from qdistill.security_bounds import MAX_ROUNDS
 
 from conftest import STREAM_CELLS, campaign, make_config
 
@@ -131,6 +132,32 @@ def test_different_trials_decorrelate():
     f_hat, _, pairs = campaign(make_config())
     assert len(set(f_hat[:8].tolist())) > 1
     assert len(set(pairs[:8].tolist())) > 1
+
+
+def test_stage_keys_are_numpys_spawned_seed_sequences():
+    # each stage's Philox key is derived from the parent pool; it must be
+    # the key numpy's SeedSequence(seed, spawn_key=(stage,)) generates
+    rng = np.random.default_rng(27)
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+    seeds += rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).tolist()
+    seeds += (rng.integers(0, 2 ** 32, 500, dtype=np.uint64)
+              >> rng.integers(0, 32, 500, dtype=np.uint64)).tolist()
+    fixed = [0, 1, 4, MAX_ROUNDS + 1]
+    for seed in seeds:
+        stages = fixed + rng.integers(0, MAX_ROUNDS + 2, 2).tolist()
+        want = [np.random.SeedSequence(seed, spawn_key=(s,)).generate_state(
+            2, np.uint64) for s in stages]
+        assert np.array_equal(mc._stage_keys(seed, stages), want), seed
+
+
+def test_stage_generators_draw_numpys_spawned_streams():
+    keys = mc._stage_keys(2 ** 64 - 59, range(5))
+    for stage, key in enumerate(keys):
+        got = np.random.Generator(np.random.Philox(mc._PhiloxKey(key)))
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(2 ** 64 - 59, spawn_key=(stage,))))
+        assert np.array_equal(got.integers(0, 2 ** 63, 64),
+                              want.integers(0, 2 ** 63, 64))
 
 
 @pytest.mark.parametrize("cell", list(STREAM_CELLS))

@@ -202,6 +202,16 @@ def test_trace_norm_rejects_non_finite_entries(rng):
         trace_norm(np.full((4, 4), np.nan), ginibre_density(rng, 4))
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (2, 4, 4), (2, 4), (0, 0)],
+                         ids=["0-d", "1-d", "3-d", "non-square", "empty"])
+def test_trace_norm_rejects_all_but_one_square_matrix(shape):
+    # a 0-d pair once reached the eigensolver, which raised LinAlgError
+    a = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected one square matrix, got shape {shape}")):
+        trace_norm(a, a.copy())
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 def test_trace_norm_symmetry_and_identity(seed):
     rng = np.random.default_rng(seed)

@@ -321,12 +321,15 @@ def test_batch_rejects_nan_outside_both_marginals(rng, rotate):
         sv.product_form_batch(stack, rotate=rotate)
 
 
-@pytest.mark.parametrize("func", [
+STATE_CHECKERS = pytest.mark.parametrize("func", [
     sv.steering_discrepancy, sv.steer_rotate, sv.min_outcome_probability,
     sv.product_form_batch,
     lambda s: sv.product_form_batch(s, rotate=False)],
     ids=["steering_discrepancy", "steer_rotate", "min_outcome_probability",
          "product_form_batch", "product_form_batch-raw"])
+
+
+@STATE_CHECKERS
 def test_steering_rejects_an_indefinite_state(rng, func):
     # 1.5 |0000><0000| - 0.5 |0101><0101| in a random local basis: unit
     # trace and Hermitian, and both marginals have an eigenvalue -0.5
@@ -340,3 +343,15 @@ def test_steering_rejects_an_indefinite_state(rng, func):
                       ginibre_density(rng, 16)])
     with pytest.raises(ValueError, match="eigenvalue below"):
         func(stack)
+
+
+@STATE_CHECKERS
+def test_steering_rejects_an_indefinite_state_with_valid_marginals(func):
+    # I/16 + 0.1 sx⊗sx⊗sx⊗sx: both marginals are I/4, yet the state has
+    # the eigenvalue 1/16 - 0.1 = -0.0375, so only the check of the whole
+    # state can catch it
+    sx = np.array([[0, 1], [1, 0]])
+    bad = np.eye(16) / 16 + 0.1 * np.kron(np.kron(sx, sx), np.kron(sx, sx))
+    assert np.linalg.eigvalsh(bad).min() == pytest.approx(-0.0375)
+    with pytest.raises(ValueError, match="eigenvalue below"):
+        func(bad[None])
