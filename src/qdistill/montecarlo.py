@@ -183,8 +183,8 @@ def _hashmix(value: int, xor: int, mult: int) -> int:
 # A seed below 2**64 fills at most two of the pool's four slots, and numpy
 # pads it to four words whether or not a spawn key follows, so the pool
 # costs 16 hashes and a one-word spawn key takes the 17th to 20th, whose
-# constants no seed moves.  generate_state hashes the four slots on a
-# constant of its own.
+# constants no seed moves.  generate_state hashes the four mixed slots
+# with a running constant of its own, from INIT_B.
 _SPAWN_HASH = _hash_constants(_INIT_A, _MULT_A, 16, 4)
 _OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 0, 4)
 
@@ -203,21 +203,28 @@ def _stage_keys(seed: int, stages) -> np.ndarray:
     words = []
     for s in stages:
         for x, h, (xor, mult) in zip(pool, _spawn_words(s), _OUT_HASH):
+            # numpy's mix(x, h), then generate_state's hash of the slot
             m = (_MIX_MULT_L * x - _MIX_MULT_R * h) & _MASK32
             words.append(_hashmix(m ^ m >> _XSHIFT, xor, mult))
     return np.array(words, "<u4").view("<u8").reshape(-1, 2)
 
 
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """Hands Philox a precomputed key as its seed sequence: Philox asks it
-    once for ``generate_state(2, np.uint64)``.  ``Philox(key=)`` would still
-    draw OS entropy for a sequence it never reads."""
+@cache
+def _philox_key_type() -> type:
+    """An ``ISeedSequence`` that hands Philox a precomputed key: Philox asks
+    it once for ``generate_state(2, np.uint64)``.  ``Philox(key=)`` would
+    still draw OS entropy for a sequence it never reads.  Built on first
+    use, because naming ``np.random`` imports it, and the subcommands that
+    draw nothing should not pay for that at import."""
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PhiloxKey
 
 
 @lru_cache(maxsize=64)
@@ -253,7 +260,8 @@ def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
     m_est = math.isqrt(config.n_pairs)
     mpp = m_est // 2                 # >= 1, since n_pairs >= 4
     done = config.rounds + 1
-    rngs = [np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    key_seq = _philox_key_type()
+    rngs = [np.random.Generator(np.random.Philox(key_seq(key)))
             for key in _stage_keys(config.seed, range(done))]
     for first in range(0, config.trials, _BLOCK):
         size = min(_BLOCK, config.trials - first)

@@ -6,6 +6,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +24,19 @@ from qdistill import security_bounds as sb
 from qdistill.quantum_core import BellDiagonalState
 
 from conftest import STREAM_CELLS, campaign
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # importing numpy.random costs ~2.5 MB and start-up time, which the
+    # subcommands that draw nothing (scan, fixed-point, bounds) should not pay
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qdistill.cli; "
+         "print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def run_json(argv, capsys):

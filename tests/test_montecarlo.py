@@ -153,7 +153,7 @@ def test_stage_keys_are_numpys_spawned_seed_sequences():
 def test_stage_generators_draw_numpys_spawned_streams():
     keys = mc._stage_keys(2 ** 64 - 59, range(5))
     for stage, key in enumerate(keys):
-        got = np.random.Generator(np.random.Philox(mc._PhiloxKey(key)))
+        got = np.random.Generator(np.random.Philox(mc._philox_key_type()(key)))
         want = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(2 ** 64 - 59, spawn_key=(stage,))))
         assert np.array_equal(got.integers(0, 2 ** 63, 64),
