@@ -8,12 +8,10 @@ from .quantum_core import (
     BELL_ORDER,
     PAULI_ORDER,
     BellDiagonalState,
-    DensityMatrix,
     LabeledEnsembleState,
     bell_basis,
     bell_vector,
     ensemble_purification,
-    partial_trace,
     pauli_decompose,
     secret_twirl,
     trace_norm,

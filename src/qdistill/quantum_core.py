@@ -1,8 +1,8 @@
 """Exact low-dimensional quantum state arithmetic.
 
-Density matrices, Bell-diagonal and labeled-ensemble representations,
-Pauli decomposition, trace norm, partial trace, the secret twirl and the
-labeled-ensemble purification used by the distillation analysis.
+Bell-diagonal and labeled-ensemble representations, Pauli decomposition,
+trace norm, the secret twirl and the labeled-ensemble purification used by
+the distillation analysis.
 
 Conventions fixed here and imported everywhere else:
 
@@ -11,15 +11,17 @@ Conventions fixed here and imported everywhere else:
 * Pauli labels are ordered ``(id, sx, sz, sy)`` (see ``PAULI_ORDER``), with
   ``sigma_(0,0)=id, sigma_(0,1)=sx, sigma_(1,0)=sz, sigma_(1,1)=sy``.
 
-All operations are pure functions; the value types are immutable after
-construction.
+Matrices are plain ndarrays whose size is read from their shape (2^q x 2^q
+on q qubits); the density matrices returned are checked by ``_check_states``
+and read-only.  All operations are pure functions; the value types are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -30,12 +32,9 @@ __all__ = [
     "BellDiagonalState",
     "LabeledEnsembleState",
     "CORRELATED_SUPPORT",
-    "DensityMatrix",
     "bell_vector",
     "bell_basis",
-    "pauli_string",
     "trace_norm",
-    "partial_trace",
     "pauli_decompose",
     "secret_twirl",
     "ensemble_purification",
@@ -74,12 +73,6 @@ def bell_basis() -> np.ndarray:
     return np.column_stack([bell_vector(i, j) for (i, j) in BELL_ORDER])
 
 
-def pauli_string(labels) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, ``labels`` a tuple of indices
-    into ``PAULI_ORDER`` (0=id, 1=sx, 2=sz, 3=sy)."""
-    return reduce(np.kron, (_PAULI_LIST[k] for k in labels))
-
-
 def _tensor_powers(factors, num_qubits: int) -> np.ndarray:
     """All 4^q Kronecker products of q of the four single-qubit ``factors``,
     shape (4^q, 2^q, 2^q), lexicographic in the per-qubit factor index;
@@ -96,12 +89,6 @@ def _tensor_powers(factors, num_qubits: int) -> np.ndarray:
 def _pauli_strings(num_qubits: int) -> np.ndarray:
     """All 4^q Pauli strings on q qubits, lexicographic in ``PAULI_ORDER``."""
     return _tensor_powers(_PAULI_LIST, num_qubits)
-
-
-def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.mat
-    return np.asarray(state, dtype=complex)
 
 
 def _probabilities(p, size: int, floor: float = -1e-10) -> np.ndarray:
@@ -154,10 +141,9 @@ class BellDiagonalState:
         rest = (1.0 - f) / 3.0
         return cls(np.array([f, rest, rest, rest]))
 
-    def to_density_matrix(self) -> "DensityMatrix":
+    def to_density_matrix(self) -> np.ndarray:
         basis = bell_basis()
-        mat = (basis * self.p) @ basis.conj().T
-        return DensityMatrix(mat)
+        return _frozen_state((basis * self.p) @ basis.conj().T)
 
 
 @dataclass(frozen=True)
@@ -206,10 +192,10 @@ class LabeledEnsembleState:
         """Total weight on labels with (i,j) != (k,l)."""
         return float(self.p.reshape(4, 4)[~np.eye(4, dtype=bool)].sum())
 
-    def to_density_matrix(self) -> "DensityMatrix":
+    def to_density_matrix(self) -> np.ndarray:
         """Bell-diagonal pair ⊗ computational flag register (dim 16)."""
         blocks = zip(_bell_projectors(), self.p.reshape(4, 4))
-        return DensityMatrix(sum(np.kron(bb, np.diag(w)) for bb, w in blocks))
+        return _frozen_state(sum(np.kron(bb, np.diag(w)) for bb, w in blocks))
 
 
 #: Flat indices of p_{ij,ij} for (i, j) in ``BELL_ORDER``: the correlated
@@ -235,36 +221,33 @@ def _bell_projectors() -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian PSD complex matrix with unit trace, dimension a power of two.
+def _num_qubits(shape: tuple) -> int:
+    """q of a square 2^q x 2^q matrix ``shape``, q >= 1."""
+    n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"not a square power-of-two matrix: {shape}")
+    return n.bit_length() - 1
 
-    Hermiticity is required within 1e-12, trace within 1e-12 of one, and the
-    minimum eigenvalue must not fall below -1e-10, as decided by a Cholesky
-    factorization of rho + 1e-10 * I (states out of floating-point channel
-    applications are renormalized by the caller, never clipped past it).
-    """
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex).copy()
-        _check_states(mat[None])
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+def _check_hermitian(mats: np.ndarray) -> None:
+    """Every entry finite, checked before any arithmetic on them, and every
+    matrix of the (..., n, n) stack Hermitian within 1e-12."""
+    finite = np.isfinite(mats)
+    if not finite.all():
+        raise ValueError(f"matrix entry {complex(mats[~finite][0])!r} is not finite")
+    if not (np.abs(mats - mats.conj().swapaxes(-1, -2)) <= HERMITICITY_TOL).all():
+        raise ValueError("matrix is not Hermitian within 1e-12")
 
 
 def _check_states(mats: np.ndarray) -> None:
-    """The ``DensityMatrix`` checks on every matrix of an (S, n, n) stack:
-    non-finite entries first, before any arithmetic on them, and the
-    eigenvalue floor last, by a Cholesky factorization of rho + 1e-10 * I."""
-    n = mats.shape[-1] if mats.ndim == 3 else 0
-    if n < 1 or mats.shape[1] != n or n & (n - 1):
-        raise ValueError(f"not a square power-of-two matrix: {mats.shape[1:]}")
-    _check_finite(mats)
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if not (herm <= HERMITICITY_TOL).all():
-        raise ValueError("matrix is not Hermitian within 1e-12")
+    """Check that every matrix of an (S, 2^q, 2^q) stack, q >= 1, is a
+    density matrix: finite, Hermitian within 1e-12, of trace one within
+    1e-12, and with no eigenvalue below -1e-10.  The floor is decided last,
+    by a Cholesky factorization of rho + 1e-10 * I; states out of
+    floating-point channel applications are renormalized by the caller,
+    never clipped past it."""
+    n = 2 ** _num_qubits(mats.shape[1:])
+    _check_hermitian(mats)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     bad = ~((abs(tr.real - 1.0) <= TRACE_TOL) & (abs(tr.imag) <= TRACE_TOL))
     if bad.any():
@@ -275,10 +258,11 @@ def _check_states(mats: np.ndarray) -> None:
         raise ValueError("matrix has an eigenvalue below -1e-10") from None
 
 
-def _check_finite(mats: np.ndarray) -> None:
-    finite = np.isfinite(mats)
-    if not finite.all():
-        raise ValueError(f"matrix entry {complex(mats[~finite][0])!r} is not finite")
+def _frozen_state(mat: np.ndarray) -> np.ndarray:
+    """A freshly computed density matrix, checked and made read-only."""
+    _check_states(mat[None])
+    mat.flags.writeable = False
+    return mat
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,7 +286,7 @@ def trace_norm(a, b) -> float:
 
     Parameters
     ----------
-    a, b : DensityMatrix or array_like
+    a, b : array_like
         Square matrices of equal shape; a - b must be Hermitian within
         1e-12.
 
@@ -311,46 +295,14 @@ def trace_norm(a, b) -> float:
     float
         Nonnegative; zero iff the inputs are equal; symmetric in (a, b).
     """
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     if ma.ndim != 2 or ma.shape[0] != ma.shape[1] or not ma.size:
         raise ValueError(f"expected one square matrix, got shape {ma.shape}")
     diff = ma - mb
-    _check_finite(diff)
-    if not np.abs(diff - diff.conj().T).max() <= HERMITICITY_TOL:
-        raise ValueError("difference is not Hermitian within 1e-12")
+    _check_hermitian(diff)
     return float(_trace_norms(diff))
-
-
-def partial_trace(rho, keep, dims) -> DensityMatrix:
-    """Trace out all subsystems not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : DensityMatrix or array_like
-    keep : iterable of int
-        Indices (into ``dims``) of the subsystems to retain, in ascending
-        order of their original position.
-    dims : sequence of int
-        Subsystem dimensions; their product must equal the dimension of rho.
-    """
-    mat = _as_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(set(int(k) for k in keep))
-    if int(np.prod(dims)) != mat.shape[0]:
-        raise ValueError(f"dims {dims} do not multiply to {mat.shape[0]}")
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range")
-    n = len(dims)
-    tensor = mat.reshape(dims + dims)
-    # Row/column axes of traced subsystems share an einsum index.
-    row = list(range(n))
-    col = [i + n if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(tensor, row + col, out)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityMatrix(reduced.reshape(d_keep, d_keep))
 
 
 def pauli_decompose(rho) -> np.ndarray:
@@ -358,29 +310,33 @@ def pauli_decompose(rho) -> np.ndarray:
 
     The coefficient vector is ordered lexicographically over per-qubit Pauli
     indices in ``PAULI_ORDER`` (id, sx, sz, sy); the all-identity coefficient
-    equals the trace (1 for a state).
+    equals the trace (1 for a state).  ``rho`` must be Hermitian within
+    1e-12, so that every coefficient is real.
     """
-    mat = _as_matrix(rho)
-    q = mat.shape[0].bit_length() - 1
+    mat = np.asarray(rho, dtype=complex)
+    q = _num_qubits(mat.shape)
+    _check_hermitian(mat)
     return np.einsum("aij,ji->a", _pauli_strings(q), mat).real
 
 
-def secret_twirl(rho) -> DensityMatrix:
+def secret_twirl(rho) -> np.ndarray:
     """Average over {id, K1, K2, K1K2} on the first pair, K1=sx⊗sx, K2=sz⊗sz.
 
     The pair occupies the first two qubits; anything else is left untouched.
     The output commutes with K1⊗id and K2⊗id, and its Bell-basis off-diagonal
     blocks vanish — measured on the pair, the result is Bell-diagonal with the
-    environment classically correlated to the Bell label.
+    environment classically correlated to the Bell label.  The result must
+    be a density matrix (see ``_check_states``).
     """
-    mat = _as_matrix(rho)
-    if mat.shape[0] % 4:
+    mat = np.asarray(rho, dtype=complex)
+    q = _num_qubits(mat.shape)
+    if q < 2:
         raise ValueError("dimension must be a multiple of 4 (pair ⊗ rest)")
-    d_env = mat.shape[0] // 4
+    d_env = 2 ** (q - 2)
     k1 = np.kron(np.kron(_SX, _SX), np.eye(d_env))
     k2 = np.kron(np.kron(_SZ, _SZ), np.eye(d_env))
     out = mat + k1 @ mat @ k1 + k2 @ mat @ k2 + (k1 @ k2) @ mat @ (k1 @ k2).conj().T
-    return DensityMatrix(out / 4.0)
+    return _frozen_state(out / 4.0)
 
 
 def ensemble_purification(state: LabeledEnsembleState) -> np.ndarray:

@@ -31,8 +31,8 @@ from functools import cache
 
 import numpy as np
 
-from .quantum_core import (_as_matrix, _check_states, _kron_stack, _pauli_strings,
-                           _tensor_powers, _trace_norms)
+from .quantum_core import (_check_hermitian, _check_states, _kron_stack, _num_qubits,
+                           _pauli_strings, _tensor_powers, _trace_norms)
 
 __all__ = [
     "ProductFormVerdict",
@@ -145,27 +145,31 @@ def steering_constant(n: int = 2, m: int = 2) -> int:
     return (2 ** q) * (4 ** q) * (2 ** q)
 
 
-def tomographic_probabilities(rho, num_qubits: int = 4) -> np.ndarray:
-    """Outcome probabilities p_k = tr(phi_k rho) over the product set."""
-    mat = _as_matrix(rho)
-    projs = _tset(num_qubits)
-    return np.einsum("kij,ji->k", projs, mat).real
+def tomographic_probabilities(rho) -> np.ndarray:
+    """Outcome probabilities p_k = tr(phi_k rho) over the product set, for
+    a 2^q x 2^q ``rho`` Hermitian within 1e-12."""
+    mat = np.asarray(rho, dtype=complex)
+    q = _num_qubits(mat.shape)
+    _check_hermitian(mat)
+    return np.einsum("kij,ji->k", _tset(q), mat).real
 
 
-def recover_pauli_coefficients(probs, num_qubits: int = 4) -> np.ndarray:
-    """Invert p = 2^{-q} T alpha; output matches pauli_decompose ordering.
+def recover_pauli_coefficients(probs) -> np.ndarray:
+    """Invert p = 2^{-q} T alpha for 4^q probabilities, q >= 1; output
+    matches pauli_decompose ordering.
 
     T^{-1} = (B^{-1})^{⊗q} is applied one factor at a time: each pass
     multiplies the leading index by B^{-1} and moves it to the back, so
     after q passes the indices are in their original order again.
     """
     x = np.asarray(probs, dtype=float)
-    if x.shape != (4 ** num_qubits,):
+    q = (x.size.bit_length() - 1) // 2
+    if q < 1 or x.shape != (4 ** q,):
         raise ValueError(
-            f"expected {4 ** num_qubits} probabilities, got shape {x.shape}")
-    for _ in range(num_qubits):
+            f"expected 4^q probabilities, q >= 1, got shape {x.shape}")
+    for _ in range(q):
         x = (_block_inverse() @ x.reshape(4, -1)).T.reshape(-1)
-    return (2 ** num_qubits) * x
+    return (2 ** q) * x
 
 
 # einsum subscripts of the partial traces of an (S, 16, 16) stack viewed as
@@ -176,7 +180,7 @@ _KEEP_B = "sabad->sbd"
 
 def _two_pair_stack(states) -> np.ndarray:
     """The input as an (S, 16, 16) complex stack of two-pair states."""
-    mats = _as_matrix(states)
+    mats = np.asarray(states, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (16, 16):
         raise ValueError("expected an (S, 16, 16) stack of two-pair states, "
                          f"got shape {mats.shape}")

@@ -1,9 +1,13 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
+from qdistill.quantum_core import PAULI, PAULI_ORDER
 
 settings.register_profile(
     "default",
@@ -37,6 +41,24 @@ def dyadic_state(rng, dim=4):
         if np.linalg.eigvalsh(rho).min() >= 0:
             return rho
     raise RuntimeError("failed to draw a PSD dyadic state")
+
+
+def partial_trace(rho, keep, dims):
+    """Reference partial trace: the subsystems of sizes ``dims`` listed in
+    ``keep`` remain, in their original order; the others are traced out."""
+    n, keep = len(dims), sorted(set(keep))
+    # Row and column axes of a traced subsystem share an einsum index.
+    col = [i + n if i in keep else i for i in range(n)]
+    reduced = np.einsum(np.reshape(rho, 2 * tuple(dims)), [*range(n), *col],
+                        keep + [i + n for i in keep])
+    d = math.prod(dims[k] for k in keep)
+    return reduced.reshape(d, d)
+
+
+def pauli_string(labels):
+    """Reference tensor product of single-qubit Paulis, ``labels`` indexing
+    ``PAULI_ORDER`` (0=id, 1=sx, 2=sz, 3=sy)."""
+    return reduce(np.kron, (PAULI[PAULI_ORDER[k]] for k in labels))
 
 
 def make_config(**kw):

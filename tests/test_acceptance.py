@@ -263,7 +263,7 @@ def test_criterion_11_secret_twirl_decoupling():
         pass
     psi = ensemble_purification(LabeledEnsembleState(p))
     rho = np.outer(psi, psi.conj())
-    twirled = secret_twirl(rho).mat
+    twirled = secret_twirl(rho)
     basis = np.kron(bell_basis(), np.eye(64))
     blocks = basis.conj().T @ twirled @ basis
     off = 0.0

@@ -32,11 +32,11 @@ from qdistill.quantum_core import (
     bell_vector,
     CORRELATED_SUPPORT,
     ensemble_purification,
-    partial_trace,
     trace_norm,
 )
 
-from conftest import STREAM_CELLS, campaign, dyadic_state, ginibre_density
+from conftest import (STREAM_CELLS, campaign, dyadic_state, ginibre_density,
+                      partial_trace)
 
 idx = LabeledEnsembleState.index
 BITS = (0, 1)
@@ -221,7 +221,7 @@ def test_cross_mass_matches_loop():
 
 def test_to_density_matrix_matches_loop():
     for s in ensembles():
-        assert np.array_equal(s.to_density_matrix().mat,
+        assert np.array_equal(s.to_density_matrix(),
                               loop_to_density_matrix(s.p))
 
 
@@ -347,7 +347,7 @@ def test_reduced_map_matches_embedded_step(u):
 # ------------------------------------------------------------ steering audit
 
 def loop_steer_rotate(mat):
-    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
+    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2))
     w, v = np.linalg.eigh(rho_a)
     kmax = int(np.argmax(w))
     order = [kmax] + [k for k in range(4) if k != kmax]
@@ -358,7 +358,7 @@ def loop_steer_rotate(mat):
 
 def loop_discrepancy(mat, threshold):
     rho4 = mat.reshape(4, 4, 4, 4)
-    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2)).mat
+    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2))
     best = None
     for proj in sv._tset(2):
         cond = np.einsum("ab,biaj->ij", proj, rho4)
@@ -374,8 +374,8 @@ def loop_product_form(mat):
     """(epsilon, lhs) of the rotated state, one outcome at a time."""
     _, mat = loop_steer_rotate(mat)
     disc = loop_discrepancy(mat, 1 / 16)
-    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2)).mat
-    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2)).mat
+    rho_a = partial_trace(mat, [0, 1], (2, 2, 2, 2))
+    rho_b = partial_trace(mat, [2, 3], (2, 2, 2, 2))
     return disc, trace_norm(mat, np.kron(rho_a, rho_b))
 
 

@@ -11,21 +11,19 @@ from qdistill.quantum_core import (
     PAULI,
     PAULI_ORDER,
     BellDiagonalState,
-    DensityMatrix,
     LabeledEnsembleState,
     bell_basis,
     bell_vector,
     ensemble_purification,
-    partial_trace,
     pauli_decompose,
-    pauli_string,
     secret_twirl,
     trace_norm,
     _check_states,
     _trace_norms,
 )
+from qdistill.steering_verify import tomographic_probabilities
 
-from conftest import ginibre_density
+from conftest import ginibre_density, partial_trace, pauli_string
 
 
 # ---------------------------------------------------------------- conventions
@@ -105,7 +103,7 @@ def test_bell_diagonal_density_matrix_diagonal_in_bell_basis(raw):
     p = np.array(raw) / sum(raw)
     rho = BellDiagonalState(p).to_density_matrix()
     basis = bell_basis()
-    back = basis.conj().T @ rho.mat @ basis
+    back = basis.conj().T @ rho @ basis
     off = back - np.diag(np.diag(back))
     assert np.abs(off).max() < 1e-14
     assert np.allclose(np.diag(back).real, p, atol=1e-14)
@@ -242,8 +240,8 @@ def test_partial_trace_of_product_state(rng):
     a = ginibre_density(rng, 4)
     b = ginibre_density(rng, 4)
     joint = np.kron(a, b)
-    assert np.allclose(partial_trace(joint, [0], [4, 4]).mat, a, atol=1e-13)
-    assert np.allclose(partial_trace(joint, [1], [4, 4]).mat, b, atol=1e-13)
+    assert np.allclose(partial_trace(joint, [0], [4, 4]), a, atol=1e-13)
+    assert np.allclose(partial_trace(joint, [1], [4, 4]), b, atol=1e-13)
 
 
 # ----------------------------------------------------------- pauli transform
@@ -271,8 +269,40 @@ def test_pauli_decompose_identity_component(rng):
 def test_secret_twirl_is_idempotent(rng):
     rho = ginibre_density(rng, 16)
     t1 = secret_twirl(rho)
-    t2 = secret_twirl(t1.mat)
-    assert np.abs(t1.mat - t2.mat).max() < 1e-13
+    t2 = secret_twirl(t1)
+    assert np.abs(t1 - t2).max() < 1e-13
+
+
+def test_density_matrices_are_checked_and_read_only(rng):
+    state = LabeledEnsembleState(np.full(16, 1 / 16))
+    for mat in (state.bell_marginal().to_density_matrix(),
+                state.to_density_matrix(), secret_twirl(ginibre_density(rng, 16))):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
+    # the twirl keeps the trace, and it keeps this diagonal indefinite
+    for diag, message in (([0.7, 0, 0, 0], "not 1"), ([1.5, -0.5, 0, 0], "below")):
+        with pytest.raises(ValueError, match=message):
+            secret_twirl(np.diag(diag))
+
+
+SIZED = [pauli_decompose, tomographic_probabilities, secret_twirl]
+
+
+@pytest.mark.parametrize("fn", SIZED, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(), (0, 0), (1, 1), (2, 3), (3, 3), (12, 12)],
+                         ids=["0-d", "0x0", "1x1", "2x3", "3x3", "12x12"])
+def test_sizes_come_from_square_power_of_two_matrices(fn, shape):
+    # a 1x1 input was once broadcast against all 4^q strings or projectors
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a square power-of-two matrix: {shape}")):
+        fn(np.ones(shape))
+
+
+@pytest.mark.parametrize("fn", SIZED[:2], ids=lambda f: f.__name__)
+def test_coefficients_reject_non_hermitian_input(fn):
+    # .real once dropped the imaginary sy coefficient of this matrix
+    with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
+        fn(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 # -------------------------------------------------------------- purification
@@ -285,56 +315,41 @@ def test_ensemble_purification_has_correct_marginal():
     assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-14)
     full = np.outer(psi, psi.conj())
     red = partial_trace(full, [0], [16, 16])
-    assert np.abs(red.mat - state.to_density_matrix().mat).max() < 1e-13
+    assert np.abs(red - state.to_density_matrix()).max() < 1e-13
 
 
 # ------------------------------------------------------------- density guard
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.6], [0.4, 0.5]]))   # not hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.7, 0.7]))                  # trace != 1
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))                 # negative eigval
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_density_matrix_rejects_non_finite_entries(bad):
-    # a non-finite entry is a ValueError, raised before any arithmetic on
-    # it (inf - inf warns) and before the Cholesky factorization
-    with pytest.raises(ValueError, match="not finite"):
-        DensityMatrix(np.full((16, 16), bad))
-
-
 def test_state_stack_checks_every_matrix(rng):
-    good = np.stack([ginibre_density(rng, 4) for _ in range(3)])
-    _check_states(good)
-    for bad_value in (np.nan, np.inf):
-        bad = good.copy()
-        bad[1, 0, 0] = bad_value
-        with pytest.raises(ValueError,
-                           match=re.escape(f"entry {complex(bad_value)!r} is")):
-            _check_states(bad)
-    bad = good.copy()
-    bad[2] *= 1.5
-    with pytest.raises(ValueError, match="not 1"):
-        _check_states(bad)
-    bad = good.copy()
-    bad[0] = np.diag([1.5, -0.5, 0.0, 0.0])
-    with pytest.raises(ValueError, match="eigenvalue below"):
-        _check_states(bad)
-
-
-@pytest.mark.parametrize("mat", [1.0, np.zeros((0, 0))], ids=["0-d", "0x0"])
-def test_density_matrix_rejects_degenerate_shapes(mat):
-    with pytest.raises(ValueError, match="not a square power-of-two matrix"):
-        DensityMatrix(mat)
+    for n in (2, 4, 16):
+        good = np.stack([ginibre_density(rng, n) for _ in range(3)])
+        _check_states(good)
+        # a non-finite entry, or a whole matrix of them, is caught before
+        # any arithmetic on it (inf - inf warns)
+        for bad_value in (np.nan, np.inf):
+            for where in ((1, 0, 0), 1):
+                bad = good.copy()
+                bad[where] = bad_value
+                with pytest.raises(ValueError, match=re.escape(
+                        f"entry {complex(bad_value)!r} is not finite")):
+                    _check_states(bad)
+        for where, corner, message in ((1, [[0.5, 0.6], [0.4, 0.5]], "not Hermitian"),
+                                       (2, [[0.7, 0], [0, 0.7]], "not 1"),
+                                       (0, [[1.5, 0], [0, -0.5]], "eigenvalue below")):
+            bad = good.copy()
+            bad[where] = 0.0
+            bad[where, :2, :2] = corner
+            with pytest.raises(ValueError, match=message):
+                _check_states(bad)
 
 
 def test_state_stack_rejects_empty_matrices():
-    with pytest.raises(ValueError, match="not a square power-of-two matrix"):
-        _check_states(np.zeros((3, 0, 0), dtype=complex))
+    # a stacked 0-d matrix has shape (1,); a 1x1 matrix has no qubit
+    for stack in (np.zeros((3, 0, 0)), np.zeros((1, 0, 0)), np.ones(1),
+                  np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"not a square power-of-two matrix: {stack.shape[1:]}")):
+            _check_states(stack)
 
 
 def _with_min_eigenvalue(rng, n, lam):

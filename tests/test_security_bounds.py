@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qdistill.security_bounds as sb
-from qdistill.quantum_core import partial_trace, trace_norm
+from qdistill.quantum_core import trace_norm
 
-from conftest import ginibre_density
+from conftest import ginibre_density, partial_trace
 
 
 def test_definetti_constant_exact():
@@ -152,7 +152,7 @@ def test_close_states_have_close_purifications(eps):
     assert d <= eps + 1e-12
     psi, phi = closest_purifications(rho, sigma)
     for vec, state in ((psi, rho), (phi, sigma)):
-        marginal = partial_trace(np.outer(vec, vec.conj()), [0], [4, 4]).mat
+        marginal = partial_trace(np.outer(vec, vec.conj()), [0], [4, 4])
         assert np.abs(marginal - state).max() < 1e-12
     lhs = trace_norm(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
     assert lhs <= 2 * sb.purification_lift(d) + 1e-8

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qdistill.steering_verify as sv
-from qdistill.quantum_core import pauli_decompose, partial_trace, trace_norm
+from qdistill.quantum_core import pauli_decompose, trace_norm
 
-from conftest import dyadic_state, ginibre_density
+from conftest import dyadic_state, ginibre_density, partial_trace
 
 
 # ------------------------------------------------------------ building blocks
@@ -75,15 +75,17 @@ def test_t_inverse_norm_against_full_inverse(q):
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_recovery_against_full_solve(rng, q):
     for _ in range(3):
-        probs = sv.tomographic_probabilities(ginibre_density(rng, 2 ** q), q)
+        probs = sv.tomographic_probabilities(ginibre_density(rng, 2 ** q))
         full = 2 ** q * np.linalg.solve(sv.build_t_matrix(q), probs)
-        rec = sv.recover_pauli_coefficients(probs, q)
+        rec = sv.recover_pauli_coefficients(probs)
         assert np.abs(rec - full).max() < 1e-12
 
 
 def test_recovery_rejects_wrong_length():
-    with pytest.raises(ValueError, match="expected 256 probabilities"):
-        sv.recover_pauli_coefficients(np.ones(64) / 64)
+    # the length fixes q, so only lengths 4^q with q >= 1 are valid
+    for n in (0, 1, 48, 128):
+        with pytest.raises(ValueError, match=rf"4\^q .*, q >= 1, got shape \({n},\)"):
+            sv.recover_pauli_coefficients(np.ones(n))
 
 
 def test_steering_constant():
@@ -233,8 +235,8 @@ def test_product_form_bound_scales_with_constant(rng):
 def test_product_form_lhs_measures_marginal_product_distance(rng):
     rho = ginibre_density(rng, 16)
     (verdict,) = sv.product_form_batch(rho[None], rotate=False)
-    ra = partial_trace(rho, [0], [4, 4]).mat
-    rb = partial_trace(rho, [1], [4, 4]).mat
+    ra = partial_trace(rho, [0], [4, 4])
+    rb = partial_trace(rho, [1], [4, 4])
     assert verdict.lhs == pytest.approx(
         trace_norm(rho, np.kron(ra, rb)), abs=1e-12)
 
