@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 validation/usage error, 3 numerical
 non-convergence.
 
 Seed precedence: --seed flag, then the DISTILL_SEED environment variable,
-then the config file, then 0.  The config file is flat INI: a [run]
-section (seed), a [noise] section (kind, parameter), and a [montecarlo]
-section (n_pairs, beta, rounds, f_min, delta, trials); command-line flags
-always win.
+then the config file, then 0; a seed must fit in 64 bits.  The config
+file is flat INI: a [run] section (seed), a [noise] section (kind,
+parameter), and a [montecarlo] section (n_pairs, beta, rounds, f_min,
+delta, trials); command-line flags always win.
 """
 
 from __future__ import annotations
@@ -128,17 +128,35 @@ def _load_config(path):
 def _setting(args, cfg, section, name, conv, env=None):
     """Setting ``name``: its flag, then the ``env`` variable if one is named,
     then option ``name`` of config ``section``; ``conv`` of the first one
-    given, or None."""
+    given, or None.  A ValueError of ``conv`` names that source."""
     value = getattr(args, name, None)
     if value is None and env is not None:
         value = os.environ.get(env)
     if value is None:
         value = cfg.get(section, name, fallback=None)
-    return None if value is None else conv(value)
+    try:
+        return None if value is None else conv(value)
+    except ValueError as exc:
+        if getattr(args, name, None) is not None:
+            source = "--" + name.replace("_", "-")
+        elif env is not None and os.environ.get(env) is not None:
+            source = env
+        else:
+            source = f"[{section}] {name}"
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _seed(value) -> int:
+    """A seed of numpy's SeedSequence: a U64."""
+    seed = int(value)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
 
 
 def resolve_seed(args, cfg) -> int:
-    return _setting(args, cfg, "run", "seed", int, env="DISTILL_SEED") or 0
+    """The request's seed, a U64: flag, DISTILL_SEED, ``[run] seed``, 0."""
+    return _setting(args, cfg, "run", "seed", _seed, env="DISTILL_SEED") or 0
 
 
 def _resolve_noise(args, cfg):
@@ -403,22 +421,27 @@ def _cmd_steering_audit(args, cfg) -> int:
     return 0
 
 
+def _f_min(value):
+    """``--f-min``: a number, or "auto"."""
+    return value if value == "auto" else float(value)
+
+
 def _mc_config(args, cfg) -> mc.ProtocolConfig:
     model = _resolve_noise(args, cfg)
     n_pairs, beta, rounds, trials, delta, f_min = (
         _setting(args, cfg, "montecarlo", name, conv) for name, conv in (
             ("n_pairs", int), ("beta", float), ("rounds", int),
-            ("trials", int), ("delta", float), ("f_min", str)))
+            ("trials", int), ("delta", float), ("f_min", _f_min)))
     if None in (n_pairs, beta, rounds):
         raise ValueError("--n-pairs, --beta and --rounds are required")
     if f_min is None or f_min == "auto":
         if isinstance(model, nm.TwoQubitCorrelatedNoise):
-            f_min = fp.bbpssw_two_qubit_fixed_points(model.f_tilde)[0]
+            f_min = float(fp.bbpssw_two_qubit_fixed_points(model.f_tilde)[0])
         else:
             raise ValueError(
                 "--f-min auto needs corr2 noise; give an explicit value")
     return mc.ProtocolConfig(n_pairs=n_pairs, beta=beta, noise=model,
-                             rounds=rounds, f_min=float(f_min), delta=delta,
+                             rounds=rounds, f_min=f_min, delta=delta,
                              seed=resolve_seed(args, cfg),
                              trials=1000 if trials is None else trials)
 
@@ -617,7 +640,8 @@ def emit_figure_data(name: str, fh) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qdistill",
         description="entanglement distillation recurrence analysis")
@@ -686,14 +710,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace the 16-variable map instead of the reduced one")
     p.add_argument("--figure", default=None, choices=list(FIGURE_NAMES))
 
-    return parser
+    return parser, sub.choices
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process for :func:`run`; ``parse_args`` builds a
-    fresh Namespace on each call, so sharing it is safe."""
-    return build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+#: One parser per process for :func:`run`; each parse builds a fresh
+#: Namespace, so sharing it is safe.
+_parser = cache(_build)
 
 
 _DISPATCH = {
@@ -707,10 +733,31 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
+    """Serve one request; returns its exit code.
+
+    The request is parsed once.  When ``argv[0]`` names a subcommand, the
+    rest goes straight to that subcommand's parser, and anything it leaves
+    over is the top-level parser's "unrecognized arguments" error.  Any
+    other request (none, an unknown command, a top-level ``-h``) goes to
+    the top-level parser, which prints the usage or the help."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        sub = commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
+    return _dispatch(args)
+
+
+def _dispatch(args) -> int:
+    """Run the parsed request ``args``; returns its exit code."""
     try:
         cfg = _load_config(args.config)
         return _DISPATCH[args.command](args, cfg)

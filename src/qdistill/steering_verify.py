@@ -247,10 +247,10 @@ def steer_rotate(states):
     """Rotate the A marginal into its eigenbasis, largest eigenvalue first.
 
     Returns (U, rotated), an (S, 4, 4) and a validated (S, 16, 16) stack,
-    with rotated = (U ⊗ id) rho (U ⊗ id)^dagger for each state rho.  U
-    maps the maximal-eigenvalue eigenvector of rho_A to |00>, so every
-    A-side tomographic outcome then has probability at least
-    lambda_max * 1/4 >= 1/16.  Eigenvalue ties break to the first
+    both read-only, with rotated = (U ⊗ id) rho (U ⊗ id)^dagger for each
+    state rho.  U maps the maximal-eigenvalue eigenvector of rho_A to
+    |00>, so every A-side tomographic outcome then has probability at
+    least lambda_max * 1/4 >= 1/16.  Eigenvalue ties break to the first
     maximizing index of the ascending eigensolver ordering.
     """
     mats = _two_pair_stack(states)
@@ -262,6 +262,7 @@ def steer_rotate(states):
     big = _kron_stack(u, np.eye(4))
     rotated = big @ mats @ big.conj().swapaxes(1, 2)
     _check_states(rotated)
+    u.flags.writeable = rotated.flags.writeable = False
     return u, rotated
 
 

@@ -55,6 +55,55 @@ def test_unknown_command_is_usage_error(capsys):
     assert cli.run(["frobnicate"]) == 2
 
 
+def reference_run(argv):
+    """The reference parse: the whole request through a fresh top-level
+    parser, then run()'s dispatch."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return cli._dispatch(args)
+
+
+FP = ["fixed-point", "--protocol", "dejmps", "--noise", "white:0.99"]
+MC = ["--beta", "0.9", "--noise", "corr2:0.99", "--rounds", "1",
+      "--f-min", "0.5", "--trials", "100"]
+
+PARSE_CASES = {
+    "no-command": [],
+    "help": ["-h"],
+    "help-before-command": ["--help", "montecarlo"],
+    "unknown-option": ["--version"],
+    "unknown-command": ["frobnicate", "--x"],
+    "command-prefix": ["monte"],
+    "separator-first": ["--", "bounds", "--chain", "leak", "--eps", "0.1"],
+    "subcommand-help": ["montecarlo", "-h"],
+    "valid": FP,
+    "trailing-positional": FP + ["extra"],
+    "leftover-option": FP + ["--bogus", "1"],
+    "leftovers-after-separator": ["bounds", "--chain", "leak", "--eps", "0.1",
+                                  "--", "x"],
+    "missing-required": ["fixed-point"],
+    "invalid-choice": ["fixed-point", "--protocol", "quux"],
+    "invalid-int": ["steering-audit", "--states", "x"],
+    "abbreviation": ["montecarlo", "--n-p", "256"] + MC,
+    "ambiguous-abbreviation": ["montecarlo", "--n", "256"] + MC,
+    "flag-equals-value": ["montecarlo", "--n-pairs=256", "--beta=0.9",
+                          "--noise=corr2:0.99", "--rounds=1", "--f-min=0.5",
+                          "--trials=100"],
+    "validation-error": ["montecarlo", "--n-pairs", "256"] + MC + [
+        "--delta", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_run_parses_like_the_top_level_parser(argv, capsys):
+    # same exit code, stdout and stderr, help and usage errors included
+    got = cli.run(argv), *capsys.readouterr()
+    want = reference_run(argv), *capsys.readouterr()
+    assert got == want
+
+
 def test_json_serializer_17_digits():
     buf = io.StringIO()
     cli.emit_json({"x": 2 / 3, "nested": [1, True, None, float("nan"),
@@ -448,6 +497,10 @@ def test_requests_share_a_parser_but_not_their_flags(capsys):
     assert cli.run(["bounds", "--chain", "leak", "--eps", "0.1"]) == 0
     assert cli.run(["bounds", "--chain", "leak"]) == 2
     assert "--eps required" in capsys.readouterr().err
+    argv = ["montecarlo", "--n-pairs", "256"] + MC
+    deltas = [run_json(argv + extra, capsys)[1]["meta"]["config"]["delta"]
+              for extra in (["--delta", "0.05"], [])]
+    assert deltas == [0.05, 0.01]
 
 
 @pytest.mark.parametrize("chain", list(BOUND_CHAINS))
@@ -806,6 +859,60 @@ def test_config_does_not_leak_into_later_requests(tmp_path, capsys,
     assert "--noise spec" in capsys.readouterr().err
     assert cli._load_config(None) is cli._load_config(None)
     assert cli._load_config(None).sections() == []
+
+
+def given_by(source, section, name, value, tmp_path, monkeypatch):
+    """Argv that gives setting ``name`` as ``value`` through ``source``: its
+    flag, DISTILL_SEED (the one setting read from the environment) or a
+    config file."""
+    monkeypatch.delenv("DISTILL_SEED", raising=False)
+    if source == "flag":
+        return ["--" + name.replace("_", "-"), value]
+    if source == "env":
+        monkeypatch.setenv("DISTILL_SEED", value)
+        return []
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{name} = {value}\n")
+    return ["--config", str(ini)]
+
+
+SEED_SOURCES = {"flag": "--seed", "env": "DISTILL_SEED",
+                "config": "[run] seed"}
+
+
+@pytest.mark.parametrize("source", list(SEED_SOURCES))
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 200)])
+def test_seed_must_fit_in_64_bits(source, seed, tmp_path, monkeypatch,
+                                  capsys):
+    # -1 once failed inside numpy, and 2**200 was accepted
+    def audit(value):
+        return ["steering-audit", "--states", "1"] + given_by(
+            source, "run", "seed", value, tmp_path, monkeypatch)
+
+    err = usage_error(audit(seed), capsys)
+    assert err == f"error: {SEED_SOURCES[source]}: seed must fit in 64 bits\n"
+    code, doc = run_json(audit(str(2 ** 64 - 1)), capsys)
+    assert (code, doc["meta"]["seed"]) == (0, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("source,section,name,value,message", [
+    ("flag", "montecarlo", "f_min", "x",
+     "--f-min: could not convert string to float: 'x'"),
+    ("env", "run", "seed", "abc",
+     "DISTILL_SEED: invalid literal for int() with base 10: 'abc'"),
+    ("config", "montecarlo", "n_pairs", "abc",
+     "[montecarlo] n_pairs: invalid literal for int() with base 10: 'abc'"),
+])
+def test_setting_errors_name_their_source(source, section, name, value,
+                                          message, tmp_path, monkeypatch,
+                                          capsys):
+    argv = {"--n-pairs": "256", "--beta": "0.9", "--noise": "corr2:0.99",
+            "--rounds": "1", "--f-min": "0.5", "--trials": "100"}
+    argv.pop("--" + name.replace("_", "-"), None)
+    argv = ["montecarlo"] + [a for kv in argv.items() for a in kv]
+    err = usage_error(argv + given_by(source, section, name, value, tmp_path,
+                                      monkeypatch), capsys)
+    assert err == f"error: {message}\n"
 
 
 def test_missing_config_file_is_validation_error(capsys):

@@ -156,6 +156,14 @@ def test_steer_rotate_is_a_local_unitary(rng):
     assert np.abs(big @ rho @ big.conj().T - rotated).max() < 1e-12
 
 
+def test_steer_rotate_returns_read_only_stacks():
+    # the rotated stack is validated, so it must not change after the check
+    u, rotated = sv.steer_rotate((np.eye(16) / 16)[None])
+    for out in (u, rotated):
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0, 0] = 1.0
+
+
 # ---------------------------------------------------------------- discrepancy
 
 def test_discrepancy_zero_for_exact_product_states(rng):
