@@ -163,10 +163,12 @@ def _resolve_noise(args, cfg):
     if getattr(args, "noise", None):
         return parse_noise(args.noise)
     if cfg.has_section("noise"):
-        return nm.noise_from_config({
-            "kind": cfg.get("noise", "kind"),
-            "parameter": cfg.getfloat("noise", "parameter"),
-        })
+        kind, parameter = (_setting(args, cfg, "noise", name, conv)
+                           for name, conv in (("kind", str),
+                                              ("parameter", float)))
+        if None in (kind, parameter):
+            raise ValueError("[noise] needs both kind and parameter")
+        return nm.noise_from_config({"kind": kind, "parameter": parameter})
     raise ValueError("a --noise spec (or [noise] config section) is required")
 
 
@@ -215,7 +217,7 @@ def _cmd_fixed_point(args, cfg) -> int:
         "lambda_max": report.lambda_max,
         "iterations_used": report.iterations_used,
         "newton_steps": report.newton_steps,
-        "meta": {"seed": resolve_seed(args, cfg), "tol": args.tol,
+        "meta": {"seed": args.seed, "tol": args.tol,
                  "maxiter": args.maxiter},
     }
     with _open_out(args.out) as fh:
@@ -283,7 +285,7 @@ def _cmd_scan(args, cfg) -> int:
                 "columns": list(header),
                 "rows": [list(r) for r in rows],
                 "meta": {"grid": args.noise_grid,
-                         "seed": resolve_seed(args, cfg)},
+                         "seed": args.seed},
             }, fh)
     return 0
 
@@ -395,8 +397,8 @@ def _cmd_steering_audit(args, cfg) -> int:
         raise ValueError("--states must be at least 1")
     if args.states > _MAX_AUDIT_STATES:
         raise ValueError(f"--states must be at most {_MAX_AUDIT_STATES}")
-    seed = resolve_seed(args, cfg)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(args.seed)))
     k = args.states
     ids = [f"{kind}-{i}" for kind in ("random", "product") for i in range(k)]
     verdicts = []
@@ -414,7 +416,7 @@ def _cmd_steering_audit(args, cfg) -> int:
                     "min_slack": min(v.slack for v in verdicts),
                     "t_inverse_norm": sv.t_inverse_norm(),
                     "constant": sv.steering_constant()},
-        "meta": {"seed": seed, "states": args.states},
+        "meta": {"seed": args.seed, "states": args.states},
     }
     with _open_out(args.out) as fh:
         emit_json(payload, fh)
@@ -442,7 +444,7 @@ def _mc_config(args, cfg) -> mc.ProtocolConfig:
                 "--f-min auto needs corr2 noise; give an explicit value")
     return mc.ProtocolConfig(n_pairs=n_pairs, beta=beta, noise=model,
                              rounds=rounds, f_min=f_min, delta=delta,
-                             seed=resolve_seed(args, cfg),
+                             seed=args.seed,
                              trials=1000 if trials is None else trials)
 
 
@@ -757,9 +759,12 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run the parsed request ``args``; returns its exit code."""
+    """Run the parsed request ``args``; returns its exit code.  The seed
+    is resolved into ``args.seed`` before any command runs, so a bad seed
+    stops every command before it writes anything."""
     try:
         cfg = _load_config(args.config)
+        args.seed = resolve_seed(args, cfg)
         return _DISPATCH[args.command](args, cfg)
     except (fp.NonConvergenceError, rec.DegenerateStepError) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

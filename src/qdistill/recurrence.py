@@ -28,12 +28,14 @@ round on a Werner input followed by the twirl back to Werner form, so the
 three BBPSSW maps run the reduced table at the Werner embedding (the worst
 case with 48 more terms for its error branch) and read their slope off the
 table's Jacobian.  The closed forms live in the tests, as references.  A
-map folds table and noise into one coefficient tensor S when it is
-built, symmetric in its last two axes, with raw_o = sum_ab S[o,a,b] p_a p_b:
-a float step is one contraction M = S p, then raw = M p, and the exact
-Jacobian is read off the same M (d raw / dp = 2M).  Exact entries (Fraction,
-Decimal, sympy) sum the table's terms one by one in their own arithmetic,
-the independent oracle.  ``trajectory`` runs any map round by round.
+map folds table and noise into one coefficient tensor when it is built,
+2S = T + T^T in the noise's own dtype, symmetric in its last two axes, with
+raw_o = sum_ab S[o,a,b] p_a p_b.  A step is one contraction 2M = 2S p, then
+2 raw = 2M p, and the exact Jacobian is read off the same 2M (d raw / dp =
+2M).  Every arithmetic runs that contraction: numpy's promotion of tensor
+and input picks it, so exact noise and input entries (Fraction, Decimal,
+sympy) give exact steps and Jacobians, halved in their own arithmetic.
+``trajectory`` runs any map round by round.
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ def _index_table(u: FlagUpdateFunction, support=None):
     a free bit i1 (fixing j1 = d1^i1, i2 = d0^i1, j2 = d0^d1^i1 through the
     keep rule), the preimage of (g0,g1) under u, and the 16 noise labels;
     noise (a,b) shifts both the Bell and flag bits of the stored index.
-    2048 terms total.  Returned as (OUT, F, A, B) int arrays plus list form
-    for the exact-arithmetic path.
+    2048 terms total.  Returned as read-only (OUT, F, A, B) int arrays.
 
     With ``support`` (a sequence of labels) only the terms whose A, B and
     OUT all lie on it are kept, those three renumbered to positions in
@@ -131,47 +132,33 @@ def _table_for(truth_table: tuple, support: tuple | None = None):
             idx(i2 ^ a2, j2 ^ b2, k2 ^ a2, l2 ^ b2),
         ))
     else:
-        (OUT, F, A, B), _ = _table_for(truth_table)
+        OUT, F, A, B = _table_for(truth_table)
         pos = np.full(16, -1, dtype=np.intp)
         pos[list(support)] = np.arange(len(support))
         keep = (pos[OUT] >= 0) & (pos[A] >= 0) & (pos[B] >= 0)
         arrays = (pos[OUT][keep], F[keep], pos[A][keep], pos[B][keep])
     for a in arrays:
         a.flags.writeable = False
-    return arrays, tuple(a.tolist() for a in arrays)
+    return arrays
 
 
 def _coefficients(table, f, dim: int) -> np.ndarray:
-    """S under noise f: one bincount of the terms weighted by f[F], then
-    S = (T + T^T) / 2.  Returned as a (dim^2, dim) matrix, rows (o, a):
-    numpy contracts that with p several times faster than a 3-axis S."""
-    (OUT, F, A, B), _ = table
-    t = np.bincount((OUT * dim + A) * dim + B,
-                    weights=np.asarray(f, dtype=float)[F],
-                    minlength=dim ** 3).reshape(dim, dim, dim)
-    return ((t + t.transpose(0, 2, 1)) / 2).reshape(dim * dim, dim)
-
-
-def _exact_step(table, p, f, dim: int):
-    """raw_o = sum over the table's terms of f[F] p[A] p[B], term by term
-    in the entries' own arithmetic (Fraction, Decimal, sympy); returns
-    (raw / N, N) with N = sum raw.  The oracle of the float path."""
-    _, lists = table
-    pv, fv = np.asarray(p).tolist(), np.asarray(f).tolist()
-    raw = [0] * dim
-    for o, x, a, b in zip(*lists):
-        w = fv[x] * pv[a] * pv[b]
-        if w:
-            raw[o] += w
-    n = sum(raw)
-    if n == 0:
-        raise DegenerateStepError("success probability is zero")
-    return [r / n for r in raw], n
+    """2S = T + T^T under noise f, in f's own dtype: the terms' weights f[F]
+    added into zeros, not halved, so integer and exact noise stay exact.
+    Returned as a (dim^2, dim) matrix, rows (o, a): numpy contracts that
+    with p several times faster than a 3-axis tensor."""
+    OUT, F, A, B = table
+    f = np.asarray(f)
+    t = np.zeros(dim ** 3, dtype=f.dtype)
+    np.add.at(t, (OUT * dim + A) * dim + B, f[F])
+    t = t.reshape(dim, dim, dim)
+    return (t + t.transpose(0, 2, 1)).reshape(dim * dim, dim)
 
 
 def _contract(s, p):
-    """(M, raw, N) at a float p from S as :func:`_coefficients` returns
-    it: M = S p, raw = M p and N = sum raw."""
+    """(2M, 2raw, 2N) at p from 2S as :func:`_coefficients` returns it:
+    2M = 2S p, 2raw = 2M p and 2N = sum 2raw, in the arithmetic numpy
+    promotes tensor and input to."""
     m = s.dot(p).reshape(p.size, -1)
     raw = m.dot(p)
     n = sum(raw.tolist())
@@ -182,8 +169,9 @@ def _contract(s, p):
 
 def _jacobian(s, p):
     """Exact Jacobian of p -> raw / N at p: raw = M p is a symmetric
-    quadratic form, so J_R = 2M, and J = (J_R - (raw / N) 1^T J_R) / N."""
-    m, raw, n = _contract(s, np.asarray(p, dtype=float))
+    quadratic form, so J_R = 2M, the contraction's first result, and
+    J = (J_R - (raw / N) 1^T J_R) / N, in the arithmetic of that result."""
+    m, raw, n = _contract(s, np.asarray(p))
     return (m - np.outer(raw / n, m.sum(axis=0))) / (n / 2)
 
 
@@ -210,23 +198,25 @@ def _worstcase_table():
     and every a, b.  The branch passes with certainty, (sum p)^2 = 1."""
     o, a, b = np.indices((3, 4, 4)).reshape(3, -1)
     arrays = tuple(np.concatenate(pair).astype(np.intp) for pair in zip(
-        _table_for(_XOR, _CORRELATED)[0], (o + 1, np.full(48, 16), a, b)))
+        _table_for(_XOR, _CORRELATED), (o + 1, np.full(48, 16), a, b)))
     for x in arrays:
         x.flags.writeable = False
-    return arrays, tuple(x.tolist() for x in arrays)
+    return arrays
 
 
 @dataclass(frozen=True)
 class RecurrenceMap:
     """A pure one-round update map p -> (p', N) with its exact Jacobian.
 
-    The input passes through to ``fn`` unchanged: floats take the float
-    path, ``Fraction`` or ``Decimal`` entries the exact one.  The table maps
-    are homogeneous: a raw nonnegative input gives the normalized update, well
-    defined on rays, and N is the pre-normalization sum, the success
-    probability for a normalized input.  The scalar maps are not
-    homogeneous: their variable is a Werner parameter or a fidelity.
-    ``jac`` gives the exact ``dim`` x ``dim`` Jacobian of the update at p.
+    The input passes through to ``fn`` unchanged, and the map's tensor
+    contracts it in the arithmetic numpy promotes the two to: under exact
+    noise, ``Fraction``, ``Decimal`` or sympy entries give exact object
+    arrays, floats give floats.  The table maps are homogeneous: a raw
+    nonnegative input gives the normalized update, well defined on rays,
+    and N is the pre-normalization sum, the success probability for a
+    normalized input.  The scalar maps are not homogeneous: their variable
+    is a Werner parameter or a fidelity.  ``jac`` gives the exact ``dim`` x
+    ``dim`` Jacobian of the update at p.
     """
 
     dim: int
@@ -240,20 +230,16 @@ class RecurrenceMap:
 def _table_map(dim, table, f) -> RecurrenceMap:
     """The map that runs one bilinear table under noise f, a vector or a
     NoiseDistribution, on the table's coefficient tensor, built once here.
-    Exact noise entries (an object array once numpy holds them) make every
-    call exact; the Jacobian then builds the tensor on each call."""
-    f = np.asarray(f.f if isinstance(f, NoiseDistribution) else f)
-    s = None if f.dtype == object else _coefficients(table, f, dim)
+    The tensor and each input set the call's arithmetic: exact noise and
+    input give exact results, float noise gives floats."""
+    s = _coefficients(table, f.f if isinstance(f, NoiseDistribution) else f,
+                      dim)
 
     def fn(p):
-        p = np.asarray(p)
-        if s is None or p.dtype == object:
-            return _exact_step(table, p, f, dim)
-        _, raw, n = _contract(s, p)
-        return raw / n, n
+        _, raw, n = _contract(s, np.asarray(p))
+        return raw / n, n / 2
 
-    return RecurrenceMap(dim, fn, lambda p: _jacobian(
-        _coefficients(table, f, dim) if s is None else s, p))
+    return RecurrenceMap(dim, fn, lambda p: _jacobian(s, p))
 
 
 def noiseless_dejmps_map() -> RecurrenceMap:

@@ -915,6 +915,47 @@ def test_setting_errors_name_their_source(source, section, name, value,
     assert err == f"error: {message}\n"
 
 
+def test_noise_config_errors_name_their_option(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[noise]\nkind = corr2\nparameter = x\n")
+    argv = ["montecarlo", "--n-pairs", "256", "--beta", "0.9", "--rounds", "1",
+            "--f-min", "0.5", "--config", str(ini)]
+    err = usage_error(argv, capsys)
+    assert err == ("error: [noise] parameter: could not convert string to"
+                   " float: 'x'\n")
+    ini.write_text("[noise]\nkind = corr2\n")
+    assert "[noise] needs both kind and parameter" in usage_error(argv, capsys)
+
+
+# One request per subcommand and output form.
+EVERY_COMMAND = {
+    "fixed-point": FP,
+    "scan-csv": ["scan", "--protocol", "bbpssw", "--noise-grid",
+                 "0.96:1.0:0.02"],
+    "scan-json": ["scan", "--protocol", "bbpssw", "--noise-grid",
+                  "0.96:1.0:0.02", "--emit", "json"],
+    "bounds": ["bounds", "--chain", "leak", "--eps", "0.1"],
+    "steering-audit": ["steering-audit", "--states", "1"],
+    "montecarlo-json": ["montecarlo", "--n-pairs", "256"] + MC,
+    "montecarlo-csv": ["montecarlo", "--n-pairs", "256"] + MC + [
+        "--emit", "csv"],
+    "trace": ["trace", "--noise", "white:0.99", "--rounds", "1"],
+    "trace-figure": ["trace", "--figure", "gfix"],
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND)
+def test_bad_seed_stops_every_command_before_its_output(argv, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    err = usage_error(argv + ["--seed", "-1", "--out", str(out)], capsys)
+    assert err == "error: --seed: seed must fit in 64 bits\n"
+    assert not out.exists()
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    assert out.exists()
+    capsys.readouterr()
+
+
 def test_missing_config_file_is_validation_error(capsys):
     assert cli.run(["montecarlo", "--config", "/nonexistent/x.ini"]) == 2
     capsys.readouterr()

@@ -4,6 +4,7 @@ analysis."""
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from qdistill.quantum_core import (
     LabeledEnsembleState,
 )
 
+from test_loop_references import loop_step
+
 WHITE98 = nm.distribution_from(nm.SingleQubitWhiteNoise(0.98))
 NOISELESS = rc.noiseless_dejmps_map()
 
@@ -31,8 +34,8 @@ probs4 = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
 def test_noiseless_step_werner_three_quarters_exact():
     p = [Fraction(3, 4)] + [Fraction(1, 12)] * 3
     out, n = NOISELESS(p)
-    assert out == [Fraction(41, 52), Fraction(1, 52),
-                   Fraction(1, 52), Fraction(9, 52)]
+    assert out.tolist() == [Fraction(41, 52), Fraction(1, 52),
+                            Fraction(1, 52), Fraction(9, 52)]
     assert n == Fraction(13, 18)
 
 
@@ -85,6 +88,25 @@ def test_noisy_step_preserves_correlated_support(rng):
             BellDiagonalState(q), flags="correlated")
         full, _ = step(s.p)
         assert LabeledEnsembleState(full).cross_mass() == 0.0
+
+
+OFF_SUPPORT = np.setdiff1d(np.arange(16), CORRELATED_SUPPORT)
+
+
+@pytest.mark.parametrize("noise", [
+    [1] + [0] * 15, [Fraction(31, 32)] + [Fraction(1, 480)] * 15],
+    ids=["noiseless", "noisy"])
+def test_xor_map_keeps_correlated_support_exactly(noise):
+    # Cross mass == 0 in Fractions, round after round, under noise on every
+    # label: the support invariance that criterion 5 observes in floats.
+    step = rc.noisy_dejmps_map(noise)
+    p = np.zeros(16, dtype=object)
+    p[CORRELATED_SUPPORT] = [Fraction(6, 10), Fraction(2, 10),
+                             Fraction(1, 10), Fraction(1, 10)]
+    for _ in range(3):
+        p, n = step(p)
+        assert isinstance(n, Fraction) and sum(p.tolist()) == 1
+        assert sum(p[OFF_SUPPORT].tolist()) == 0
 
 
 def test_zero_flag_start_converges_to_uniform_flags():
@@ -175,7 +197,7 @@ def test_binary_step_equals_general_map_on_binary_support():
     back = [full[LabeledEnsembleState.index(0, j, 0, l)]
             for j in (0, 1) for l in (0, 1)]
     out, n = rc.binary_map(f0)(p4)
-    assert out == back          # exact Fraction equality
+    assert out.tolist() == back          # exact Fraction equality
     assert n == n_full
     assert sum(full) - sum(back) == 0   # support exactly preserved
 
@@ -266,6 +288,8 @@ JAC_TABLES = {
                 4, JAC_NOISE, range(4)),
     "binary": (rc._table_for(rc._AND, rc._BINARY_SUPPORT), 4,
                rc._per_pair((Fraction(9, 10), Fraction(1, 10), 0, 0)), range(4)),
+    "worstcase": (rc._worstcase_table(), 4,
+                  [Fraction(24, 25)] + [0] * 15 + [Fraction(1, 75)], range(4)),
     # Two columns on the correlated support and two off it: the symbolic
     # 2048-term step costs ~0.3 s per column.
     "noisy16": (rc._index_table(rc.default_flag_update()), 16, JAC_NOISE,
@@ -273,27 +297,62 @@ JAC_TABLES = {
 }
 
 
-def sympy_jacobian_columns(table, point, f, dim, columns):
-    """Columns of the Jacobian of the exact rational step at ``point``:
-    sympy differentiates the step along each coordinate direction."""
+def jac_point(dim):
+    return [Fraction(i + 1, dim * (dim + 1) // 2) for i in range(dim)]
+
+
+@cache
+def sympy_jacobian_columns(name):
+    """The checked columns of the Jacobian at :func:`jac_point` of table
+    ``name``'s term-by-term step, as Fractions: sympy differentiates the
+    test-side loop along each coordinate direction."""
+    table, dim, f, columns = JAC_TABLES[name]
     t = sympy.Symbol("t")
     cols = []
     for c in columns:
-        p = np.array(point, dtype=object)
+        p = np.array(jac_point(dim), dtype=object)
         p[c] = p[c] + t
-        g, _ = rc._exact_step(table, p, f, dim)
-        cols.append([float(sympy.diff(gi, t).subs(t, 0)) for gi in g])
-    return np.array(cols).T
+        g, _ = loop_step(table, p, f, dim)
+        cols.append([Fraction(str(sympy.diff(gi, t).subs(t, 0))) for gi in g])
+    return np.array(cols, dtype=object).T
 
 
 @pytest.mark.parametrize("name", JAC_TABLES)
 def test_bilinear_jacobian_matches_sympy_derivative(name):
     table, dim, f, columns = JAC_TABLES[name]
-    point = [Fraction(i + 1, dim * (dim + 1) // 2) for i in range(dim)]
-    exact = sympy_jacobian_columns(table, point, f, dim, columns)
+    exact = sympy_jacobian_columns(name).astype(float)
     jac = rc._table_map(dim, table, np.array(f, dtype=float)).jac(
-        np.array(point, dtype=float))
+        np.array(jac_point(dim), dtype=float))
     assert np.abs(jac[:, list(columns)] - exact).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", JAC_TABLES)
+def test_exact_jacobian_equals_sympy_derivative(name):
+    # Fraction noise at a Fraction point: the Jacobian read off the same
+    # tensor contraction is exact, entry for entry.
+    table, dim, f, columns = JAC_TABLES[name]
+    jac = rc._table_map(dim, table, f).jac(jac_point(dim))
+    assert jac.shape == (dim, dim)
+    assert all(type(x) is Fraction for x in jac.ravel().tolist())
+    assert jac[:, list(columns)].tolist() == sympy_jacobian_columns(name).tolist()
+
+
+def dec(x):
+    return Decimal(x.numerator) / x.denominator
+
+
+def test_decimal_jacobian_matches_fraction_jacobian():
+    point = jac_point(4)
+    want = rc.reduced_dejmps_map(JAC_NOISE).jac(point)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        jac = rc.reduced_dejmps_map([dec(x) for x in JAC_NOISE]).jac(
+            [dec(x) for x in point])
+        assert all(type(x) is Decimal for x in jac.ravel().tolist())
+        scale = max(abs(x) for x in want.ravel().tolist())
+        err = max(abs(got - dec(ref)) for got, ref in zip(
+            jac.ravel().tolist(), want.ravel().tolist()))
+        assert err <= Decimal("1e-40") * dec(scale)
 
 
 # Every table with its noise, the worst case with its 17th noise slot.
@@ -302,8 +361,7 @@ FORM_TABLES = {
                   rc._per_pair((1, 0, 0, 0))),
     "reduced": JAC_TABLES["reduced"][:3],
     "binary": JAC_TABLES["binary"][:3],
-    "worstcase": (rc._worstcase_table(), 4,
-                  [Fraction(24, 25)] + [0] * 15 + [Fraction(1, 75)]),
+    "worstcase": JAC_TABLES["worstcase"][:3],
     "noisy16-xor": JAC_TABLES["noisy16"][:3],
     "noisy16-and": (rc._index_table(rc.conjunctive_flag_update()), 16,
                     JAC_NOISE),
@@ -312,18 +370,21 @@ FORM_TABLES = {
 
 @pytest.mark.parametrize("name", FORM_TABLES)
 def test_coefficient_tensor_matches_exact_step(name, rng):
-    # The float map on S against the exact map summing the table's terms,
-    # on the same inputs: dyadic points and the float noise read back
-    # exactly.
+    # The map on its tensor against the test-side loop summing the table's
+    # terms: exactly on exact noise, and to the last place on float noise
+    # (dyadic points, the float noise read back exactly).
     table, dim, f = FORM_TABLES[name]
     f = np.array(f, dtype=float)
     s = rc._coefficients(table, f, dim).reshape(dim, dim, dim)
     assert np.array_equal(s, s.transpose(0, 2, 1))
     float_map = rc._table_map(dim, table, f)
-    exact_map = rc._table_map(dim, table, [Fraction(x) for x in f])
+    exact_f = [Fraction(x) for x in f]
+    exact_map = rc._table_map(dim, table, exact_f)
     for _ in range(5):
         p = [Fraction(int(x), 64) for x in rng.integers(1, 64, dim)]
-        want, n_want = exact_map(p)
+        want, n_want = loop_step(table, p, exact_f, dim)
+        got, n_got = exact_map(p)
+        assert (got.tolist(), n_got) == (want, n_want)
         out, n = float_map(np.array(p, dtype=float))
         want = np.array(want, dtype=float)
         assert np.all(np.abs(out - want) <= 1e-15 * want)
@@ -331,18 +392,14 @@ def test_coefficient_tensor_matches_exact_step(name, rng):
 
 
 def test_exact_step_takes_decimals():
-    # 50-digit Decimal arithmetic through the same term loop as Fraction.
+    # 50-digit Decimal arithmetic through the same tensor as Fraction.
     point = [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)]
     want, n_want = rc.reduced_dejmps_map(JAC_NOISE)(point)
     with localcontext() as ctx:
         ctx.prec = 50
-
-        def dec(x):
-            return Decimal(x.numerator) / x.denominator
-
         out, n = rc.reduced_dejmps_map([dec(x) for x in JAC_NOISE])(
             [dec(x) for x in point])
-        for got, ref in zip(out + [n], want + [n_want]):
+        for got, ref in zip([*out, n], [*want, n_want]):
             assert isinstance(got, Decimal)
             assert abs(got - dec(ref)) <= Decimal("1e-40") * dec(ref)
 
