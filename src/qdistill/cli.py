@@ -45,30 +45,65 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+#: The tokens of the three strings ``_fmt`` gives a non-finite float.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x) -> str:
+    s = _fmt(x)
+    return _NON_FINITE.get(s, s)
+
+
+def _json_dict(obj) -> str:
+    return "{" + ", ".join(
+        f"{encode_basestring_ascii(str(k))}: {_json_token(v)}"
+        for k, v in obj.items()) + "}"
+
+
+def _json_seq(obj) -> str:
+    return "[" + ", ".join(map(_json_token, obj)) + "]"
+
+
+#: Encoders of the exact built-in types, and of numpy's float64, the one
+#: numpy scalar the outputs hold often.
+_JSON_BY_TYPE = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    np.float64: _json_float,
+    dict: _json_dict,
+    list: _json_seq,
+    tuple: _json_seq,
+}
+
+#: Encoders of every other type, tested in order.  bool and None cannot be
+#: subclassed, so the exact types above catch all of them.
+_JSON_BY_CLASS = (
+    (str, encode_basestring_ascii),
+    ((int, np.integer), lambda i: str(int(i))),
+    ((float, np.floating), _json_float),
+    (dict, _json_dict),
+    ((list, tuple, np.ndarray), _json_seq),
+)
+
+
 def _json_token(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return _fmt(x)
-    if isinstance(obj, dict):
-        items = ", ".join(
-            f"{encode_basestring_ascii(str(k))}: {_json_token(v)}"
-            for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_token(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    # Nearly every value in an output is a built-in None, bool, str, int,
+    # float, dict, list or tuple, or a float64, and one dict lookup on its
+    # exact type finds its encoder; a chain of isinstance tests costs up to
+    # six calls a value.  Other numpy scalars, arrays and subclasses fall
+    # through to that chain and reach the same encoders, so the bytes do
+    # not depend on the path taken.
+    encode = _JSON_BY_TYPE.get(type(obj))
+    if encode is None:
+        for cls, encode in _JSON_BY_CLASS:
+            if isinstance(obj, cls):
+                break
+        else:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+    return encode(obj)
 
 
 def emit_json(obj, fh) -> None:

@@ -337,8 +337,10 @@ def trajectory(rmap: RecurrenceMap, p0, rounds: int) -> Iterator[tuple]:
 
     Lazy: a round runs only when its result is asked for, so a long trace
     streams in constant memory and an early stop costs nothing further.
+    The start keeps its own arithmetic: an exact start under exact noise
+    gives exact rounds, as one call of the map does.
     """
-    p = np.asarray(p0, dtype=float)
+    p = np.asarray(p0)
     for _ in range(rounds):
         p, n = rmap(p)
         yield p, n

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -113,6 +114,66 @@ def test_json_serializer_17_digits():
     assert "NaN" in text and "Infinity" in text
     # float round-trips exactly
     assert json.loads(text.replace("NaN", "null"))["x"] == 2 / 3
+
+
+def reference_json_token(obj):
+    """The serializer as one recursive isinstance chain: the reference of
+    the exact-type dispatch."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return format(x, ".17g")
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            f"{json.encoder.encode_basestring_ascii(str(k))}: "
+            f"{reference_json_token(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(reference_json_token(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+JSON_CORPUS = [
+    None, True, False, 0, -7, 2 ** 70, 2 / 3, 1e-300, 5e-324, -0.0, 0.0,
+    math.nan, -math.nan, math.inf, -math.inf,
+    np.int64(-3), np.int32(9), np.uint64(2 ** 64 - 1),
+    np.float32(0.1), np.float64(2 / 3), np.float64(math.nan),
+    np.float32(-math.inf), np.float64(-0.0),
+    np.arange(4), np.array([0.1, math.nan, -math.inf]),
+    np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+    (1, 2.5, "x"), [], {}, (), [[True, 1], (False, 0)],
+    {1: {2: [3, {"k": None}]}, "a": (np.float64(1.5),), True: -0.0},
+    'quote " backslash \\ newline \n tab \t', "caf\xe9 \u2028 \U0001f600",
+    "\x00\x1f\x7f", _Level.LOW,
+]
+
+
+@pytest.mark.parametrize("obj", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
+def test_json_token_matches_isinstance_reference(obj):
+    assert cli._json_token(obj) == reference_json_token(obj)
+    # inside a container too, where the element takes the same path
+    assert cli._json_token({"v": [obj]}) == reference_json_token({"v": [obj]})
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, Decimal("1.5"), [Decimal(1)],
+                                 {"k": frozenset()}])
+def test_json_token_rejects_other_types(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._json_token(obj)
 
 
 def test_parse_noise_strings():

@@ -33,6 +33,7 @@ from qdistill.quantum_core import (
     CORRELATED_SUPPORT,
     ensemble_purification,
     trace_norm,
+    _trace_norms,
 )
 
 from conftest import (STREAM_CELLS, campaign, dyadic_state, ginibre_density,
@@ -427,6 +428,131 @@ def test_conditional_states_match_einsum_across_blocks(size):
     assert raw.tolist() == [loop_discrepancy(m, 1 / 16) for m in stack]
     eps = [v.epsilon for v in sv.product_form_batch(stack)]
     assert eps == [loop_product_form(m)[0] for m in stack]
+
+
+def all_outcome_discrepancies(mats, rho_b, threshold):
+    """_discrepancies with every outcome eigensolved: the maximum of all 16
+    trace norms, the reference of the skip rule."""
+    cond = sv._conditional_states(mats)
+    p = np.trace(cond, axis1=-2, axis2=-1).real
+    kept = (p >= threshold) & (p > 0.0)
+    diff = cond / np.where(kept, p, 1.0)[..., None, None] - rho_b[:, None]
+    return np.where(kept, _trace_norms(diff), -np.inf).max(axis=1)
+
+
+def _pruned_and_reference(mats, threshold, rho_b=None):
+    if rho_b is None:
+        rho_b, = sv._marginals(mats, sv._KEEP_B)
+    got = sv._discrepancies(mats, rho_b, threshold)
+    want = all_outcome_discrepancies(mats, rho_b, threshold)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    return got.tolist(), want.tolist()
+
+
+def _products(rng, size):
+    return np.stack([np.kron(ginibre_density(rng, 4), ginibre_density(rng, 4))
+                     for _ in range(size)])
+
+
+# (1 - t) product + t Ginibre: t = 0 is a product stack, t = 1 a Ginibre one
+MIXTURE_T = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+
+
+@pytest.mark.parametrize("rotate", [True, False])
+@pytest.mark.parametrize("t", MIXTURE_T)
+def test_skip_rule_keeps_the_all_outcome_maximum(t, rotate):
+    rng = np.random.default_rng(32)
+    ginibre = np.stack([ginibre_density(rng, 16) for _ in range(64)])
+    stack = (1 - t) * _products(rng, 64) + t * ginibre
+    mats = sv.steer_rotate(stack)[1] if rotate else stack
+    got, want = _pruned_and_reference(mats, 1 / 16)
+    assert got == want                   # bitwise
+
+
+def test_skip_rule_with_a_threshold_that_drops_outcomes():
+    rng = np.random.default_rng(33)
+    stack = np.stack([ginibre_density(rng, 16) for _ in range(64)])
+    p = np.trace(sv._conditional_states(stack), axis1=-2, axis2=-1).real
+    threshold = 0.2
+    dropped = (p < threshold).sum()
+    assert 0 < dropped and (p >= threshold).any(axis=1).all()
+    got, want = _pruned_and_reference(stack, threshold)
+    assert got == want
+
+
+def test_skip_rule_keeps_exact_zero_for_dyadic_products():
+    rng = np.random.default_rng(34)
+    stack = np.stack([np.kron(dyadic_state(rng), dyadic_state(rng))
+                      for _ in range(32)])
+    got, want = _pruned_and_reference(stack, 1 / 16)
+    assert got == want == [0.0] * 32
+
+
+def test_skip_rule_eigensolves_every_outcome_of_a_tie(monkeypatch):
+    # Every conditional state of rho_A ⊗ sigma is exactly sigma, so against
+    # another state tau all 16 differences are one matrix: no outcome falls
+    # below the bound, and each is eigensolved.
+    rng = np.random.default_rng(35)
+    stack = np.stack([np.kron(dyadic_state(rng), dyadic_state(rng))
+                      for _ in range(8)])
+    tau = np.stack([dyadic_state(rng) for _ in range(8)])
+    cond = sv._conditional_states(stack)
+    p = np.trace(cond, axis1=-2, axis2=-1).real
+    diff = cond / p[..., None, None] - tau[:, None]
+    assert (p > 0).all() and (diff == diff[:, :1]).all()
+    solved = _count_eigensolves(monkeypatch)
+    got, want = _pruned_and_reference(stack, 0.0, rho_b=tau)
+    assert got == want and min(got) > 0
+    assert sum(solved) == 16 * 8
+
+
+def _faint_correlations(scale, rng):
+    """|0000><0000| plus correlations and populations of size ``scale``,
+    with dyadic coefficients: every conditional state differs from the B
+    marginal by a multiple of ``scale``."""
+    rho = np.eye(16, dtype=complex) * scale
+    rho[0, 0] = 1.0
+    x = (rng.integers(-2, 3, 15) + 1j * rng.integers(-2, 3, 15)) / 4
+    rho[0, 1:] = scale * x
+    rho[1:, 0] = scale * x.conj()
+    return rho
+
+
+@pytest.mark.parametrize("scale, solved", [(2.0 ** -100, 1), (2.0 ** -530, 16)],
+                         ids=["normal", "subnormal"])
+def test_skip_rule_keeps_every_outcome_once_the_squares_underflow(
+        monkeypatch, scale, solved):
+    # At 2^-100 one outcome bounds the other 15.  At 2^-530 the squares are
+    # subnormal, where rounding is no longer relative, and none is skipped.
+    rng = np.random.default_rng(37)
+    stack = np.stack([_faint_correlations(scale, rng) for _ in range(8)])
+    count = _count_eigensolves(monkeypatch)
+    got, want = _pruned_and_reference(stack, 1 / 16)
+    assert got == want and min(got) > 0
+    assert sum(count) == 8 * solved
+
+
+def _count_eigensolves(monkeypatch):
+    """Record the number of 4x4 matrices each _trace_norms call gets."""
+    solved = []
+
+    def counting(stack):
+        if stack.shape[-1] == 4:
+            solved.append(stack.size // 16)
+        return _trace_norms(stack)
+
+    monkeypatch.setattr(sv, "_trace_norms", counting)
+    return solved
+
+
+def test_skip_rule_eigensolves_under_half_the_outcomes(monkeypatch):
+    rng = np.random.default_rng(36)
+    rotated = sv.steer_rotate(
+        np.stack([ginibre_density(rng, 16) for _ in range(64)]))[1]
+    want = sv.steering_discrepancy(rotated, 1 / 16).tolist()
+    solved = _count_eigensolves(monkeypatch)
+    assert sv.steering_discrepancy(rotated, 1 / 16).tolist() == want
+    assert sum(solved) < 16 * 64 / 2
 
 
 # ---------------------------------------------------------------- Monte Carlo

@@ -277,6 +277,18 @@ def test_trajectory_repeats_the_map():
     assert list(rc.trajectory(m, p, 0)) == []
 
 
+def test_trajectory_keeps_an_exact_start_exact():
+    m = rc.reduced_dejmps_map([Fraction(31, 32)] + [Fraction(1, 480)] * 15)
+    p, n = next(rc.trajectory(m, [Fraction(1, 4)] * 4, 1))
+    assert all(type(x) is Fraction for x in p.tolist()) and type(n) is Fraction
+    q = [Fraction(6, 10), Fraction(2, 10), Fraction(1, 10), Fraction(1, 10)]
+    steps = list(rc.trajectory(m, q, 3))
+    for got, n in steps:
+        q, n_ref = m(q)
+        assert got.tolist() == q.tolist() and n == n_ref
+    assert all(type(x) is Fraction for x in q.tolist())
+
+
 # ------------------------------------------------------------ exact Jacobian
 
 # A white-noise-like vector with every noise label present, so every term
