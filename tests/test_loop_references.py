@@ -449,6 +449,19 @@ def _pruned_and_reference(mats, threshold, rho_b=None):
     return got.tolist(), want.tolist()
 
 
+def _count_eigensolves(monkeypatch):
+    """Record the number of 4x4 matrices each _trace_norms call gets."""
+    solved = []
+
+    def counting(stack):
+        if stack.shape[-1] == 4:
+            solved.append(stack.size // 16)
+        return _trace_norms(stack)
+
+    monkeypatch.setattr(sv, "_trace_norms", counting)
+    return solved
+
+
 def _products(rng, size):
     return np.stack([np.kron(ginibre_density(rng, 4), ginibre_density(rng, 4))
                      for _ in range(size)])
@@ -526,23 +539,10 @@ def test_skip_rule_keeps_every_outcome_once_the_squares_underflow(
     # subnormal, where rounding is no longer relative, and none is skipped.
     rng = np.random.default_rng(37)
     stack = np.stack([_faint_correlations(scale, rng) for _ in range(8)])
-    count = _count_eigensolves(monkeypatch)
+    solved_counts = _count_eigensolves(monkeypatch)
     got, want = _pruned_and_reference(stack, 1 / 16)
     assert got == want and min(got) > 0
-    assert sum(count) == 8 * solved
-
-
-def _count_eigensolves(monkeypatch):
-    """Record the number of 4x4 matrices each _trace_norms call gets."""
-    solved = []
-
-    def counting(stack):
-        if stack.shape[-1] == 4:
-            solved.append(stack.size // 16)
-        return _trace_norms(stack)
-
-    monkeypatch.setattr(sv, "_trace_norms", counting)
-    return solved
+    assert sum(solved_counts) == 8 * solved
 
 
 def test_skip_rule_eigensolves_under_half_the_outcomes(monkeypatch):
