@@ -304,13 +304,14 @@ def _cmd_scan(args, cfg) -> int:
                          fp.binary_lambda_max(f0)))
     else:
         header = (args.noise_kind + "_parameter", "q00_fixed", "spectral_radius",
-                  "iterations", "newton_steps")
+                  "iterations", "newton_steps", "residual")
         for val in grid:
             report = fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(
                 nm.noise_from_config({"kind": args.noise_kind,
                                       "parameter": float(val)})))
             rows.append((val, report.location[0], report.lambda_max,
-                         report.iterations_used, report.newton_steps))
+                         report.iterations_used, report.newton_steps,
+                         report.residual))
     with _open_out(args.out) as fh:
         if args.emit == "csv":
             _write_table(fh, header, ([_fmt(x) for x in r] for r in rows))

@@ -2,8 +2,9 @@
 
 Closed-form fixed points where available (binary pairs, BBPSSW, worst case),
 Jacobian spectral radii from each map's exact Jacobian, log-linear
-convergence-rate fits, and one fixed-point loop (plain iteration finished by
-Newton on the exact Jacobian) whose report both solvers return: the generic
+convergence-rate fits, and one fixed-point loop (plain iteration handed to
+Newton on the exact Jacobian once it is close or slow, each Newton step one
+linearization of the map) whose report both solvers return: the generic
 one and the reduced four-variable noisy DEJMPS solver (no full-map check).
 
 Stability statements always refer to the map whose Jacobian is taken.  For
@@ -63,7 +64,8 @@ class FixedPointReport:
     otherwise it is equivalent to ``lambda_max < 1``, with ``lambda_max`` the
     Jacobian spectral radius (a magnitude) there.  ``iterations_used`` counts
     the map evaluations of the iteration and of a kept Newton polish;
-    ``newton_steps`` is the polish's share, 0 when none was kept.
+    ``newton_steps`` is the polish's share, 0 when none was kept.  Newton
+    iterates are clipped at 0 before the map is evaluated there.
     """
 
     location: np.ndarray
@@ -94,8 +96,10 @@ class ConvergenceFit:
 
 
 #: The loop switches to Newton once a plain step moves the iterate by less
-#: than this in 1-norm.
+#: than NEWTON_START in 1-norm (close), or by less than NEWTON_SLOW and more
+#: than half the step before (slow, as near the noise threshold).
 NEWTON_START = 1e-4
+NEWTON_SLOW = 1e-2
 _NEWTON_STEPS = 20
 #: :func:`jacobian_spectral_radius` rejects a point with a larger residual.
 _RESIDUAL_TOL = 1e-8
@@ -106,30 +110,35 @@ def _distance(a, b) -> float:
     return sum(np.abs(a - b).tolist())
 
 
-def _radius(rmap, p) -> float:
-    """Spectral radius of rmap's exact Jacobian at p."""
-    return float(np.abs(np.linalg.eigvals(rmap.jac(p))).max())
+def _radius(jac) -> float:
+    """Spectral radius of a Jacobian."""
+    return float(np.abs(np.linalg.eigvals(jac)).max())
 
 
-def _report(rmap, p, steps, lam=None, newton=0) -> FixedPointReport:
-    """The report at p; lam is the radius there, None if not converged."""
-    residual = _distance(rmap(p)[0], p)
-    attracting = None if lam is None else lam < 1.0
-    return FixedPointReport(p, residual, attracting, lam, steps, newton)
+def _report(rmap, p, steps, converged=True, newton=0) -> FixedPointReport:
+    """The report at p from one linearization of rmap there; radius and
+    verdict are None if not converged."""
+    g, jac = rmap.linearize(p)
+    lam = _radius(jac) if converged else None
+    attracting = lam < 1.0 if converged else None
+    return FixedPointReport(p, _distance(g, p), attracting, lam, steps, newton)
 
 
 def _newton(rmap, x, tol, budget, done) -> FixedPointReport | None:
     """At most ``budget`` Newton steps (I - J) dx = G(x) - x from x, after
-    ``done`` plain steps.  Once ||G(x) - x||_1 < tol, reports G(x) if the
-    exact spectral radius there is < 1; otherwise returns None."""
+    ``done`` plain steps, each iterate clipped at 0 and linearized once.
+    Once ||G(x) - x||_1 < tol and G(x)'s residual is too, reports G(x) if
+    the exact spectral radius there is < 1; otherwise returns None."""
     eye = np.eye(x.size)
     for step in range(1, budget + 1):
-        g = rmap(x)[0]
+        x = np.maximum(x, 0.0)
+        g, jac = rmap.linearize(x)
         if _distance(g, x) < tol:
-            lam = _radius(rmap, g)
-            return _report(rmap, g, done + step, lam, step) if lam < 1 else None
+            report = _report(rmap, g, done + step, newton=step)
+            if report.residual < tol:
+                return report if report.attracting else None
         try:
-            x = x + np.linalg.solve(eye - rmap.jac(x), g - x)
+            x = x + np.linalg.solve(eye - jac, g - x)
         except np.linalg.LinAlgError:
             break
     return None
@@ -138,23 +147,25 @@ def _newton(rmap, x, tol, budget, done) -> FixedPointReport | None:
 def _iterate(rmap, p0, tol, maxiter) -> FixedPointReport:
     """Iterate q <- G(q) from p0 until ||G(q) - q||_1 < tol, for at most
     maxiter steps, and report on the last G(q).  One Newton polish is tried
-    once a step falls below :data:`NEWTON_START`, counted against maxiter;
-    a refused polish goes uncounted and the plain iteration resumes where
-    it began."""
+    once a step falls below :data:`NEWTON_START`, or below NEWTON_SLOW but
+    above half the step before, counted against maxiter; a refused polish
+    goes uncounted and the plain iteration resumes where it began."""
     q = g = np.asarray(p0, dtype=float)
     polish = True
+    prev = math.inf
     for step in range(1, maxiter + 1):
         g = rmap(q)[0]
         diff = _distance(g, q)
         if diff < tol:
-            return _report(rmap, g, step, _radius(rmap, g))
-        if polish and diff < NEWTON_START:
+            return _report(rmap, g, step)
+        if polish and (diff < NEWTON_START or prev / 2 < diff < NEWTON_SLOW):
             polish = False
             report = _newton(rmap, g, tol, min(_NEWTON_STEPS, maxiter - step), step)
             if report is not None:
                 return report
+        prev = diff
         q = g
-    return _report(rmap, g, maxiter)
+    return _report(rmap, g, maxiter, converged=False)
 
 
 def iterate_to_fixed_point(rmap: RecurrenceMap, p0, tol: float = 1e-12,
@@ -317,11 +328,12 @@ def jacobian_spectral_radius(rmap: RecurrenceMap, p_inf) -> float:
     residual ||f(p) - p||_1 exceeds 1e-8 is rejected.
     """
     p = np.asarray(p_inf, dtype=float)
-    resid = _distance(rmap(p)[0], p)
+    g, jac = rmap.linearize(p)
+    resid = _distance(g, p)
     if resid > _RESIDUAL_TOL:
         raise ValueError(
             f"fixed-point residual {resid:.3e} exceeds {_RESIDUAL_TOL:.3e}")
-    return _radius(rmap, p)
+    return _radius(jac)
 
 
 def convergence_exponent(rmap: RecurrenceMap, p0, rounds: int, p_fix) -> ConvergenceFit:

@@ -32,9 +32,10 @@ map folds table and noise into one coefficient tensor when it is built,
 2S = T + T^T in the noise's own dtype, symmetric in its last two axes, with
 raw_o = sum_ab S[o,a,b] p_a p_b.  A step is one contraction 2M = 2S p, then
 2 raw = 2M p, and the exact Jacobian is read off the same 2M (d raw / dp =
-2M).  Every arithmetic runs that contraction: numpy's promotion of tensor
-and input picks it, so exact noise and input entries (Fraction, Decimal,
-sympy) give exact steps and Jacobians, halved in their own arithmetic.
+2M), so ``linearize`` gives step and Jacobian from one contraction.  Every
+arithmetic runs that contraction: numpy's promotion of tensor and input
+picks it, so exact noise and input entries (Fraction, Decimal, sympy) give
+exact steps and Jacobians, halved in their own arithmetic.
 ``trajectory`` runs any map round by round.
 """
 
@@ -167,12 +168,13 @@ def _contract(s, p):
     return m, raw, n
 
 
-def _jacobian(s, p):
-    """Exact Jacobian of p -> raw / N at p: raw = M p is a symmetric
-    quadratic form, so J_R = 2M, the contraction's first result, and
-    J = (J_R - (raw / N) 1^T J_R) / N, in the arithmetic of that result."""
+def _linearize(s, p):
+    """(p', J) at p from one contraction: p' = raw / N and its exact
+    Jacobian.  raw = M p is a symmetric quadratic form, so J_R = 2M and
+    J = (J_R - p' 1^T J_R) / N, in the arithmetic of the contraction."""
     m, raw, n = _contract(s, np.asarray(p))
-    return (m - np.outer(raw / n, m.sum(axis=0))) / (n / 2)
+    out = raw / n
+    return out, (m - np.outer(out, m.sum(axis=0))) / (n / 2)
 
 
 # Tables of the two fixed-update restrictions, looked up without rebuilding
@@ -215,16 +217,20 @@ class RecurrenceMap:
     nonnegative input gives the normalized update, well defined on rays,
     and N is the pre-normalization sum, the success probability for a
     normalized input.  The scalar maps are not homogeneous: their variable
-    is a Werner parameter or a fidelity.  ``jac`` gives the exact ``dim`` x
-    ``dim`` Jacobian of the update at p.
+    is a Werner parameter or a fidelity.  ``linearize`` gives the update
+    p' and its exact ``dim`` x ``dim`` Jacobian at p, both from one
+    contraction; ``jac`` is that Jacobian alone.
     """
 
     dim: int
     fn: Callable
-    jac: Callable
+    linearize: Callable
 
     def __call__(self, p):
         return self.fn(p)
+
+    def jac(self, p):
+        return self.linearize(p)[1]
 
 
 def _table_map(dim, table, f) -> RecurrenceMap:
@@ -239,7 +245,7 @@ def _table_map(dim, table, f) -> RecurrenceMap:
         _, raw, n = _contract(s, np.asarray(p))
         return raw / n, n / 2
 
-    return RecurrenceMap(dim, fn, lambda p: _jacobian(s, p))
+    return RecurrenceMap(dim, fn, lambda p: _linearize(s, p))
 
 
 def noiseless_dejmps_map() -> RecurrenceMap:
@@ -287,19 +293,23 @@ def _werner_map(table, f, werner_parameter=False) -> RecurrenceMap:
     as F'.  The variable is F or, with ``werner_parameter``, p with
     F = 1 - 3(1 - p)/4 and p' = 1 - 4(1 - F')/3; either way its slope is
     J[0] . e'(F) = J[0] . (1, -1/3, -1/3, -1/3), with J the table's exact
-    Jacobian at e(F)."""
+    Jacobian at e(F), from the table's one linearization."""
     rmap = _table_map(4, table, f)
 
     def embed(x):
         F = 1 - 3 * (1 - x[0]) / 4 if werner_parameter else x[0]
         return [F] + [(1 - F) / 3] * 3
 
-    def fn(x):
-        (F, *_), n = rmap(embed(x))
-        return np.array([1 - 4 * (1 - F) / 3 if werner_parameter else F]), n
+    def fn(x, step=rmap.fn):
+        (F, *_), n_or_jac = step(embed(x))
+        F = 1 - 4 * (1 - F) / 3 if werner_parameter else F
+        return np.array([F]), n_or_jac
 
-    return RecurrenceMap(1, fn, lambda x: np.array([[
-        rmap.jac(embed(x))[0] @ (1, -1 / 3, -1 / 3, -1 / 3)]]))
+    def linearize(x):
+        out, jac = fn(x, rmap.linearize)
+        return out, np.array([[jac[0] @ (1, -1 / 3, -1 / 3, -1 / 3)]])
+
+    return RecurrenceMap(1, fn, linearize)
 
 
 def bbpssw_map(f) -> RecurrenceMap:

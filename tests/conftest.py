@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
+import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
 from qdistill.quantum_core import PAULI, PAULI_ORDER
@@ -87,6 +88,18 @@ def campaign(cfg):
     all its trials."""
     blocks = list(mc.sample_campaign(cfg))
     return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def plain_fixed_point(rmap):
+    """Plain iteration from DEJMPS_START until a 1-norm step < 1e-13: the
+    reference the benchmark's stability check uses."""
+    q = np.array(fp.DEJMPS_START)
+    for _ in range(200000):
+        g, _ = rmap(q)
+        if np.abs(g - q).sum() < 1e-13:
+            return g
+        q = g
+    raise AssertionError("plain iteration did not converge")
 
 
 @pytest.fixture

@@ -231,6 +231,23 @@ def test_fixed_point_bbpssw_polishes_near_the_attractivity_edge(capsys):
         fp.bbpssw_two_qubit_fixed_points(0.9487)[1], abs=1e-12)
 
 
+@pytest.mark.parametrize("protocol,noise", [("dejmps", "white:1.0"),
+                                            ("dejmps", "corr2:1.0"),
+                                            ("binary", "binary:1.0")])
+def test_fixed_point_without_noise_is_the_nilpotent_point(protocol, noise,
+                                                          capsys):
+    # Newton iterates are clipped at 0, so the polish lands on (1, 0, 0, 0)
+    # itself, where the Jacobian is nilpotent: no entry below 0, no
+    # residual, radius 0.
+    code, doc = run_json(["fixed-point", "--protocol", protocol,
+                          "--noise", noise], capsys)
+    assert code == 0
+    assert doc["location"] == [1, 0, 0, 0]
+    assert doc["residual"] == 0
+    assert doc["lambda_max"] == 0
+    assert doc["attracting"] is True
+
+
 def test_figure_worstcase_slopes_are_exact_at_each_root():
     buf = io.StringIO()
     cli.emit_figure_data("worstcase-attractivity", buf)
@@ -320,13 +337,16 @@ def test_scan_dejmps_rows_are_the_solver_reports(kind, grid, capsys):
                           "--noise-grid", grid, "--emit", "json"], capsys)
     assert code == 0
     assert doc["columns"] == [f"{kind}_parameter", "q00_fixed",
-                              "spectral_radius", "iterations", "newton_steps"]
+                              "spectral_radius", "iterations", "newton_steps",
+                              "residual"]
     values = cli._parse_grid(grid).tolist()
     reports = [fp.reduced_noisy_dejmps_fixed_point(nm.distribution_from(
         nm.noise_from_config({"kind": kind, "parameter": v}))) for v in values]
     assert doc["rows"] == [[v, r.location[0], r.lambda_max, r.iterations_used,
-                            r.newton_steps] for v, r in zip(values, reports)]
-    assert all(type(x) is int for row in doc["rows"] for x in row[3:])
+                            r.newton_steps, r.residual]
+                           for v, r in zip(values, reports)]
+    assert all(type(x) is int for row in doc["rows"] for x in row[3:5])
+    assert all(0 <= row[5] < 1e-13 for row in doc["rows"])
     # the grid reaches the plain path, the maximally mixed basin (q00 = 1/4)
     # and a Newton-polished distillation fixed point
     assert any(r.newton_steps == 0 for r in reports)

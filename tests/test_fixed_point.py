@@ -16,6 +16,8 @@ import qdistill.fixed_point as fp
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
 
+from conftest import plain_fixed_point
+
 
 # ------------------------------------------------------------ binary closed
 
@@ -233,29 +235,39 @@ def test_iterate_reports_newton_steps():
 
 
 def _plain_steps_to_polish(rmap, p0):
-    """Map evaluations plain iteration takes until a step falls below
-    NEWTON_START."""
+    """(map evaluations, trigger) of plain iteration until the loop starts
+    its polish: a step below NEWTON_START ("close"), or a step below
+    NEWTON_SLOW that is more than half the step before ("slow")."""
     q = np.asarray(p0, dtype=float)
+    prev = math.inf
     for step in range(1, 100000):
         g, _ = rmap(q)
-        if np.abs(g - q).sum() < fp.NEWTON_START:
-            return step
-        q = g
-    raise AssertionError("no step fell below NEWTON_START")
+        diff = np.abs(g - q).sum()
+        if diff < fp.NEWTON_START:
+            return step, "close"
+        if prev / 2 < diff < fp.NEWTON_SLOW:
+            return step, "slow"
+        prev, q = diff, g
+    raise AssertionError("plain iteration never started the polish")
 
 
 def test_maxiter_too_small_for_the_polish_is_not_converged():
-    rmap = rc.reduced_dejmps_map(
-        nm.distribution_from(nm.SingleQubitWhiteNoise(0.9002)))
-    start = _plain_steps_to_polish(rmap, fp.DEJMPS_START)
-    rep = fp.iterate_to_fixed_point(rmap, fp.DEJMPS_START, maxiter=start + 1)
-    assert rep.attracting is None
-    assert rep.lambda_max is None
-    assert rep.iterations_used == start + 1
-    full = fp.iterate_to_fixed_point(rmap, fp.DEJMPS_START)
-    assert full.attracting is True
-    assert full.iterations_used == start + full.newton_steps
-    assert full.newton_steps <= 20
+    # Near the white-noise fold plain iteration is slow; at 0.99 it halves
+    # its step each time and reaches NEWTON_START: both triggers are held.
+    for value, trigger in [(0.9002, "slow"), (0.99, "close")]:
+        rmap = rc.reduced_dejmps_map(
+            nm.distribution_from(nm.SingleQubitWhiteNoise(value)))
+        start, how = _plain_steps_to_polish(rmap, fp.DEJMPS_START)
+        assert how == trigger
+        rep = fp.iterate_to_fixed_point(rmap, fp.DEJMPS_START,
+                                        maxiter=start + 1)
+        assert rep.attracting is None
+        assert rep.lambda_max is None
+        assert rep.iterations_used == start + 1
+        full = fp.iterate_to_fixed_point(rmap, fp.DEJMPS_START)
+        assert full.attracting is True
+        assert full.iterations_used == start + full.newton_steps
+        assert 0 < full.newton_steps <= 20
 
 
 # ------------------------------------------------- reduced noisy fixed point
@@ -285,25 +297,13 @@ def test_reduced_noisy_fixed_point_reference(model, q00, radius):
     assert report.attracting is True
 
 
-def _plain_fixed_point(rmap):
-    """Plain iteration from DEJMPS_START until a 1-norm step < 1e-13: the
-    reference the benchmark's stability check uses."""
-    q = np.array(fp.DEJMPS_START)
-    for _ in range(200000):
-        g, _ = rmap(q)
-        if np.abs(g - q).sum() < 1e-13:
-            return g
-        q = g
-    raise AssertionError("plain iteration did not converge")
-
-
 @pytest.mark.parametrize("kind,lo", [("white", 0.75), ("corr2", 0.70)])
 def test_polished_solve_matches_plain_iteration(kind, lo):
     for value in np.linspace(lo, 1.0, 201):
         dist = nm.distribution_from(nm.noise_from_config(
             {"kind": kind, "parameter": float(value)}))
         q = fp.reduced_noisy_dejmps_fixed_point(dist).location
-        ref = _plain_fixed_point(rc.reduced_dejmps_map(dist))
+        ref = plain_fixed_point(rc.reduced_dejmps_map(dist))
         assert np.abs(q - ref).sum() < 1e-10, (kind, value)
 
 

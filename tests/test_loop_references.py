@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import qdistill.cli as cli
+import qdistill.fixed_point as fp
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
 import qdistill.steering_verify as sv
@@ -37,7 +38,7 @@ from qdistill.quantum_core import (
 )
 
 from conftest import (STREAM_CELLS, campaign, dyadic_state, ginibre_density,
-                      partial_trace)
+                      partial_trace, plain_fixed_point)
 
 idx = LabeledEnsembleState.index
 BITS = (0, 1)
@@ -352,6 +353,97 @@ def test_reduced_map_matches_embedded_step(u):
         out, n = rmap(q)
         assert np.abs(out - want).max() <= 1e-15
         assert abs(n - n_want) <= 1e-15
+
+
+# ----------------------------------------------------------- fixed-point loop
+
+def loop_distance(a, b):
+    return sum(np.abs(a - b).tolist())
+
+
+def loop_radius(rmap, p):
+    return float(np.abs(np.linalg.eigvals(rmap.jac(p))).max())
+
+
+def loop_report(rmap, p, steps, lam=None, newton=0):
+    return fp.FixedPointReport(p, loop_distance(rmap(p)[0], p),
+                               None if lam is None else lam < 1.0, lam,
+                               steps, newton)
+
+
+def loop_newton(rmap, x, tol, budget, done):
+    eye = np.eye(x.size)
+    for step in range(1, budget + 1):
+        g = rmap(x)[0]
+        if loop_distance(g, x) < tol:
+            lam = loop_radius(rmap, g)
+            return loop_report(rmap, g, done + step, lam, step) if lam < 1 else None
+        try:
+            x = x + np.linalg.solve(eye - rmap.jac(x), g - x)
+        except np.linalg.LinAlgError:
+            break
+    return None
+
+
+def loop_iterate(rmap, p0, tol=1e-13, maxiter=20000):
+    """The fixed-point loop with the close trigger alone: plain iteration
+    until a step falls below 1e-4, then at most 20 Newton steps, each
+    evaluating the map and its Jacobian apart, with no clip at 0.  The
+    oracle of the loop that also starts Newton when iteration is slow."""
+    q = g = np.asarray(p0, dtype=float)
+    polish = True
+    for step in range(1, maxiter + 1):
+        g = rmap(q)[0]
+        diff = loop_distance(g, q)
+        if diff < tol:
+            return loop_report(rmap, g, step, loop_radius(rmap, g))
+        if polish and diff < 1e-4:
+            polish = False
+            report = loop_newton(rmap, g, tol, min(20, maxiter - step), step)
+            if report is not None:
+                return report
+        q = g
+    return loop_report(rmap, g, maxiter)
+
+
+# The grids of the pinned dejmps scans, 31 points across each fold (white
+# 0.898311, corr2 0.827935), and a wide grid from the maximally mixed basin
+# to f = 1.
+FOLD_GRIDS = {
+    "white": [*cli._parse_grid("0.88:1:0.02"),
+              *np.linspace(0.89825, 0.8990, 31), *np.linspace(0.85, 1, 127)],
+    "corr2": [*cli._parse_grid("0.8:1:0.02"),
+              *np.linspace(0.82788, 0.8286, 31), *np.linspace(0.76, 1, 127)],
+}
+
+
+@pytest.mark.parametrize("kind", FOLD_GRIDS)
+def test_reduced_solve_matches_the_close_trigger_loop(kind):
+    # Both loops stop once a step is below tol = 1e-13, so each location
+    # is within about tol / (1 - lambda) of the fixed point: near a fold
+    # that is ~1e-11, and there the two differ by up to ~3e-12, either one
+    # the closer (against a 40-digit Newton solve).  So the locations must
+    # agree within the sum of the two bounds, and the distillation-branch
+    # radii, which move ~1.2x the location, within 1e-12 / (1 - lambda).
+    # (In the maximally mixed basin the radius is eigvals' rounding of a
+    # nilpotent Jacobian.)  q00 is that of plain iteration: no polish left
+    # the start's basin.
+    for value in FOLD_GRIDS[kind]:
+        dist = nm.distribution_from(nm.noise_from_config(
+            {"kind": kind, "parameter": float(value)}))
+        rmap = rc.reduced_dejmps_map(dist)
+        got = fp.reduced_noisy_dejmps_fixed_point(dist)
+        want = loop_iterate(rmap, fp.DEJMPS_START)
+        assert want.converged, (kind, value)
+        gap = 1 - got.lambda_max
+        assert loop_distance(got.location, want.location) < 2e-13 / gap, (
+            kind, value)
+        if got.location[0] > 0.5:
+            assert abs(got.lambda_max - want.lambda_max) < 1e-12 / gap, (
+                kind, value)
+        assert got.location.min() >= 0 and got.residual < 1e-13
+        ref = plain_fixed_point(rmap)
+        assert abs(got.location[0] - ref[0]) < 1e-8, (kind, value)
 
 
 # ------------------------------------------------------------ steering audit

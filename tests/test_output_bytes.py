@@ -54,9 +54,9 @@ DIGESTS = {
     "figure-dejmps-convergence":
         "8cbf446369857e1b387154db161286e2f2cd38ed4b78430ba5f3e178070d9b66",
     "figure-lambda-max":
-        "dc684872a10778ec9105994cb046b7424986904ee479c1c2e6543449382abbf4",
+        "cf83ae54b2b795445f8580399ec231a895e560e88e4fd619661b5a0551375e45",
     "figure-p0000-fixed":
-        "1ea5be44706248818990660efba55250c16fd9dcda4b721efae9312273df29df",
+        "548c83bccdefe3b104585831049c2145ef345b3b390359005a707b4b54558275",
     "figure-bbpssw-convergence":
         "c4f6cdf74b4a79bfa3ec7170996b22092f042d2407f033e637f4d1377e5ffa31",
     "figure-discriminant":
@@ -68,9 +68,9 @@ DIGESTS = {
     "figure-binary-postselect":
         "7098d2f17013e141e05c5ca69e88f97c534e4924fbb5e79b692eb5d6b032bf95",
     "scan-dejmps-white":
-        "ff9e246f449c0fdf8d6064eaa44ff4bbbb9785e6635795de8f0b1f81208aabe0",
+        "a151fe0af69a31c0387b59d8beb09491a5b29a0cfdaa42daa74c0e7f66ef2e37",
     "scan-dejmps-corr2":
-        "8d5120a4fbff39a0d691e796ef0310e30a7c63fc74abb52570ca2c9ddff730b0",
+        "0047fee11c14b65fb325d864675db6a70523fc49da640abdf124f75c89b5841e",
     "trace-full-white":
         "5136cfbb25cdc258f63b0adf80a5eaf44253186bb0e868f59cd662fb1b1d7db1",
     "steering-audit-300":

@@ -258,7 +258,8 @@ def test_recurrence_map_metadata_and_call():
 def test_trajectory_is_lazy():
     calls = []
     m = rc.noiseless_dejmps_map()
-    counted = rc.RecurrenceMap(4, lambda p: calls.append(p) or m.fn(p), m.jac)
+    counted = rc.RecurrenceMap(4, lambda p: calls.append(p) or m.fn(p),
+                               m.linearize)
     p, n = next(rc.trajectory(counted, BellDiagonalState.werner(0.75).p,
                               10 ** 12))
     assert len(calls) == 1
@@ -444,6 +445,18 @@ def test_map_jacobian_matches_central_difference(name, rng):
         p = rng.random(rmap.dim) + 0.05
         p /= p.sum() if rmap.dim > 1 else 1.1  # a scalar variable in (0, 1)
         assert np.abs(rmap.jac(p) - _fd_jacobian(rmap, p)).max() < 1e-7
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_linearize_is_the_step_and_the_jacobian(name, rng):
+    # the step half is the map's own step, bit for bit; the Jacobian half
+    # is held to central differences above
+    rmap = MAPS[name]
+    for _ in range(3):
+        p = rng.random(rmap.dim) + 0.05
+        out, jac = rmap.linearize(p)
+        assert np.array_equal(out, rmap(p)[0])
+        assert jac.shape == (rmap.dim, rmap.dim)
 
 
 # The scalar maps at the points of their sympy slope check: (variable,
