@@ -491,20 +491,22 @@ def _cmd_montecarlo(args, cfg) -> int:
     def write_trials(blocks):
         # With --emit csv the trials go to --out as the estimate counts
         # them, in one pass, and the JSON goes to stdout.  A row's middle
-        # cells follow from its stage and its estimate takes at most mpp + 1
-        # values, so each is formatted once and a block is one write; no
-        # cell needs CSV quoting (a number, a stage name or empty).
+        # cells follow from its stage and its estimate from its win count,
+        # so each distinct count is formatted once and a block is one
+        # write; no cell needs CSV quoting (a number, a stage name or empty).
         lead = ["fail,parameter_estimation,0"] + [
             f"fail,round {m},{m - 1}" for m in range(1, config.rounds + 1)
         ] + [f"ok,,{config.rounds}"]
+        mpp = math.isqrt(config.n_pairs) // 2
         first = 0
         with _open_out(args.out) as fh:
             _write_table(fh, ["trial", "flag", "abort_stage",
                               "rounds_completed", "fidelity_estimate",
                               "final_pairs"], ())
-            for f_hat, stage, pairs in blocks:
-                values, index = np.unique(f_hat, return_inverse=True)
-                text = [_fmt(v) for v in values.tolist()]
+            for wins, stage, pairs in blocks:
+                values, index = np.unique(wins, return_inverse=True)
+                text = [_fmt(mc._fidelity_estimate(w, mpp))
+                        for w in values.tolist()]
                 fh.write("".join(
                     f"{t},{lead[s]},{text[i]},{k}\r\n" for t, s, i, k in zip(
                         range(first, first + stage.size), stage.tolist(),

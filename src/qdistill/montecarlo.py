@@ -11,7 +11,8 @@ never which pairs it holds.  The channel is the honest depolarizing one,
 which sends a Werner state: there both measurements succeed with
 probability q = ((2F + 1)/3)^2, which the estimate (3 sqrt(w/mpp) - 1)/2
 from w successes in mpp pairs-of-pairs inverts exactly.  On other
-Bell-diagonal inputs it does not.
+Bell-diagonal inputs it does not.  The estimate never falls as w grows,
+so the abort verdict is a cut on w (``_estimation_cut``).
 
 A campaign simulates all its trials together, one stage at a time, each
 stage drawing from its own counter-based stream: stage 0 (estimation) and
@@ -24,8 +25,8 @@ into two 64-bit words the way numpy does it.  The key equals
 for every seed below 2**64, so every stream is numpy's own, bit for bit,
 and no output moved when the key stopped being built by a full
 ``SeedSequence`` per stage.  Stage 0 draws one binomial per trial; round m
-draws one per trial in trial order, of size zero for a trial that has
-already aborted, and numpy draws nothing for a binomial of size zero.  The
+draws one per running trial in trial order, and none for a trial whose
+round starts with one pair: numpy draws nothing for a size of zero.  The
 trials run in fixed blocks, and each stage's stream carries on from block
 to block, so the outputs depend on the seed and the config alone and
 memory does not grow with the number of trials.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterator
@@ -126,8 +128,8 @@ class ProtocolConfig:
 
     def channel_state(self) -> BellDiagonalState:
         """Bell-diagonal state of each transmitted pair after the channel."""
-        return apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])),
-                                 self.beta)
+        return BellDiagonalState(
+            _trajectory(self.beta, self.noise, self.rounds)[0])
 
     def as_dict(self) -> dict:
         return {
@@ -240,12 +242,26 @@ def _trajectory(beta: float, noise, rounds: int):
     return channel.p, successes
 
 
+def _fidelity_estimate(wins: int, mpp: int) -> float:
+    """F-hat from ``wins`` successes in ``mpp`` pairs-of-pairs."""
+    return (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
+
+
+def _estimation_cut(mpp: int, threshold: float) -> int:
+    """The fewest successes w <= mpp whose estimate is not below
+    ``threshold`` (mpp + 1 if none), by bisection: each step of the
+    estimate rounds monotonically, so estimation passes iff w >= cut."""
+    return bisect_left(range(mpp + 1), True,
+                       key=lambda w: _fidelity_estimate(w, mpp) >= threshold)
+
+
 def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
     """Simulate the campaign's trials in order, a block at a time.
 
-    Yields ``(fidelity_estimate, stage, final_pairs)`` arrays for each
-    block of up to 65 536 trials.  ``stage`` is where the trial aborted:
-    0 in parameter estimation, m in round m, and ``rounds + 1`` for a trial
+    Yields ``(wins, stage, final_pairs)`` arrays for each block of up to
+    65 536 trials.  ``wins`` counts estimation successes, whose F-hat is
+    :func:`_fidelity_estimate`.  ``stage`` is where the trial aborted: 0
+    in parameter estimation, m in round m, and ``rounds + 1`` for a trial
     that completed every round.  ``final_pairs`` is the pair count after
     the trial's last stage: the post-estimation pool on an estimation
     abort, 0 when a round kept no pair, and 1 when a round started with
@@ -259,6 +275,7 @@ def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
     q = (p[0] + p[2]) * (p[0] + p[3])
     m_est = math.isqrt(config.n_pairs)
     mpp = m_est // 2                 # >= 1, since n_pairs >= 4
+    cut = _estimation_cut(mpp, config.threshold)
     done = config.rounds + 1
     key_seq = _philox_key_type()
     rngs = [np.random.Generator(np.random.Philox(key_seq(key)))
@@ -266,16 +283,21 @@ def sample_campaign(config: ProtocolConfig) -> Iterator[tuple]:
     for first in range(0, config.trials, _BLOCK):
         size = min(_BLOCK, config.trials - first)
         wins = rngs[0].binomial(mpp, q, size)
-        f_hat = (3.0 * np.sqrt(wins / mpp) - 1.0) / 2.0
-        stage = np.where(f_hat < config.threshold, 0, done)
-        pairs = np.full(size, config.n_pairs - m_est, dtype=np.int64)
+        stage = np.where(wins < cut, 0, done)
+        held = config.n_pairs - m_est
+        pairs = np.full(size, held, dtype=np.int64)
+        # Only the live trials draw; all start round 1 with `held` pairs.
+        live = np.flatnonzero(stage)
         for m in range(1, done):
-            alive = stage == done
-            cpp = np.where(alive, pairs // 2, 0)
-            kept = rngs[m].binomial(cpp, successes[m - 1])
-            stage[alive & (kept == 0)] = m
-            pairs = np.where(cpp > 0, kept, pairs)
-        yield f_hat, stage, pairs
+            kept = rngs[m].binomial(held // 2, successes[m - 1], live.size)
+            if not kept.all():
+                out = kept == 0
+                stage[live[out]] = m
+                pairs[live[out]] = np.where(held > 1, kept, held)[out]
+                live, kept = live[~out], kept[~out]
+            held = kept
+        pairs[live] = held
+        yield wins, stage, pairs
 
 
 def _wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple:

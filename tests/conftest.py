@@ -85,9 +85,12 @@ STREAM_CELLS = {
 
 def campaign(cfg):
     """The campaign's (fidelity_estimate, stage, final_pairs) arrays over
-    all its trials."""
+    all its trials, the estimate taken from each trial's win count."""
     blocks = list(mc.sample_campaign(cfg))
-    return tuple(np.concatenate(column) for column in zip(*blocks))
+    wins, stage, pairs = (np.concatenate(column) for column in zip(*blocks))
+    mpp = math.isqrt(cfg.n_pairs) // 2
+    f_hat = np.array([mc._fidelity_estimate(w, mpp) for w in wins.tolist()])
+    return f_hat, stage, pairs
 
 
 def plain_fixed_point(rmap):

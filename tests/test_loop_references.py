@@ -22,6 +22,7 @@ import pytest
 
 import qdistill.cli as cli
 import qdistill.fixed_point as fp
+import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
 import qdistill.steering_verify as sv
@@ -649,11 +650,10 @@ def test_skip_rule_eigensolves_under_half_the_outcomes(monkeypatch):
 
 # ---------------------------------------------------------------- Monte Carlo
 
-def loop_campaign(cfg):
-    """The campaign one trial at a time: (stage, final_pairs,
-    fidelity_estimate) per trial.  Stage s draws from Philox seeded by
-    SeedSequence(seed, spawn_key=(s,)), one binomial for each trial that
-    reaches it, in trial order."""
+def campaign_inputs(cfg):
+    """Each stage's generator, Philox seeded by SeedSequence(seed,
+    spawn_key=(stage,)), the estimation success probability and the
+    success probability of each round."""
     streams = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(cfg.seed, spawn_key=(s,))))
         for s in range(cfg.rounds + 1)]
@@ -665,11 +665,19 @@ def loop_campaign(cfg):
         q, success = step(q)
         successes.append(success)
     p = cfg.channel_state().p
+    return streams, (p[0] + p[2]) * (p[0] + p[3]), successes
+
+
+def loop_campaign(cfg):
+    """The campaign one trial at a time: (stage, final_pairs,
+    fidelity_estimate) per trial.  Stage s draws one binomial for each
+    trial that reaches it, in trial order."""
+    streams, q_est, successes = campaign_inputs(cfg)
     m_est = math.isqrt(cfg.n_pairs)
     mpp = m_est // 2
     rows = []
     for _ in range(cfg.trials):
-        wins = int(streams[0].binomial(mpp, (p[0] + p[2]) * (p[0] + p[3])))
+        wins = int(streams[0].binomial(mpp, q_est))
         f_hat = (3.0 * math.sqrt(wins / mpp) - 1.0) / 2.0
         pairs = cfg.n_pairs - m_est
         if f_hat < cfg.threshold:
@@ -701,6 +709,77 @@ def test_sampler_matches_scalar_loop(cell, stages):
     rows = loop_campaign(cfg)
     assert list(zip(stage.tolist(), pairs.tolist(), f_hat.tolist())) == rows
     assert stages <= {s for s, _, _ in rows}   # the cell reaches its stages
+
+
+def array_campaign(cfg, block=1 << 16):
+    """The campaign as arrays over every trial of a block, each stage
+    drawing one binomial per trial, of size 0 for a trial that has
+    aborted, and the estimation verdict taken on the float estimate.
+    Yields (wins, fidelity_estimate, stage, final_pairs) per block."""
+    streams, q_est, successes = campaign_inputs(cfg)
+    m_est = math.isqrt(cfg.n_pairs)
+    mpp = m_est // 2
+    done = cfg.rounds + 1
+    for first in range(0, cfg.trials, block):
+        size = min(block, cfg.trials - first)
+        wins = streams[0].binomial(mpp, q_est, size)
+        f_hat = (3.0 * np.sqrt(wins / mpp) - 1.0) / 2.0
+        stage = np.where(f_hat < cfg.threshold, 0, done)
+        pairs = np.full(size, cfg.n_pairs - m_est, dtype=np.int64)
+        for m in range(1, done):
+            alive = stage == done
+            cpp = np.where(alive, pairs // 2, 0)
+            kept = streams[m].binomial(cpp, successes[m - 1])
+            stage[alive & (kept == 0)] = m
+            pairs = np.where(cpp > 0, kept, pairs)
+        yield wins, f_hat, stage, pairs
+
+
+def _cell(base, **changes):
+    return dataclasses.replace(STREAM_CELLS[base], **changes)
+
+
+ARRAY_CELLS = {
+    # a round starts with one pair (final_pairs 1)
+    **{f"n{n}-M{rounds}": _cell("rounds", n_pairs=n, rounds=rounds,
+                                trials=300)
+       for n in range(4, 10) for rounds in range(2, 7)},
+    # every trial aborts in estimation and no round draws
+    "beta-0.4": _cell("estimation", beta=0.4, f_min=0.9),
+    # criterion 10's nine cells
+    **{f"c10-{beta}-{f}": mc.ProtocolConfig(
+        n_pairs=2 ** 14, beta=beta, noise=nm.TwoQubitCorrelatedNoise(f),
+        rounds=4, f_min=fp.bbpssw_two_qubit_fixed_points(f)[0],
+        seed=20240817, trials=10 ** 4)
+       for beta in (0.95, 0.98, 1.0) for f in (0.99, 0.999, 1.0)},
+    # two blocks of up to 65 536 trials
+    "two-blocks": _cell("estimation", trials=65_537),
+}
+
+
+def test_sampler_matches_array_reference():
+    # the sampler draws for the live trials only and takes the verdict on
+    # the win count; its blocks are the all-trials array sampler's, bit
+    # for bit, and its counts give that sampler's estimates
+    finals, stages = set(), {}
+    for name, cfg in ARRAY_CELLS.items():
+        mpp = math.isqrt(cfg.n_pairs) // 2
+        got = list(mc.sample_campaign(cfg))
+        want = list(array_campaign(cfg))
+        assert len(got) == len(want), name
+        for (wins, stage, pairs), (w_wins, f_hat, w_stage, w_pairs) \
+                in zip(got, want):
+            for a, b in ((wins, w_wins), (stage, w_stage), (pairs, w_pairs)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert [mc._fidelity_estimate(w, mpp) for w in wins.tolist()] \
+                == f_hat.tolist(), name
+            finals.update(pairs[(stage > 0) & (stage <= cfg.rounds)].tolist())
+        stages[name] = set(np.concatenate([b[1] for b in got]).tolist())
+    # the cells reach what they are there for
+    assert {0, 1} <= finals
+    assert stages["beta-0.4"] == {0}
+    assert ARRAY_CELLS["two-blocks"].trials > mc._BLOCK
+    assert {0, 5} <= stages["two-blocks"]
 
 
 def loop_trial_table(cfg):

@@ -12,7 +12,7 @@ import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
 import qdistill.recurrence as rc
-from qdistill.quantum_core import LabeledEnsembleState
+from qdistill.quantum_core import BellDiagonalState, LabeledEnsembleState
 from qdistill.security_bounds import MAX_ROUNDS
 
 from conftest import STREAM_CELLS, campaign, make_config
@@ -106,11 +106,14 @@ def test_config_rejects_noise_without_pauli_mixture():
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.65, 0.7, 0.9, 0.98, 1.0])
 def test_trajectory_starts_at_channel_state(beta):
-    # the sampler estimates from the trajectory's round-0 marginal instead
-    # of rebuilding the channel state; the two must agree bit for bit
+    # the channel state is built once, as the trajectory's round 0, and
+    # both are the depolarizing channel applied to |B00>, bit for bit
     cfg = make_config(beta=beta, f_min=0.0)
     p0, _ = mc._trajectory(cfg.beta, cfg.noise, cfg.rounds)
-    assert np.array_equal(p0, cfg.channel_state().p)
+    want = nm.apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])),
+                                beta).p
+    assert np.array_equal(p0, want)
+    assert np.array_equal(cfg.channel_state().p, want)
 
 
 def test_channel_state_is_isotropic_mix():
@@ -187,7 +190,8 @@ def test_block_size_changes_no_output(cell, monkeypatch):
 def test_sink_sees_the_pass_the_estimate_counts(cell, monkeypatch):
     # a caller that writes the trials out gets the one sampled pass
     cfg = dataclasses.replace(STREAM_CELLS[cell], trials=1000)
-    want, est = campaign(cfg), mc.estimate_abort_probability(cfg)
+    want = list(mc.sample_campaign(cfg))
+    est = mc.estimate_abort_probability(cfg)
     calls = []
     sample = mc.sample_campaign
     monkeypatch.setattr(mc, "sample_campaign",
@@ -195,8 +199,10 @@ def test_sink_sees_the_pass_the_estimate_counts(cell, monkeypatch):
     seen = []
     assert mc.estimate_abort_probability(cfg, seen.extend) == est
     assert len(calls) == 1
-    for got, ref in zip(zip(*seen), want):
-        assert np.array_equal(np.concatenate(got), ref)
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        for a, b in zip(got, ref, strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_campaign_memory_does_not_grow_with_trials():
@@ -240,6 +246,33 @@ def test_fidelity_estimator_is_calibrated():
     mean = float(np.mean(ests))
     se = float(np.std(ests, ddof=1)) / math.sqrt(len(ests))
     assert abs(mean - target) < 4 * se + 1e-4
+
+
+@pytest.mark.parametrize("mpp", [1, 2, 3, 8, 16, 64, 1024, 2 ** 20])
+def test_estimation_cut_is_the_float_verdict(mpp):
+    # a trial passes estimation with w wins exactly when its float
+    # estimate is not below the threshold, at every attained estimate and
+    # at its neighbours; at 2^20 on a sample of thresholds, checked on a
+    # window around the cut, since the estimate never falls as w grows
+    w = np.arange(mpp + 1)
+    f = (3.0 * np.sqrt(w / mpp) - 1.0) / 2.0
+    assert (np.diff(f) >= 0).all() and f[-1] == 1.0
+    if mpp <= 1024:
+        attained = np.unique(f)
+    else:
+        rng = np.random.default_rng(34)
+        attained = f[np.concatenate([[0, 1, mpp - 1, mpp],
+                                     rng.integers(0, mpp + 1, 40)])]
+    for t in np.concatenate([np.nextafter(attained, -np.inf), attained,
+                             np.nextafter(attained, np.inf)]).tolist():
+        cut = mc._estimation_cut(mpp, t)
+        assert 0 <= cut <= mpp + 1
+        near = slice(max(cut - 64, 0), cut + 64)
+        assert np.array_equal(w[near] >= cut, ~(f[near] < t))
+        if mpp <= 1024:
+            assert np.array_equal(w >= cut, ~(f < t))
+    assert [mc._fidelity_estimate(x, mpp) for x in w[:1025].tolist()] \
+        == f[:1025].tolist()
 
 
 def test_pair_counts_halve_each_round():
