@@ -23,7 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -484,6 +484,21 @@ def _mc_config(args, cfg) -> mc.ProtocolConfig:
                              trials=1000 if trials is None else trials)
 
 
+@lru_cache(maxsize=8)
+class _EstimateCells(dict):
+    """The F-hat cells of one mpp by win count, formatted when first
+    written and kept for later requests: at most 4096, however large mpp."""
+
+    def __init__(self, mpp: int):
+        self.mpp = mpp
+
+    def __missing__(self, wins: int) -> str:
+        if len(self) >= 4096:
+            self.clear()
+        text = self[wins] = _fmt(mc._fidelity_estimate(wins, self.mpp))
+        return text
+
+
 def _cmd_montecarlo(args, cfg) -> int:
     config = _mc_config(args, cfg)
     csv_out = args.emit == "csv"
@@ -492,25 +507,22 @@ def _cmd_montecarlo(args, cfg) -> int:
         # With --emit csv the trials go to --out as the estimate counts
         # them, in one pass, and the JSON goes to stdout.  A row's middle
         # cells follow from its stage and its estimate from its win count,
-        # so each distinct count is formatted once and a block is one
+        # in cells that requests of the same mpp share, so a block is one
         # write; no cell needs CSV quoting (a number, a stage name or empty).
         lead = ["fail,parameter_estimation,0"] + [
             f"fail,round {m},{m - 1}" for m in range(1, config.rounds + 1)
         ] + [f"ok,,{config.rounds}"]
-        mpp = math.isqrt(config.n_pairs) // 2
+        text = _EstimateCells(math.isqrt(config.n_pairs) // 2)
         first = 0
         with _open_out(args.out) as fh:
             _write_table(fh, ["trial", "flag", "abort_stage",
                               "rounds_completed", "fidelity_estimate",
                               "final_pairs"], ())
             for wins, stage, pairs in blocks:
-                values, index = np.unique(wins, return_inverse=True)
-                text = [_fmt(mc._fidelity_estimate(w, mpp))
-                        for w in values.tolist()]
-                fh.write("".join(
-                    f"{t},{lead[s]},{text[i]},{k}\r\n" for t, s, i, k in zip(
+                fh.write("".join([
+                    f"{t},{lead[s]},{text[w]},{k}\r\n" for t, s, w, k in zip(
                         range(first, first + stage.size), stage.tolist(),
-                        index.tolist(), pairs.tolist())))
+                        wins.tolist(), pairs.tolist())]))
                 first += stage.size
 
     check = mc.check_robustness(config, write_trials if csv_out else None)

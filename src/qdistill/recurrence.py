@@ -293,7 +293,8 @@ def _werner_map(table, f, werner_parameter=False) -> RecurrenceMap:
     as F'.  The variable is F or, with ``werner_parameter``, p with
     F = 1 - 3(1 - p)/4 and p' = 1 - 4(1 - F')/3; either way its slope is
     J[0] . e'(F) = J[0] . (1, -1/3, -1/3, -1/3), with J the table's exact
-    Jacobian at e(F), from the table's one linearization."""
+    Jacobian at e(F), from the table's one linearization.  An exact J takes
+    the thirds in its own arithmetic, so the slope stays exact."""
     rmap = _table_map(4, table, f)
 
     def embed(x):
@@ -306,8 +307,10 @@ def _werner_map(table, f, werner_parameter=False) -> RecurrenceMap:
         return np.array([F]), n_or_jac
 
     def linearize(x):
-        out, jac = fn(x, rmap.linearize)
-        return out, np.array([[jac[0] @ (1, -1 / 3, -1 / 3, -1 / 3)]])
+        out, (j, *_) = fn(x, rmap.linearize)
+        slope = (j @ (1, -1 / 3, -1 / 3, -1 / 3) if j.dtype != object
+                 else j[0] - (j[1] + j[2] + j[3]) / 3)
+        return out, np.array([[slope]])
 
     return RecurrenceMap(1, fn, linearize)
 

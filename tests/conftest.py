@@ -110,13 +110,30 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-# One line per acceptance criterion, filled in by tests/test_acceptance.py
+# One verdict per acceptance criterion, filled in by tests/test_acceptance.py
 # and echoed after the test summary so the verdicts survive output capture.
-ACCEPTANCE_REPORT: list[str] = []
+# The same records go to pytest's cache as JSON, under the key
+# "qdistill/acceptance" (.pytest_cache/v/qdistill/acceptance).
+ACCEPTANCE_REPORT: list[dict] = []
+
+
+def acceptance_line(entry) -> str:
+    extra = f" ({entry['detail']})" if entry["detail"] else ""
+    return (f"criterion {entry['criterion']:2d} {entry['verdict']} - "
+            f"{entry['name']}{extra}")
+
+
+def pytest_runtest_logreport(report):
+    # a criterion's duration is its test's call phase
+    if report.when == "call":
+        for entry in ACCEPTANCE_REPORT:
+            entry.setdefault("duration_s", report.duration)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_REPORT:
         terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_REPORT:
-            terminalreporter.line(line)
+        for entry in ACCEPTANCE_REPORT:
+            terminalreporter.line(acceptance_line(entry))
+        if getattr(config, "cache", None) is not None:
+            config.cache.set("qdistill/acceptance", ACCEPTANCE_REPORT)

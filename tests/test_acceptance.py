@@ -5,9 +5,11 @@ budget, and prints a single machine-readable pass/fail line (written to the
 real stdout so it survives pytest capture).
 """
 
+import json
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,15 +29,16 @@ from qdistill.quantum_core import (
     secret_twirl,
 )
 
-from conftest import ACCEPTANCE_REPORT, dyadic_state, ginibre_density
+import conftest
+from conftest import (ACCEPTANCE_REPORT, acceptance_line, dyadic_state,
+                      ginibre_density)
 
 
 def report(num, name, ok, detail=""):
-    tag = "PASS" if ok else "FAIL"
-    extra = f" ({detail})" if detail else ""
-    line = f"criterion {num:2d} {tag} - {name}{extra}"
-    ACCEPTANCE_REPORT.append(line)
-    print(line, flush=True)
+    entry = {"criterion": num, "verdict": "PASS" if ok else "FAIL",
+             "name": name, "detail": detail}
+    ACCEPTANCE_REPORT.append(entry)
+    print(acceptance_line(entry), flush=True)
 
 
 def test_criterion_01_bbpssw_noiseless_convergence():
@@ -280,3 +283,19 @@ def test_criterion_11_secret_twirl_decoupling():
     report(11, "secret twirl decouples the record", ok,
            f"max off-diagonal block magnitude={off:.2e}")
     assert off < 1e-12
+
+
+def test_verdicts_are_cached_as_json(monkeypatch):
+    # the printed line and the cached record come from one verdict, and the
+    # record takes its test's call-phase duration
+    entry = {"criterion": 3, "verdict": "FAIL", "name": "x", "detail": "y=1"}
+    monkeypatch.setattr(conftest, "ACCEPTANCE_REPORT", [entry])
+    conftest.pytest_runtest_logreport(
+        SimpleNamespace(when="call", duration=0.25))
+    lines, stored = [], {}
+    conftest.pytest_terminal_summary(
+        SimpleNamespace(section=lambda title: None, line=lines.append), 0,
+        SimpleNamespace(cache=SimpleNamespace(set=stored.__setitem__)))
+    assert lines == ["criterion  3 FAIL - x (y=1)"]
+    assert json.loads(json.dumps(stored["qdistill/acceptance"])) == [
+        dict(entry, duration_s=0.25)]

@@ -799,13 +799,23 @@ def loop_trial_table(cfg):
     return fh.getvalue(), set(zip(stage.tolist(), pairs.tolist()))
 
 
+def _estimation_cell(**kw):
+    return dataclasses.replace(STREAM_CELLS["estimation"], **kw)
+
+
+# Each cell is the campaigns one process writes in turn.
 TABLE_CELLS = {
     # 70 000 trials: two sampler blocks of up to 65 536
-    "two-blocks": dataclasses.replace(STREAM_CELLS["estimation"],
-                                      trials=70_000),
+    "two-blocks": (_estimation_cell(trials=70_000),),
     # estimation aborts, round aborts with 0 and 1 pairs left, completions
-    "every-stage": dataclasses.replace(STREAM_CELLS["rounds"], beta=0.9,
-                                       rounds=3, trials=500),
+    "every-stage": (dataclasses.replace(STREAM_CELLS["rounds"], beta=0.9,
+                                        rounds=3, trials=500),),
+    # mpp = 2**19: win counts far from any small campaign's
+    "large-mpp": (_estimation_cell(n_pairs=2 ** 40, trials=300),),
+    # mpp 8, 32, 8 (from n_pairs 288), 32, with all else equal: estimate
+    # cells kept on any key but mpp would serve one campaign the other's
+    "alternating-mpp": tuple(_estimation_cell(n_pairs=n, trials=200)
+                             for n in (256, 4096, 288, 4096)),
 }
 
 
@@ -814,22 +824,43 @@ TABLE_CELLS = {
 def test_trial_table_matches_row_writer(cell, to_file, tmp_path, capsys):
     # the table is written a block at a time, without csv.writer; its bytes,
     # \r\n line ends included, are those of the row-at-a-time writer
-    cfg = TABLE_CELLS[cell]
-    want, ends = loop_trial_table(cfg)
-    if cell == "every-stage":
-        assert {(0, 12), (2, 0), (3, 0), (3, 1), (4, 1)} <= ends
-    argv = ["montecarlo", "--n-pairs", str(cfg.n_pairs), "--beta",
+    for cfg in TABLE_CELLS[cell]:
+        want, ends = loop_trial_table(cfg)
+        if cell == "every-stage":
+            assert {(0, 12), (2, 0), (3, 0), (3, 1), (4, 1)} <= ends
+        argv = trial_table_argv(cfg)
+        assert cli.run(argv) == 0
+        payload = capsys.readouterr().out
+        out = tmp_path / "trials.csv"
+        assert cli.run(argv + ["--emit", "csv"]
+                       + (["--out", str(out)] if to_file else [])) == 0
+        printed = capsys.readouterr().out
+        if to_file:
+            assert out.read_bytes() == want.encode()
+            assert printed == payload
+        else:  # as bytes, whose mismatch pytest reports without a line diff
+            assert printed.encode() == (want + payload).encode()
+
+
+def trial_table_argv(cfg):
+    return ["montecarlo", "--n-pairs", str(cfg.n_pairs), "--beta",
             repr(cfg.beta), "--noise", f"corr2:{cfg.noise.f_tilde!r}",
             "--rounds", str(cfg.rounds), "--f-min", repr(cfg.f_min),
             "--trials", str(cfg.trials), "--seed", str(cfg.seed)]
-    assert cli.run(argv) == 0
-    payload = capsys.readouterr().out
-    out = tmp_path / "trials.csv"
-    assert cli.run(argv + ["--emit", "csv"]
-                   + (["--out", str(out)] if to_file else [])) == 0
-    printed = capsys.readouterr().out
-    if to_file:
-        assert out.read_bytes() == want.encode()
-        assert printed == payload
-    else:  # as bytes, whose mismatch pytest reports without a line diff
-        assert printed.encode() == (want + payload).encode()
+
+
+def test_estimate_cells_hold_only_the_counts_written(capsys):
+    # At n_pairs = 2**62 (mpp = 2**30) the cells of that mpp are the win
+    # counts the table wrote, never a range over mpp + 1 counts, and at
+    # most maxsize mpp values keep cells.
+    cli._EstimateCells.cache_clear()
+    cfg = _estimation_cell(n_pairs=2 ** 62, trials=1000)
+    assert cli.run(trial_table_argv(cfg) + ["--emit", "csv"]) == 0
+    wins = np.concatenate([w for w, _, _ in mc.sample_campaign(cfg)])
+    assert set(cli._EstimateCells(2 ** 30)) == set(wins.tolist())
+    info = cli._EstimateCells.cache_info()
+    for mpp in range(2, info.maxsize + 4):
+        assert cli.run(trial_table_argv(dataclasses.replace(
+            cfg, n_pairs=4 * mpp * mpp, trials=100)) + ["--emit", "csv"]) == 0
+    capsys.readouterr()
+    assert cli._EstimateCells.cache_info().currsize == info.maxsize

@@ -480,6 +480,9 @@ def test_scalar_jacobian_matches_sympy_derivative(name):
         jac = make_map(float(param)).jac(np.array([float(x0)]))
         assert jac.shape == (1, 1)
         assert abs(jac[0, 0] - float(exact)) <= 1e-15 * abs(float(exact))
+        # Fraction noise at a Fraction point: the slope itself is exact
+        (slope,), = make_map(param).jac([x0]).tolist()
+        assert type(slope) is Fraction and slope == Fraction(str(exact))
 
 
 def test_bilinear_jacobian_degenerate_step():
