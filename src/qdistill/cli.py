@@ -271,7 +271,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     """Noise parameters lo, lo + step, ... up to hi, all in [0, 1].
 
     np.arange's lo + i * step may land a rounding error past hi: a point at
-    most step * 1e-6 past hi still counts, and one past 1 is set to 1."""
+    most step * 1e-6 past hi still counts, and one past 1 is set to 1.  A
+    step too small to move hi leaves np.arange empty when lo == hi; that
+    grid is lo alone."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
@@ -285,7 +287,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if count > _MAX_GRID_POINTS:
         raise ValueError(
             f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
-    grid = np.arange(lo, hi + step / 2, step)
+    grid = np.arange(lo, hi + step / 2, step) if count > 0 else np.array([lo])
     return np.minimum(grid[grid <= hi + step * 1e-6], 1.0)
 
 
@@ -774,6 +776,75 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(_build)
 
 
+@cache
+def _option_table(command: str):
+    """What :func:`_plain_parse` reads of a subcommand, taken from its
+    parser: ``(flags, defaults, required)``.  ``flags`` maps each option
+    string of a single-value store action to the action and its type
+    function; ``defaults`` are the values argparse starts a Namespace from,
+    with ``set_defaults`` and each string default converted as argparse
+    converts it when its flag is absent; ``required`` holds the required
+    actions.  None, so that only argparse parses the subcommand, if it has
+    positionals or exclusive groups or a string default fails to convert."""
+    sub = _parser()[1][command]
+    if sub._mutually_exclusive_groups or sub._get_positional_actions():
+        return None
+    flags, defaults = {}, {}
+    for action in sub._actions:
+        if action.dest is not argparse.SUPPRESS \
+                and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if isinstance(action.default, str) \
+                and defaults.get(action.dest) is action.default:
+            try:
+                defaults[action.dest] = sub._get_value(action, action.default)
+            except argparse.ArgumentError:
+                return None
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            entry = action, sub._registry_get("type", action.type, action.type)
+            flags.update(dict.fromkeys(action.option_strings, entry))
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    return flags, defaults, frozenset(a for a in sub._actions if a.required)
+
+
+def _plain_parse(argv):
+    """The Namespace that ``build_parser().parse_args(argv)`` gives a request
+    of the form ``COMMAND (--flag VALUE)*``, each flag spelled in full,
+    read from :func:`_option_table`.  None for every other request, and for
+    any that argparse would reject: an unknown or abbreviated flag,
+    ``--flag=value``, ``--``, ``-h``, a flag without a value, a value that
+    is empty or starts with ``-``, a failed conversion, a bad choice or a
+    missing required flag."""
+    if len(argv) % 2 == 0 or argv[0] not in _parser()[1]:
+        return None
+    table = _option_table(argv[0])
+    if table is None:
+        return None
+    flags, values, required = table
+    values = dict(values)
+    seen = set()
+    pairs = iter(argv[1:])
+    for flag, value in zip(pairs, pairs):
+        entry = flags.get(flag)
+        if entry is None or not value or value[0] == "-":
+            return None
+        action, convert = entry
+        try:
+            value = convert(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    args = argparse.Namespace(**values)
+    args.command = argv[0]
+    return args
+
+
 _DISPATCH = {
     "fixed-point": _cmd_fixed_point,
     "scan": _cmd_scan,
@@ -787,24 +858,29 @@ _DISPATCH = {
 def run(argv=None) -> int:
     """Serve one request; returns its exit code.
 
-    The request is parsed once.  When ``argv[0]`` names a subcommand, the
-    rest goes straight to that subcommand's parser, and anything it leaves
-    over is the top-level parser's "unrecognized arguments" error.  Any
-    other request (none, an unknown command, a top-level ``-h``) goes to
-    the top-level parser, which prints the usage or the help."""
+    The request is parsed once.  A request of the plain form ``COMMAND
+    (--flag VALUE)*`` is read from the subcommand's option table, which
+    gives the Namespace argparse would (:func:`_plain_parse`).  Any other
+    request goes to argparse: when ``argv[0]`` names a subcommand, the rest
+    goes straight to that subcommand's parser, and anything it leaves over
+    is the top-level parser's "unrecognized arguments" error; the rest
+    (none, an unknown command, a top-level ``-h``) goes to the top-level
+    parser, which prints the usage or the help."""
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parser()
-    try:
-        sub = commands.get(argv[0]) if argv else None
-        if sub is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extra = sub.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
-            args.command = argv[0]
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _plain_parse(argv)
+    if args is None:
+        parser, commands = _parser()
+        try:
+            sub = commands.get(argv[0]) if argv else None
+            if sub is None:
+                args = parser.parse_args(argv)
+            else:
+                args, extra = sub.parse_known_args(argv[1:])
+                if extra:
+                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
+                args.command = argv[0]
+        except SystemExit as exc:
+            return int(exc.code or 0)
     return _dispatch(args)
 
 

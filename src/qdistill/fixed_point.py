@@ -65,7 +65,8 @@ class FixedPointReport:
     Jacobian spectral radius (a magnitude) there.  ``iterations_used`` counts
     the map evaluations of the iteration and of a kept Newton polish;
     ``newton_steps`` is the polish's share, 0 when none was kept.  Newton
-    iterates are clipped at 0 before the map is evaluated there.
+    iterates are clipped at 0 before the map is evaluated there, and the
+    location of a one-variable map lies in [0, 1].
     """
 
     location: np.ndarray
@@ -117,7 +118,11 @@ def _radius(jac) -> float:
 
 def _report(rmap, p, steps, converged=True, newton=0) -> FixedPointReport:
     """The report at p from one linearization of rmap there; radius and
-    verdict are None if not converged."""
+    verdict are None if not converged.  A one-variable map's variable, a
+    fidelity or Werner parameter, is first clipped to [0, 1], where a step
+    near F = 1 may land a rounding error past."""
+    if rmap.dim == 1:
+        p = np.clip(p, 0.0, 1.0)
     g, jac = rmap.linearize(p)
     lam = _radius(jac) if converged else None
     attracting = lam < 1.0 if converged else None

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, serialization, config/seed precedence."""
 
+import argparse
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -8,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -103,6 +106,171 @@ def test_run_parses_like_the_top_level_parser(argv, capsys):
     got = cli.run(argv), *capsys.readouterr()
     want = reference_run(argv), *capsys.readouterr()
     assert got == want
+
+
+#: One request of each shape the benchmark workloads send.
+WORKLOAD_SHAPES = {
+    "montecarlo-json": ["montecarlo", "--n-pairs", "16384", "--beta", "0.98",
+                        "--noise", "corr2:0.99", "--rounds", "4", "--f-min",
+                        "auto", "--trials", "100", "--seed",
+                        str(2 ** 64 - 1), "--emit", "json"],
+    "montecarlo-csv": ["montecarlo", "--n-pairs", "256", "--beta", "0.6",
+                       "--noise", "corr2:0.99", "--rounds", "4", "--f-min",
+                       "auto", "--trials", "100", "--seed",
+                       str(2 ** 63 + 5), "--emit", "csv"],
+    "scan": ["scan", "--protocol", "dejmps", "--noise-kind", "corr2",
+             "--noise-grid", "0.85:0.87:0.01", "--emit", "json"],
+    "fixed-point": ["fixed-point", "--protocol", "dejmps",
+                    "--noise", "white:0.9"],
+    "steering-audit": ["steering-audit", "--states", "2",
+                       "--seed", str(2 ** 64 - 2)],
+}
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_SHAPES.values(),
+                         ids=WORKLOAD_SHAPES)
+def test_workload_requests_are_read_without_argparse(argv, monkeypatch,
+                                                      capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+
+
+#: Values the fuzzed requests try on every flag: numbers good and bad,
+#: NaN, negative numbers, choices of some subcommand, tokens argparse
+#: reads as flags.
+FUZZ_VALUES = ["1", "0.5", "256", str(2 ** 64), "nan", "NaN", "inf", "-1",
+               "-0.5", "-nan", "x", "", " 7", "1e400", "1_0", "auto", "json",
+               "csv", "dejmps", "bbpssw", "binary", "white", "corr2",
+               "white:0.9", "leak", "gfix", "0.9:0.92:0.01", "--", "-h",
+               "--seed", "extra"]
+
+
+#: Values a flag of each type accepts.
+GOOD_VALUES = {int: ["1", "256", str(2 ** 64)],
+               float: ["0.5", "nan", "1e-3", "inf"]}
+
+
+def fuzzed_request(rng, commands):
+    """A request to a random subcommand (or a misspelt one): mostly full
+    flags with values, most of them valid, mixed with abbreviated and
+    ``=`` flags, flags without values, repeats, ``--`` and ``-h``."""
+    name = rng.choice(list(commands) + ["monte", "frobnicate"])
+    sub = commands.get(name)
+    argv = [name]
+    if sub is None:
+        return argv + rng.choice([[], ["--seed", "1"], ["-h"]])
+    actions = [a for a in sub._actions
+               if not isinstance(a, argparse._HelpAction)]
+    picks = [rng.choice(actions) for _ in range(rng.randrange(6))]
+    if rng.random() < 0.5:
+        picks[:0] = [a for a in actions if a.required]
+    for action in picks:
+        flag = rng.choice(action.option_strings)
+        if rng.random() < 0.2:
+            value = rng.choice(FUZZ_VALUES)
+        elif action.choices:
+            value = rng.choice(list(action.choices))
+        else:
+            value = rng.choice(GOOD_VALUES.get(action.type, ["white:0.9"]))
+        form = rng.random()
+        if action.nargs == 0 and form < 0.85:     # a store_true flag
+            argv.append(flag)
+        elif form < 0.85:
+            argv += [flag, value]
+        elif form < 0.89:
+            argv += [flag[:-1], value]
+        elif form < 0.93:
+            argv.append(f"{flag}={value}")
+        elif form < 0.96:
+            argv.append(flag)
+        else:
+            argv.append(rng.choice(["-h", "--", "extra", value]))
+    if rng.random() < 0.2 and len(argv) > 2:     # a repeat
+        argv += argv[1:3]
+    return argv
+
+
+def reference_namespace(parser, argv):
+    """``parser.parse_args(argv)`` with every value as its repr, so that
+    NaN equals NaN and 1 differs from 1.0; None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            return None
+    return {k: repr(v) for k, v in vars(args).items()}
+
+
+@pytest.fixture
+def grammar(monkeypatch):
+    """Install a top-level parser of one's own as run()'s; returns the
+    subparsers action to add subcommands to."""
+    parser = argparse.ArgumentParser(prog="qdistill")
+    sub = parser.add_subparsers(dest="command", required=True)
+    monkeypatch.setattr(cli, "_parser", lambda: (parser, sub.choices))
+    cli._option_table.cache_clear()
+    yield sub
+    cli._option_table.cache_clear()
+
+
+def test_option_table_reads_defaults_as_argparse_does(grammar):
+    # a string default is converted by its type when its flag is absent;
+    # of two actions on one dest the first sets its default; set_defaults
+    # overrides an action's default and adds dests of its own
+    p = grammar.add_parser("x")
+    p.add_argument("--n", type=int, default="7")
+    p.add_argument("--m", type=int, default=9, dest="n")
+    p.add_argument("--v", type=float, default="0.5", dest="value")
+    p.add_argument("--s", default="text")
+    p.add_argument("--flag", action="store_true")
+    p.set_defaults(value="2.5", extra=[1])
+    for argv in (["x"], ["x", "--n", "3"], ["x", "--m", "3"],
+                 ["x", "--v", "1", "--s", "y"]):
+        got = cli._plain_parse(argv)
+        assert got is not None
+        assert vars(got) == vars(cli._parser()[0].parse_args(argv))
+    assert vars(cli._plain_parse(["x"])) == {
+        "n": 7, "value": 2.5, "s": "text", "flag": False, "extra": [1],
+        "command": "x"}
+
+
+def test_option_table_leaves_other_grammars_to_argparse(grammar):
+    grammar.add_parser("positional").add_argument("name")
+    group = grammar.add_parser("exclusive").add_mutually_exclusive_group()
+    group.add_argument("--a")
+    group.add_argument("--b")
+    # argparse converts this default only when --n is absent, and fails
+    grammar.add_parser("bad-default").add_argument("--n", type=int,
+                                                    default="x")
+    for argv in (["positional"], ["exclusive", "--a", "1"],
+                 ["bad-default", "--n", "1"]):
+        assert cli._option_table(argv[0]) is None
+        assert cli._plain_parse(argv) is None
+
+
+def test_option_table_declines_or_parses_like_argparse():
+    rng = random.Random(36)
+    parser = cli.build_parser()
+    commands = cli._parser()[1]
+    taken = declined = 0
+    for _ in range(3000):
+        argv = fuzzed_request(rng, commands)
+        want = reference_namespace(parser, argv)
+        got = cli._plain_parse(argv)
+        if got is None:
+            declined += want is not None
+        else:
+            taken += 1
+            assert {k: repr(v) for k, v in vars(got).items()} == want, argv
+    # both paths are reached: the table path, and argparse on requests it
+    # accepts in a form the table does not read
+    assert taken > 500 and declined > 100, (taken, declined)
 
 
 def test_json_serializer_17_digits():
@@ -246,6 +414,23 @@ def test_fixed_point_without_noise_is_the_nilpotent_point(protocol, noise,
     assert doc["residual"] == 0
     assert doc["lambda_max"] == 0
     assert doc["attracting"] is True
+
+
+@pytest.mark.parametrize("noise,rmap", [
+    ("corr2:1.0", rc.bbpssw_two_qubit_map(1.0)),
+    ("white:1.0", rc.bbpssw_map(1.0)),
+    ("worst:1.0", rc.worstcase_map(1.0)),
+])
+def test_scalar_fixed_point_stays_in_the_unit_interval(noise, rmap, capsys):
+    # the polish once reported F = 1.0000000000017033 (corr2) and
+    # 1.0000000000003091 (white); residual and radius are those at F = 1
+    code, doc = run_json(["fixed-point", "--protocol", "bbpssw",
+                          "--noise", noise], capsys)
+    assert code == 0
+    assert doc["location"] == [1]
+    assert doc["residual"] == 0
+    assert doc["lambda_max"] == fp.jacobian_spectral_radius(rmap, [1.0])
+    assert doc["lambda_max"] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_figure_worstcase_slopes_are_exact_at_each_root():
@@ -413,6 +598,8 @@ def test_scan_grid_overshoot_stops_at_one(capsys):
     ("0.97:0.99:0.01", [0.97, 0.98, 0.99]),
     ("0.9:0.95:0.04", [0.9, 0.94]),
     ("0.3:0.3:0.1", [0.3]),
+    ("0.9:0.9:1e-300", [0.9]),
+    ("0:0:5e-324", [0.0]),
 ])
 def test_grid_stays_within_hi(grid, points):
     # the half-step slack once printed a row at 0.95 for 0.8:0.9:0.15
@@ -420,6 +607,15 @@ def test_grid_stays_within_hi(grid, points):
     assert got.tolist() == pytest.approx(points, abs=1e-15)
     lo, hi, step = (float(x) for x in grid.split(":"))
     assert np.array_equal(got, lo + np.arange(len(points)) * step)
+
+
+def test_scan_grid_below_the_spacing_of_doubles_holds_lo(capsys):
+    # hi + step / 2 once rounded to hi, and np.arange came back empty
+    rows = [run_json(["scan", "--protocol", "dejmps", "--noise-grid", grid,
+                      "--emit", "json"], capsys)[1]["rows"]
+            for grid in ("0.9:0.9:1e-300", "0.9:0.9:0.01")]
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == 1 and rows[0][0][0] == 0.9
 
 
 def test_scan_grid_size_is_capped_before_allocation(capsys):
@@ -1029,9 +1225,14 @@ EVERY_COMMAND = {
 def test_bad_seed_stops_every_command_before_its_output(argv, tmp_path,
                                                         capsys):
     out = tmp_path / "out"
-    err = usage_error(argv + ["--seed", "-1", "--out", str(out)], capsys)
-    assert err == "error: --seed: seed must fit in 64 bits\n"
-    assert not out.exists()
+    # argparse reads -1 (a value that starts with "-"), the option table
+    # reads 2**64
+    for seed in ("-1", str(2 ** 64)):
+        bad = argv + ["--seed", seed, "--out", str(out)]
+        assert (cli._plain_parse(bad) is None) == seed.startswith("-")
+        err = usage_error(bad, capsys)
+        assert err == "error: --seed: seed must fit in 64 bits\n"
+        assert not out.exists()
     assert cli.run(argv + ["--out", str(out)]) == 0
     assert out.exists()
     capsys.readouterr()
