@@ -560,19 +560,22 @@ def _cmd_trace(args, cfg) -> int:
         p0 = np.array([float(x) for x in args.p0.split(",")])
         if p0.size != rmap.dim:
             raise ValueError(f"--p0 must have {rmap.dim} entries")
-        try:  # correctly rounded, so a vector that sums to 1 stays as it is
-            total = math.fsum(p0)
-        except (OverflowError, ValueError):  # the sum overflows, or inf - inf
-            total = math.nan
-        if not (np.isfinite(p0).all() and p0.min() >= 0
-                and 0 < total < math.inf):
-            raise ValueError("--p0 entries must be finite and nonnegative"
-                             " with a positive finite sum")
-        if rmap.dim == 1 and p0[0] > 1:
-            raise ValueError("--p0 of a one-variable map must be at most 1")
-        # A table map is homogeneous: scaled to sum 1, its start gives the
-        # same update, and no step over- or underflows.
-        if rmap.dim > 1:
+        if rmap.dim == 1:
+            # a one-variable start is a fidelity or a Werner parameter
+            if not 0 <= p0[0] <= 1:
+                raise ValueError("--p0 of a one-variable map must be finite,"
+                                 " at least 0 and at most 1")
+        else:
+            try:  # correctly rounded, so a vector that sums to 1 stays as is
+                total = math.fsum(p0)
+            except (OverflowError, ValueError):  # overflow, or inf - inf
+                total = math.nan
+            if not (np.isfinite(p0).all() and p0.min() >= 0
+                    and 0 < total < math.inf):
+                raise ValueError("--p0 entries must be finite and nonnegative"
+                                 " with a positive finite sum")
+            # A table map is homogeneous: scaled to sum 1, its start gives
+            # the same update, and no step over- or underflows.
             p0 = p0 / total
     rows = ([r] + [_fmt(x) for x in p] + [_fmt(n)] for r, (p, n)
             in enumerate(rec.trajectory(rmap, p0, args.rounds), 1))
@@ -860,25 +863,14 @@ def run(argv=None) -> int:
 
     The request is parsed once.  A request of the plain form ``COMMAND
     (--flag VALUE)*`` is read from the subcommand's option table, which
-    gives the Namespace argparse would (:func:`_plain_parse`).  Any other
-    request goes to argparse: when ``argv[0]`` names a subcommand, the rest
-    goes straight to that subcommand's parser, and anything it leaves over
-    is the top-level parser's "unrecognized arguments" error; the rest
-    (none, an unknown command, a top-level ``-h``) goes to the top-level
-    parser, which prints the usage or the help."""
+    gives the Namespace argparse would (:func:`_plain_parse`); any other
+    request goes to argparse, which also prints its usage, help and
+    errors."""
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_parse(argv)
     if args is None:
-        parser, commands = _parser()
         try:
-            sub = commands.get(argv[0]) if argv else None
-            if sub is None:
-                args = parser.parse_args(argv)
-            else:
-                args, extra = sub.parse_known_args(argv[1:])
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
-                args.command = argv[0]
+            args = _parser()[0].parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     return _dispatch(args)

@@ -5,7 +5,9 @@ One trial: transmit pairs through the depolarizing channel, sacrifice
 pair of each pair-of-pairs, sigma_z ⊗ sigma_z on the second), abort if the
 fidelity estimate is below F_min + delta, then run M distillation rounds
 with per-pair-of-pairs Bernoulli attrition at the round's true success
-probability.  Symmetrization is implicit: the simulated pairs are i.i.d.
+probability.  The accept rule reads no flag, so that probability depends
+on the Bell marginal alone: the reduced map on the channel's 4-vector
+gives it.  Symmetrization is implicit: the simulated pairs are i.i.d.
 and hence exchangeable, so only the size of the estimation subset matters,
 never which pairs it holds.  The channel is the honest depolarizing one,
 which sends a Werner state: there both measurements succeed with
@@ -44,10 +46,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .quantum_core import BellDiagonalState, LabeledEnsembleState
+from .quantum_core import BellDiagonalState
 from .noise_models import (PAULI_MIXTURES, apply_channel_phi,
                            distribution_from, noise_to_config)
-from .recurrence import noisy_dejmps_map, trajectory
+from .recurrence import reduced_dejmps_map, trajectory
 from .security_bounds import (MAX_ROUNDS, RobustnessInput, RobustnessResult,
                               robustness_bound)
 
@@ -233,12 +235,13 @@ def _philox_key_type() -> type:
 def _trajectory(beta: float, noise, rounds: int):
     """The deterministic part shared by every trial of a campaign: the
     Bell marginal of the channel state (round 0) and the success
-    probabilities of rounds 1..M."""
+    probabilities of rounds 1..M.  The accept rule j1 + j2 = i1 + i2 (mod
+    2) reads no flag, so N depends on the Bell marginal alone, and the
+    reduced map on the channel's 4-vector gives it."""
     channel = apply_channel_phi(BellDiagonalState(np.array([1.0, 0, 0, 0])),
                                 beta)
-    p0 = LabeledEnsembleState.from_bell_diagonal(channel, flags="zero").p
     successes = tuple(n for _p, n in trajectory(
-        noisy_dejmps_map(distribution_from(noise)), p0, rounds))
+        reduced_dejmps_map(distribution_from(noise)), channel.p, rounds))
     return channel.p, successes
 
 

@@ -8,7 +8,8 @@ from hypothesis import settings, HealthCheck
 import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
-from qdistill.quantum_core import PAULI, PAULI_ORDER
+import qdistill.recurrence as rc
+from qdistill.quantum_core import PAULI, PAULI_ORDER, LabeledEnsembleState
 
 settings.register_profile(
     "default",
@@ -81,6 +82,16 @@ STREAM_CELLS = {
     "rounds": make_config(n_pairs=16, beta=0.95, rounds=4,
                           noise=nm.TwoQubitCorrelatedNoise(0.99), f_min=0.52),
 }
+
+
+def noisy_campaign_trajectory(cfg):
+    """The campaign's deterministic ensemble on the 16-dim noisy map: the
+    zero-flag embedding p0 of the channel state and the (p, N) of each of
+    rounds 1..M.  The tests' oracle for what the campaign reads."""
+    p0 = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
+                                                 flags="zero").p
+    step = rc.noisy_dejmps_map(nm.distribution_from(cfg.noise))
+    return p0, list(rc.trajectory(step, p0, cfg.rounds))
 
 
 def campaign(cfg):

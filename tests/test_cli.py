@@ -1220,10 +1220,33 @@ EVERY_COMMAND = {
     "trace-figure": ["trace", "--figure", "gfix"],
 }
 
+# For each entry of EVERY_COMMAND, requests with one bad setting that is
+# not the seed.  A figure reads no option of the trace it replaces, so its
+# bad setting is a config file that does not exist.
+BAD_SETTINGS = {
+    "fixed-point": [["fixed-point", "--protocol", "dejmps", "--noise",
+                     "white:2"]],
+    "scan-csv": [["scan", "--protocol", "bbpssw", "--noise-grid",
+                  "0.9:2:0.1"]],
+    "scan-json": [["scan", "--protocol", "bbpssw", "--noise-grid",
+                   "0.9:2:0.1", "--emit", "json"]],
+    "bounds": [["bounds", "--chain", "leak"]],
+    "steering-audit": [["steering-audit", "--states", "0"]],
+    "montecarlo-json": [["montecarlo", "--n-pairs", "3"] + MC],
+    "montecarlo-csv": [["montecarlo", "--n-pairs", "256"] + MC + [
+        "--trials", "50", "--emit", "csv"]],
+    "trace": [["trace", "--noise", "white:0.99", "--rounds", "-1"],
+              ["trace", "--noise", "white:0.99", "--rounds", "1",
+               "--p0", "0.5,0.5"]],
+    "trace-figure": [["trace", "--figure", "gfix", "--config",
+                      "missing.ini"]],
+}
 
-@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND)
-def test_bad_seed_stops_every_command_before_its_output(argv, tmp_path,
-                                                        capsys):
+
+@pytest.mark.parametrize("name", EVERY_COMMAND)
+def test_bad_seed_stops_every_command_before_its_output(name, tmp_path,
+                                                        capsys, monkeypatch):
+    argv = EVERY_COMMAND[name]
     out = tmp_path / "out"
     # argparse reads -1 (a value that starts with "-"), the option table
     # reads 2**64
@@ -1232,6 +1255,10 @@ def test_bad_seed_stops_every_command_before_its_output(argv, tmp_path,
         assert (cli._plain_parse(bad) is None) == seed.startswith("-")
         err = usage_error(bad, capsys)
         assert err == "error: --seed: seed must fit in 64 bits\n"
+        assert not out.exists()
+    monkeypatch.chdir(tmp_path)
+    for bad in BAD_SETTINGS[name]:
+        usage_error(bad + ["--out", str(out)], capsys)
         assert not out.exists()
     assert cli.run(argv + ["--out", str(out)]) == 0
     assert out.exists()
@@ -1327,6 +1354,18 @@ def test_trace_scalar_p0_must_be_at_most_one(capsys):
     err = usage_error(["trace", "--protocol", "bbpssw", "--noise",
                        "white:0.99", "--rounds", "2", "--p0", "2"], capsys)
     assert "--p0" in err and "at most 1" in err
+
+
+@pytest.mark.parametrize("noise", ["white:0.99", "corr2:0.99", "worst:0.99"])
+def test_trace_scalar_p0_may_be_zero(noise, capsys):
+    # 0 lies in each one-variable map's domain, where N is 1/2 or more (up
+    # to rounding); only a table map, which scales its start by the sum,
+    # needs a positive one
+    rows = trace_rows(["trace", "--protocol", "bbpssw", "--noise", noise,
+                       "--rounds", "2", "--p0", "0"], capsys)
+    assert rows[1] == ["0", "0", ""]
+    assert len(rows) == 4
+    assert all(float(r[-1]) >= 0.5 - 1e-15 for r in rows[2:])
 
 
 def test_trace_full_applies_to_dejmps_only(capsys):

@@ -39,7 +39,8 @@ from qdistill.quantum_core import (
 )
 
 from conftest import (STREAM_CELLS, campaign, dyadic_state, ginibre_density,
-                      partial_trace, plain_fixed_point)
+                      noisy_campaign_trajectory, partial_trace,
+                      plain_fixed_point)
 
 idx = LabeledEnsembleState.index
 BITS = (0, 1)
@@ -657,13 +658,7 @@ def campaign_inputs(cfg):
     streams = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(cfg.seed, spawn_key=(s,))))
         for s in range(cfg.rounds + 1)]
-    q = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
-                                                flags="zero").p
-    step = rc.noisy_dejmps_map(nm.distribution_from(cfg.noise))
-    successes = []
-    for _ in range(cfg.rounds):
-        q, success = step(q)
-        successes.append(success)
+    successes = [n for _q, n in noisy_campaign_trajectory(cfg)[1]]
     p = cfg.channel_state().p
     return streams, (p[0] + p[2]) * (p[0] + p[3]), successes
 

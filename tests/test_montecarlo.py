@@ -11,11 +11,11 @@ import pytest
 import qdistill.fixed_point as fp
 import qdistill.montecarlo as mc
 import qdistill.noise_models as nm
-import qdistill.recurrence as rc
 from qdistill.quantum_core import BellDiagonalState, LabeledEnsembleState
 from qdistill.security_bounds import MAX_ROUNDS
 
-from conftest import STREAM_CELLS, campaign, make_config
+from conftest import (STREAM_CELLS, campaign, make_config,
+                      noisy_campaign_trajectory)
 
 
 # ------------------------------------------------------------------ config
@@ -228,11 +228,24 @@ def test_campaign_memory_does_not_grow_with_trials():
 def bell_marginals(cfg):
     """Bell marginals of the campaign's deterministic ensemble after rounds
     0..M, from the zero-flag embedding of the channel state."""
-    p0 = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
-                                                 flags="zero").p
-    states = [p0] + [p for p, _ in rc.trajectory(
-        rc.noisy_dejmps_map(nm.distribution_from(cfg.noise)), p0, cfg.rounds)]
+    p0, rounds = noisy_campaign_trajectory(cfg)
+    states = [p0] + [p for p, _ in rounds]
     return [LabeledEnsembleState(p).bell_marginal().p for p in states]
+
+
+@pytest.mark.parametrize("noise", [
+    nm.TwoQubitCorrelatedNoise(0.99), nm.TwoQubitCorrelatedNoise(0.999),
+    nm.SingleQubitWhiteNoise(0.97), nm.BinaryNoise(0.9)])
+def test_success_probabilities_are_the_full_maps(noise):
+    # the accept rule reads no flag, so the reduced map on the channel's
+    # 4-vector gives the success probabilities of the 16-dim map on the
+    # zero-flag embedding, up to rounding
+    for beta in (0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0):
+        cfg = make_config(beta=beta, noise=noise, rounds=8)
+        got = mc._trajectory(beta, noise, cfg.rounds)[1]
+        want = [n for _p, n in noisy_campaign_trajectory(cfg)[1]]
+        assert len(got) == 8
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_fidelity_estimator_is_calibrated():
@@ -375,11 +388,7 @@ def stage_abort_probabilities(cfg):
     log_fact = log_factorials(k_d // 2)
     mass = np.zeros(k_d + 1)
     mass[k_d] = 1.0 - law[0]
-    q = LabeledEnsembleState.from_bell_diagonal(cfg.channel_state(),
-                                                flags="zero").p
-    step = rc.noisy_dejmps_map(nm.distribution_from(cfg.noise))
-    for _ in range(cfg.rounds):
-        q, success = step(q)
+    for _q, success in noisy_campaign_trajectory(cfg)[1]:
         kept = np.zeros(len(mass) // 2 + 1)
         abort = mass[1]
         for c in np.nonzero(mass[2:] > 1e-300)[0] + 2:
