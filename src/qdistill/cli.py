@@ -26,6 +26,7 @@ from decimal import Decimal, InvalidOperation
 from functools import cache, lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -546,12 +547,15 @@ def _cmd_montecarlo(args, cfg) -> int:
 
 
 def _cmd_trace(args, cfg) -> int:
+    if args.rounds < 0:
+        raise ValueError("--rounds must be nonnegative")
     if args.figure:
+        # a figure reads no option of the trace it replaces
+        if args.noise is not None or args.p0 is not None or args.full:
+            raise ValueError("--figure takes no --noise, --p0 or --full")
         with _open_out(args.out) as fh:
             emit_figure_data(args.figure, fh)
         return 0
-    if args.rounds < 0:
-        raise ValueError("--rounds must be nonnegative")
     if args.full and args.protocol != "dejmps":
         raise ValueError("--full applies to --protocol dejmps only")
     model = _resolve_noise(args, cfg)
@@ -697,150 +701,134 @@ def emit_figure_data(name: str, fh) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
-def _build() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
+class _Flag(NamedTuple):
+    """One flag of a subcommand: its type (``bool`` for a flag that takes no
+    value and stores True), its default or :data:`REQUIRED`, its choices and
+    its help text."""
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+#: The default of a flag that every request of its subcommand must give.
+REQUIRED = object()
+
+_INT, _FLOAT = _Flag(int), _Flag(float)
+_EMIT = ("json", "csv")
+_PROTOCOL = _Flag(default=REQUIRED, choices=("dejmps", "bbpssw", "binary"))
+
+#: The flags of every subcommand, ahead of its own.
+_COMMON = {"--out": _Flag(help="output path (default stdout)"),
+           "--seed": _INT, "--config": _Flag(help="INI config file")}
+
+#: The command line: each subcommand's help line and its flags, in the
+#: order its help lists them.  The argparse parser (:func:`build_parser`)
+#: and the plain-request reader (:func:`_plain_parse`) are both built from
+#: it.  A flag's attribute is its name without the leading dashes, each
+#: inner dash an underscore, as argparse derives it.
+_GRAMMAR = {
+    "fixed-point": ("locate a fixed point and its stability", {
+        **_COMMON, "--protocol": _PROTOCOL,
+        "--noise": _Flag(help="kind:parameter"),
+        "--tol": _Flag(float, 1e-12), "--maxiter": _Flag(int, 10000)}),
+    "scan": ("fixed points across a noise grid", {
+        **_COMMON, "--protocol": _PROTOCOL,
+        "--noise-grid": _Flag(default=REQUIRED, help="lo:hi:step"),
+        "--noise-kind": _Flag(default="white", choices=("white", "corr2")),
+        "--emit": _Flag(default="csv", choices=_EMIT)}),
+    "bounds": ("bound arithmetic", {
+        **_COMMON, "--chain": _Flag(default=REQUIRED, choices=tuple(_BOUNDS)),
+        "--n": _INT, "--k": _FLOAT, "--epsP": _FLOAT, "--eps": _FLOAT,
+        "--eta": _FLOAT, "--beta": _FLOAT, "--f-min": _FLOAT, "--M": _INT,
+        "--xi": _FLOAT,
+        "--f0": _Flag(help="binary noise parameter (decimal string)")}),
+    "steering-audit": ("product-form bound audit",
+                       {**_COMMON, "--states": _Flag(int, 20)}),
+    "montecarlo": ("abort-rate campaign", {
+        **_COMMON, "--n-pairs": _INT, "--beta": _FLOAT, "--noise": _Flag(),
+        "--rounds": _INT,
+        "--f-min": _Flag(help="number or 'auto' (corr2 noise only)"),
+        "--delta": _FLOAT, "--trials": _INT,
+        "--emit": _Flag(default="json", choices=_EMIT)}),
+    "trace": ("per-round trajectory or figure data", {
+        **_COMMON, "--protocol": _PROTOCOL._replace(default="dejmps"),
+        "--noise": _Flag(), "--rounds": _Flag(int, 20),
+        "--p0": _Flag(help="comma-separated start vector"),
+        "--full": _Flag(bool, False, help="trace the 16-variable map instead"
+                        " of the reduced one"),
+        "--figure": _Flag(choices=FIGURE_NAMES)}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse parser of :data:`_GRAMMAR`."""
     parser = argparse.ArgumentParser(
         prog="qdistill",
         description="entanglement distillation recurrence analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="INI config file")
-
-    p = sub.add_parser("fixed-point", help="locate a fixed point and its stability")
-    common(p)
-    p.add_argument("--protocol", required=True,
-                   choices=["dejmps", "bbpssw", "binary"])
-    p.add_argument("--noise", default=None, help="kind:parameter")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--maxiter", type=int, default=10000)
-
-    p = sub.add_parser("scan", help="fixed points across a noise grid")
-    common(p)
-    p.add_argument("--protocol", required=True,
-                   choices=["dejmps", "bbpssw", "binary"])
-    p.add_argument("--noise-grid", required=True, help="lo:hi:step")
-    p.add_argument("--noise-kind", default="white", choices=["white", "corr2"])
-    p.add_argument("--emit", default="csv", choices=["json", "csv"])
-
-    p = sub.add_parser("bounds", help="bound arithmetic")
-    common(p)
-    p.add_argument("--chain", required=True, choices=list(_BOUNDS))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--epsP", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--f-min", type=float, default=None, dest="f_min")
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--f0", default=None,
-                   help="binary noise parameter (decimal string)")
-
-    p = sub.add_parser("steering-audit", help="product-form bound audit")
-    common(p)
-    p.add_argument("--states", type=int, default=20)
-
-    p = sub.add_parser("montecarlo", help="abort-rate campaign")
-    common(p)
-    p.add_argument("--n-pairs", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--noise", default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--f-min", default=None, dest="f_min",
-                   help="number or 'auto' (corr2 noise only)")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--emit", default="json", choices=["json", "csv"])
-
-    p = sub.add_parser("trace", help="per-round trajectory or figure data")
-    common(p)
-    p.add_argument("--protocol", default="dejmps",
-                   choices=["dejmps", "bbpssw", "binary"])
-    p.add_argument("--noise", default=None)
-    p.add_argument("--rounds", type=int, default=20)
-    p.add_argument("--p0", default=None, help="comma-separated start vector")
-    p.add_argument("--full", action="store_true",
-                   help="trace the 16-variable map instead of the reduced one")
-    p.add_argument("--figure", default=None, choices=list(FIGURE_NAMES))
-
-    return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
+    for command, (help_line, flags) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, spec in flags.items():
+            if spec.type is bool:
+                p.add_argument(flag, action="store_true", help=spec.help)
+                continue
+            required = spec.default is REQUIRED
+            p.add_argument(flag, type=spec.type, choices=spec.choices,
+                           required=required, help=spec.help,
+                           default=None if required else spec.default)
+    return parser
 
 
 #: One parser per process for :func:`run`; each parse builds a fresh
 #: Namespace, so sharing it is safe.
-_parser = cache(_build)
+_parser = cache(build_parser)
 
 
 @cache
-def _option_table(command: str):
-    """What :func:`_plain_parse` reads of a subcommand, taken from its
-    parser: ``(flags, defaults, required)``.  ``flags`` maps each option
-    string of a single-value store action to the action and its type
-    function; ``defaults`` are the values argparse starts a Namespace from,
-    with ``set_defaults`` and each string default converted as argparse
-    converts it when its flag is absent; ``required`` holds the required
-    actions.  None, so that only argparse parses the subcommand, if it has
-    positionals or exclusive groups or a string default fails to convert."""
-    sub = _parser()[1][command]
-    if sub._mutually_exclusive_groups or sub._get_positional_actions():
-        return None
-    flags, defaults = {}, {}
-    for action in sub._actions:
-        if action.dest is not argparse.SUPPRESS \
-                and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        if isinstance(action.default, str) \
-                and defaults.get(action.dest) is action.default:
-            try:
-                defaults[action.dest] = sub._get_value(action, action.default)
-            except argparse.ArgumentError:
-                return None
-        if type(action) is argparse._StoreAction and action.nargs is None:
-            entry = action, sub._registry_get("type", action.type, action.type)
-            flags.update(dict.fromkeys(action.option_strings, entry))
-    for dest, value in sub._defaults.items():
-        defaults.setdefault(dest, value)
-    return flags, defaults, frozenset(a for a in sub._actions if a.required)
+def _reader(command: str):
+    """What :func:`_plain_parse` reads of a subcommand, built once per
+    process: ``(lookup, values, required)``.  ``lookup`` maps each flag that
+    takes a value to its attribute, type and choices; ``values`` holds each
+    attribute at its default; ``required`` the required attributes."""
+    lookup, values, required = {}, {}, set()
+    for flag, spec in _GRAMMAR[command][1].items():
+        dest = flag[2:].replace("-", "_")
+        if spec.type is not bool:
+            lookup[flag] = dest, spec.type, spec.choices
+        if spec.default is REQUIRED:
+            required.add(dest)
+        values[dest] = None if spec.default is REQUIRED else spec.default
+    return lookup, values, frozenset(required)
 
 
 def _plain_parse(argv):
     """The Namespace that ``build_parser().parse_args(argv)`` gives a request
     of the form ``COMMAND (--flag VALUE)*``, each flag spelled in full,
-    read from :func:`_option_table`.  None for every other request, and for
-    any that argparse would reject: an unknown or abbreviated flag,
-    ``--flag=value``, ``--``, ``-h``, a flag without a value, a value that
-    is empty or starts with ``-``, a failed conversion, a bad choice or a
-    missing required flag."""
-    if len(argv) % 2 == 0 or argv[0] not in _parser()[1]:
+    read from :data:`_GRAMMAR`, whose defaults are copied as they are.  None
+    for every other request, and for any that argparse would reject: an
+    unknown or abbreviated flag, ``--flag=value``, ``--``, ``-h``, a flag
+    without a value, a value that is empty or starts with ``-``, a failed
+    conversion, a bad choice or a missing required flag."""
+    if len(argv) % 2 == 0 or argv[0] not in _GRAMMAR:
         return None
-    table = _option_table(argv[0])
-    if table is None:
-        return None
-    flags, values, required = table
+    lookup, values, required = _reader(argv[0])
     values = dict(values)
     seen = set()
     pairs = iter(argv[1:])
     for flag, value in zip(pairs, pairs):
-        entry = flags.get(flag)
+        entry = lookup.get(flag)
         if entry is None or not value or value[0] == "-":
             return None
-        action, convert = entry
+        dest, convert, choices = entry
         try:
             value = convert(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action)
+        values[dest] = value
+        seen.add(dest)
     if not required <= seen:
         return None
     args = argparse.Namespace(**values)
@@ -861,16 +849,17 @@ _DISPATCH = {
 def run(argv=None) -> int:
     """Serve one request; returns its exit code.
 
-    The request is parsed once.  A request of the plain form ``COMMAND
-    (--flag VALUE)*`` is read from the subcommand's option table, which
-    gives the Namespace argparse would (:func:`_plain_parse`); any other
-    request goes to argparse, which also prints its usage, help and
-    errors."""
+    The request is parsed once, by one of two readers of the grammar table
+    :data:`_GRAMMAR`.  A request of the plain form ``COMMAND (--flag
+    VALUE)*`` is read from the table directly, which gives the Namespace
+    argparse would (:func:`_plain_parse`); any other request goes to the
+    argparse parser built from the table, which also prints its usage,
+    help and errors."""
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_parse(argv)
     if args is None:
         try:
-            args = _parser()[0].parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     return _dispatch(args)

@@ -239,6 +239,15 @@ def _check_hermitian(mats: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian within 1e-12")
 
 
+def _hermitian_matrix(rho) -> tuple[np.ndarray, int]:
+    """``rho`` as a complex 2^q x 2^q matrix, q >= 1, every entry finite and
+    Hermitian within 1e-12, and its q."""
+    mat = np.asarray(rho, dtype=complex)
+    q = _num_qubits(mat.shape)
+    _check_hermitian(mat)
+    return mat, q
+
+
 def _check_states(mats: np.ndarray) -> None:
     """Check that every matrix of an (S, 2^q, 2^q) stack, q >= 1, is a
     density matrix: finite, Hermitian within 1e-12, of trace one within
@@ -313,9 +322,7 @@ def pauli_decompose(rho) -> np.ndarray:
     equals the trace (1 for a state).  ``rho`` must be Hermitian within
     1e-12, so that every coefficient is real.
     """
-    mat = np.asarray(rho, dtype=complex)
-    q = _num_qubits(mat.shape)
-    _check_hermitian(mat)
+    mat, q = _hermitian_matrix(rho)
     return np.einsum("aij,ji->a", _pauli_strings(q), mat).real
 
 

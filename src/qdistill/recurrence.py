@@ -318,9 +318,11 @@ def _werner_map(table, f, werner_parameter=False) -> RecurrenceMap:
 def bbpssw_map(f) -> RecurrenceMap:
     """BBPSSW on the Werner parameter p under white noise f (per-pair
     identity weight (3f + 1)/4): b(p) = (4p^2f^2 + 2pf)/(3p^2f^2 + 3), with
-    N = (1 + p^2f^2)/2, the denominator over 6.  N lies in (1/2, 1] and at
-    f = 1 is the two-pair coincidence probability (1 + p^2)/2, so analytic
-    iteration and Monte Carlo pair attrition agree."""
+    N = (1 + p^2f^2)/2, the denominator over 6.  N lies in [1/2, 1]: p = 0
+    gives exactly 1/2, which floats may miss by a rounding or two
+    (0.49999999999999989 at f = 0.99).  At f = 1 N is the two-pair
+    coincidence probability (1 + p^2)/2, so analytic iteration and Monte
+    Carlo pair attrition agree."""
     g = ((3 * f + 1) / 4,) + ((1 - f) / 4,) * 3
     return _werner_map(_table_for(_XOR, _CORRELATED), _per_pair(g),
                        werner_parameter=True)

@@ -45,7 +45,7 @@ from functools import cache
 
 import numpy as np
 
-from .quantum_core import (_check_hermitian, _check_states, _kron_stack, _num_qubits,
+from .quantum_core import (_check_states, _hermitian_matrix, _kron_stack,
                            _pauli_strings, _tensor_powers, _trace_norms)
 
 __all__ = [
@@ -162,9 +162,7 @@ def steering_constant(n: int = 2, m: int = 2) -> int:
 def tomographic_probabilities(rho) -> np.ndarray:
     """Outcome probabilities p_k = tr(phi_k rho) over the product set, for
     a 2^q x 2^q ``rho`` Hermitian within 1e-12."""
-    mat = np.asarray(rho, dtype=complex)
-    q = _num_qubits(mat.shape)
-    _check_hermitian(mat)
+    mat, q = _hermitian_matrix(rho)
     return np.einsum("kij,ji->k", _tset(q), mat).real
 
 

@@ -155,30 +155,30 @@ GOOD_VALUES = {int: ["1", "256", str(2 ** 64)],
                float: ["0.5", "nan", "1e-3", "inf"]}
 
 
-def fuzzed_request(rng, commands):
-    """A request to a random subcommand (or a misspelt one): mostly full
-    flags with values, most of them valid, mixed with abbreviated and
-    ``=`` flags, flags without values, repeats, ``--`` and ``-h``."""
-    name = rng.choice(list(commands) + ["monte", "frobnicate"])
-    sub = commands.get(name)
+def fuzzed_request(rng, grammar):
+    """A request to a random subcommand of ``grammar`` (or a misspelt one):
+    mostly full flags with values, most of them valid, mixed with
+    abbreviated and ``=`` flags, flags without values, repeats, ``--`` and
+    ``-h``."""
+    name = rng.choice(list(grammar) + ["monte", "frobnicate"])
     argv = [name]
-    if sub is None:
+    if name not in grammar:
         return argv + rng.choice([[], ["--seed", "1"], ["-h"]])
-    actions = [a for a in sub._actions
-               if not isinstance(a, argparse._HelpAction)]
-    picks = [rng.choice(actions) for _ in range(rng.randrange(6))]
+    flags = grammar[name][1]
+    picks = [rng.choice(list(flags)) for _ in range(rng.randrange(6))]
     if rng.random() < 0.5:
-        picks[:0] = [a for a in actions if a.required]
-    for action in picks:
-        flag = rng.choice(action.option_strings)
+        picks[:0] = [f for f, spec in flags.items()
+                     if spec.default is cli.REQUIRED]
+    for flag in picks:
+        spec = flags[flag]
         if rng.random() < 0.2:
             value = rng.choice(FUZZ_VALUES)
-        elif action.choices:
-            value = rng.choice(list(action.choices))
+        elif spec.choices:
+            value = rng.choice(list(spec.choices))
         else:
-            value = rng.choice(GOOD_VALUES.get(action.type, ["white:0.9"]))
+            value = rng.choice(GOOD_VALUES.get(spec.type, ["white:0.9"]))
         form = rng.random()
-        if action.nargs == 0 and form < 0.85:     # a store_true flag
+        if spec.type is bool and form < 0.85:     # a store_true flag
             argv.append(flag)
         elif form < 0.85:
             argv += [flag, value]
@@ -207,60 +207,30 @@ def reference_namespace(parser, argv):
     return {k: repr(v) for k, v in vars(args).items()}
 
 
-@pytest.fixture
-def grammar(monkeypatch):
-    """Install a top-level parser of one's own as run()'s; returns the
-    subparsers action to add subcommands to."""
-    parser = argparse.ArgumentParser(prog="qdistill")
-    sub = parser.add_subparsers(dest="command", required=True)
-    monkeypatch.setattr(cli, "_parser", lambda: (parser, sub.choices))
-    cli._option_table.cache_clear()
-    yield sub
-    cli._option_table.cache_clear()
+def test_grammar_defaults_need_no_conversion():
+    # argparse converts a string default through its flag's type, but the
+    # plain-request reader copies each default as it is
+    for command, (_help, flags) in cli._GRAMMAR.items():
+        for flag, spec in flags.items():
+            assert (spec.default is None or spec.default is cli.REQUIRED
+                    or type(spec.default) is spec.type), (command, flag)
 
 
-def test_option_table_reads_defaults_as_argparse_does(grammar):
-    # a string default is converted by its type when its flag is absent;
-    # of two actions on one dest the first sets its default; set_defaults
-    # overrides an action's default and adds dests of its own
-    p = grammar.add_parser("x")
-    p.add_argument("--n", type=int, default="7")
-    p.add_argument("--m", type=int, default=9, dest="n")
-    p.add_argument("--v", type=float, default="0.5", dest="value")
-    p.add_argument("--s", default="text")
-    p.add_argument("--flag", action="store_true")
-    p.set_defaults(value="2.5", extra=[1])
-    for argv in (["x"], ["x", "--n", "3"], ["x", "--m", "3"],
-                 ["x", "--v", "1", "--s", "y"]):
-        got = cli._plain_parse(argv)
-        assert got is not None
-        assert vars(got) == vars(cli._parser()[0].parse_args(argv))
-    assert vars(cli._plain_parse(["x"])) == {
-        "n": 7, "value": 2.5, "s": "text", "flag": False, "extra": [1],
-        "command": "x"}
-
-
-def test_option_table_leaves_other_grammars_to_argparse(grammar):
-    grammar.add_parser("positional").add_argument("name")
-    group = grammar.add_parser("exclusive").add_mutually_exclusive_group()
-    group.add_argument("--a")
-    group.add_argument("--b")
-    # argparse converts this default only when --n is absent, and fails
-    grammar.add_parser("bad-default").add_argument("--n", type=int,
-                                                    default="x")
-    for argv in (["positional"], ["exclusive", "--a", "1"],
-                 ["bad-default", "--n", "1"]):
-        assert cli._option_table(argv[0]) is None
-        assert cli._plain_parse(argv) is None
+def test_cli_reads_no_private_argparse_attribute():
+    # the grammar is cli's own table; argparse's internals stay out of it
+    source = pathlib.Path(cli.__file__).read_text()
+    for name in ("argparse._", "._actions", "._get_value", "._registry_get",
+                 "._defaults", "._mutually_exclusive_groups",
+                 "._get_positional_actions"):
+        assert name not in source, name
 
 
 def test_option_table_declines_or_parses_like_argparse():
     rng = random.Random(36)
     parser = cli.build_parser()
-    commands = cli._parser()[1]
     taken = declined = 0
     for _ in range(3000):
-        argv = fuzzed_request(rng, commands)
+        argv = fuzzed_request(rng, cli._GRAMMAR)
         want = reference_namespace(parser, argv)
         got = cli._plain_parse(argv)
         if got is None:
@@ -1221,8 +1191,9 @@ EVERY_COMMAND = {
 }
 
 # For each entry of EVERY_COMMAND, requests with one bad setting that is
-# not the seed.  A figure reads no option of the trace it replaces, so its
-# bad setting is a config file that does not exist.
+# not the seed.  A figure reads no option of the trace it replaces, so a
+# figure request that gives one, or a config file that does not exist, is
+# its bad setting.
 BAD_SETTINGS = {
     "fixed-point": [["fixed-point", "--protocol", "dejmps", "--noise",
                      "white:2"]],
@@ -1239,7 +1210,11 @@ BAD_SETTINGS = {
               ["trace", "--noise", "white:0.99", "--rounds", "1",
                "--p0", "0.5,0.5"]],
     "trace-figure": [["trace", "--figure", "gfix", "--config",
-                      "missing.ini"]],
+                      "missing.ini"],
+                     ["trace", "--figure", "gfix", "--rounds", "-1"],
+                     ["trace", "--figure", "gfix", "--p0", "1,2"],
+                     ["trace", "--figure", "gfix", "--noise", "white:2"],
+                     ["trace", "--figure", "gfix", "--full"]],
 }
 
 
@@ -1248,7 +1223,7 @@ def test_bad_seed_stops_every_command_before_its_output(name, tmp_path,
                                                         capsys, monkeypatch):
     argv = EVERY_COMMAND[name]
     out = tmp_path / "out"
-    # argparse reads -1 (a value that starts with "-"), the option table
+    # argparse reads -1 (a value that starts with "-"), the grammar table
     # reads 2**64
     for seed in ("-1", str(2 ** 64)):
         bad = argv + ["--seed", seed, "--out", str(out)]
