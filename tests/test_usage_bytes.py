@@ -20,6 +20,7 @@ import hashlib
 import io
 import os
 import sys
+from unittest import mock
 
 import pytest
 
@@ -90,16 +91,9 @@ def printed_digest(argv, code) -> str:
     """sha256 of what ``qdistill argv`` prints, stdout then stderr, at 80
     columns; the request must exit with ``code``."""
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert cli.run(list(argv)) == code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.run(list(argv)) == code
     text = out.getvalue() + err.getvalue()
     return hashlib.sha256(text.encode()).hexdigest()
 
