@@ -6,11 +6,11 @@ with 17 significant digits so outputs round-trip doubles losslessly.
 Exit codes: 0 success, 2 validation/usage error, 3 numerical
 non-convergence.
 
-Seed precedence: --seed flag, then the DISTILL_SEED environment variable,
-then the config file, then 0; a seed must fit in 64 bits.  The config
-file is flat INI: a [run] section (seed), a [noise] section (kind,
-parameter), and a [montecarlo] section (n_pairs, beta, rounds, f_min,
-delta, trials); command-line flags always win.
+Every setting is resolved by one rule: its flag, then the DISTILL_SEED
+environment variable (the seed only), then its option in the flat INI
+config file ([run] seed; [montecarlo] n_pairs, beta, rounds, f_min, delta,
+trials), then its default in the grammar table; a seed must fit in 64
+bits.  A [noise] section (kind, parameter) stands in for --noise.
 """
 
 from __future__ import annotations
@@ -162,23 +162,19 @@ def _load_config(path):
 
 
 def _setting(args, cfg, section, name, conv, env=None):
-    """Setting ``name``: its flag, then the ``env`` variable if one is named,
-    then option ``name`` of config ``section``; ``conv`` of the first one
-    given, or None.  A ValueError of ``conv`` names that source."""
-    value = getattr(args, name, None)
+    """Setting ``name``: its flag, then the ``env`` variable, then option
+    ``name`` of config ``section``, each if named; ``conv`` of the first
+    one given, or None.  A ValueError of ``conv`` names that source."""
+    value, source = getattr(args, name, None), None
     if value is None and env is not None:
-        value = os.environ.get(env)
-    if value is None:
+        value, source = os.environ.get(env), env
+    if value is None and section is not None:
         value = cfg.get(section, name, fallback=None)
+        source = f"[{section}] {name}"
     try:
         return None if value is None else conv(value)
     except ValueError as exc:
-        if getattr(args, name, None) is not None:
-            source = "--" + name.replace("_", "-")
-        elif env is not None and os.environ.get(env) is not None:
-            source = env
-        else:
-            source = f"[{section}] {name}"
+        source = source or "--" + name.replace("_", "-")
         raise ValueError(f"{source}: {exc}") from None
 
 
@@ -188,11 +184,6 @@ def _seed(value) -> int:
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
     return seed
-
-
-def resolve_seed(args, cfg) -> int:
-    """The request's seed, a U64: flag, DISTILL_SEED, ``[run] seed``, 0."""
-    return _setting(args, cfg, "run", "seed", _seed, env="DISTILL_SEED") or 0
 
 
 def _resolve_noise(args, cfg):
@@ -469,22 +460,18 @@ def _f_min(value):
 
 def _mc_config(args, cfg) -> mc.ProtocolConfig:
     model = _resolve_noise(args, cfg)
-    n_pairs, beta, rounds, trials, delta, f_min = (
-        _setting(args, cfg, "montecarlo", name, conv) for name, conv in (
-            ("n_pairs", int), ("beta", float), ("rounds", int),
-            ("trials", int), ("delta", float), ("f_min", _f_min)))
-    if None in (n_pairs, beta, rounds):
+    if None in (args.n_pairs, args.beta, args.rounds):
         raise ValueError("--n-pairs, --beta and --rounds are required")
-    if f_min is None or f_min == "auto":
-        if isinstance(model, nm.TwoQubitCorrelatedNoise):
-            f_min = float(fp.bbpssw_two_qubit_fixed_points(model.f_tilde)[0])
-        else:
+    f_min = args.f_min
+    if f_min == "auto":
+        if not isinstance(model, nm.TwoQubitCorrelatedNoise):
             raise ValueError(
                 "--f-min auto needs corr2 noise; give an explicit value")
-    return mc.ProtocolConfig(n_pairs=n_pairs, beta=beta, noise=model,
-                             rounds=rounds, f_min=f_min, delta=delta,
-                             seed=args.seed,
-                             trials=1000 if trials is None else trials)
+        f_min = float(fp.bbpssw_two_qubit_fixed_points(model.f_tilde)[0])
+    return mc.ProtocolConfig(n_pairs=args.n_pairs, beta=args.beta,
+                             noise=model, rounds=args.rounds, f_min=f_min,
+                             delta=args.delta, seed=args.seed,
+                             trials=args.trials)
 
 
 @lru_cache(maxsize=8)
@@ -547,15 +534,18 @@ def _cmd_montecarlo(args, cfg) -> int:
 
 
 def _cmd_trace(args, cfg) -> int:
-    if args.rounds < 0:
-        raise ValueError("--rounds must be nonnegative")
     if args.figure:
         # a figure reads no option of the trace it replaces
-        if args.noise is not None or args.p0 is not None or args.full:
-            raise ValueError("--figure takes no --noise, --p0 or --full")
+        ignored = [f"--{name}" for name in
+                   ("protocol", "noise", "rounds", "p0", "full")
+                   if name in args.given]
+        if ignored:
+            raise ValueError(f"--figure takes no {', '.join(ignored)}")
         with _open_out(args.out) as fh:
             emit_figure_data(args.figure, fh)
         return 0
+    if args.rounds < 0:
+        raise ValueError("--rounds must be nonnegative")
     if args.full and args.protocol != "dejmps":
         raise ValueError("--full applies to --protocol dejmps only")
     model = _resolve_noise(args, cfg)
@@ -702,81 +692,91 @@ def emit_figure_data(name: str, fh) -> None:
 # parser
 
 class _Flag(NamedTuple):
-    """One flag of a subcommand: its type (``bool`` for a flag that takes no
-    value and stores True), its default or :data:`REQUIRED`, its choices and
-    its help text."""
+    """One flag of a subcommand: its type (``bool``: it takes no value and
+    stores True), its default or :data:`REQUIRED`, its choices, its help
+    text, the config ``section`` that may also give it, the ``env`` variable
+    read before that, and the ``convert`` of its value (its type if None)."""
     type: type = str
     default: object = None
     choices: tuple | None = None
     help: str | None = None
+    section: str | None = None
+    env: str | None = None
+    convert: object = None
 
 
 #: The default of a flag that every request of its subcommand must give.
 REQUIRED = object()
 
 _INT, _FLOAT = _Flag(int), _Flag(float)
+_MC_INT, _MC_FLOAT = (_Flag(t, section="montecarlo") for t in (int, float))
 _EMIT = ("json", "csv")
 _PROTOCOL = _Flag(default=REQUIRED, choices=("dejmps", "bbpssw", "binary"))
 
 #: The flags of every subcommand, ahead of its own.
 _COMMON = {"--out": _Flag(help="output path (default stdout)"),
-           "--seed": _INT, "--config": _Flag(help="INI config file")}
+           "--seed": _Flag(int, 0, section="run", env="DISTILL_SEED",
+                           convert=_seed),
+           "--config": _Flag(help="INI config file")}
 
-#: The command line: each subcommand's help line and its flags, in the
-#: order its help lists them.  The argparse parser (:func:`build_parser`)
-#: and the plain-request reader (:func:`_plain_parse`) are both built from
-#: it.  A flag's attribute is its name without the leading dashes, each
-#: inner dash an underscore, as argparse derives it.
+#: The command line: each subcommand's help line, its flags, in the order
+#: its help lists them, and the function that runs it.  The argparse
+#: parser (:func:`build_parser`), the plain-request reader
+#: (:func:`_plain_parse`) and the settings :func:`_dispatch` fills in are
+#: all built from it.  A flag's attribute is its name without the leading
+#: dashes, each inner dash an underscore, as argparse derives it.
 _GRAMMAR = {
     "fixed-point": ("locate a fixed point and its stability", {
         **_COMMON, "--protocol": _PROTOCOL,
         "--noise": _Flag(help="kind:parameter"),
-        "--tol": _Flag(float, 1e-12), "--maxiter": _Flag(int, 10000)}),
+        "--tol": _Flag(float, 1e-12), "--maxiter": _Flag(int, 10000)},
+        _cmd_fixed_point),
     "scan": ("fixed points across a noise grid", {
         **_COMMON, "--protocol": _PROTOCOL,
         "--noise-grid": _Flag(default=REQUIRED, help="lo:hi:step"),
         "--noise-kind": _Flag(default="white", choices=("white", "corr2")),
-        "--emit": _Flag(default="csv", choices=_EMIT)}),
+        "--emit": _Flag(default="csv", choices=_EMIT)}, _cmd_scan),
     "bounds": ("bound arithmetic", {
         **_COMMON, "--chain": _Flag(default=REQUIRED, choices=tuple(_BOUNDS)),
         "--n": _INT, "--k": _FLOAT, "--epsP": _FLOAT, "--eps": _FLOAT,
         "--eta": _FLOAT, "--beta": _FLOAT, "--f-min": _FLOAT, "--M": _INT,
         "--xi": _FLOAT,
-        "--f0": _Flag(help="binary noise parameter (decimal string)")}),
+        "--f0": _Flag(help="binary noise parameter (decimal string)")},
+        _cmd_bounds),
     "steering-audit": ("product-form bound audit",
-                       {**_COMMON, "--states": _Flag(int, 20)}),
+                       {**_COMMON, "--states": _Flag(int, 20)},
+                       _cmd_steering_audit),
     "montecarlo": ("abort-rate campaign", {
-        **_COMMON, "--n-pairs": _INT, "--beta": _FLOAT, "--noise": _Flag(),
-        "--rounds": _INT,
-        "--f-min": _Flag(help="number or 'auto' (corr2 noise only)"),
-        "--delta": _FLOAT, "--trials": _INT,
-        "--emit": _Flag(default="json", choices=_EMIT)}),
+        **_COMMON, "--n-pairs": _MC_INT, "--beta": _MC_FLOAT,
+        "--noise": _Flag(), "--rounds": _MC_INT,
+        "--f-min": _Flag(default="auto", section="montecarlo", convert=_f_min,
+                         help="number or 'auto' (corr2 noise only)"),
+        "--delta": _MC_FLOAT, "--trials": _MC_INT._replace(default=1000),
+        "--emit": _Flag(default="json", choices=_EMIT)}, _cmd_montecarlo),
     "trace": ("per-round trajectory or figure data", {
         **_COMMON, "--protocol": _PROTOCOL._replace(default="dejmps"),
         "--noise": _Flag(), "--rounds": _Flag(int, 20),
         "--p0": _Flag(help="comma-separated start vector"),
-        "--full": _Flag(bool, False, help="trace the 16-variable map instead"
-                        " of the reduced one"),
-        "--figure": _Flag(choices=FIGURE_NAMES)}),
+        "--full": _Flag(bool, help="trace the 16-variable map instead of"
+                        " the reduced one"),
+        "--figure": _Flag(choices=FIGURE_NAMES)}, _cmd_trace),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh argparse parser of :data:`_GRAMMAR`."""
+    """A fresh argparse parser of :data:`_GRAMMAR`; it applies no default."""
     parser = argparse.ArgumentParser(
         prog="qdistill",
         description="entanglement distillation recurrence analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, flags) in _GRAMMAR.items():
+    for command, (help_line, flags, _) in _GRAMMAR.items():
         p = sub.add_parser(command, help=help_line)
         for flag, spec in flags.items():
             if spec.type is bool:
                 p.add_argument(flag, action="store_true", help=spec.help)
                 continue
-            required = spec.default is REQUIRED
             p.add_argument(flag, type=spec.type, choices=spec.choices,
-                           required=required, help=spec.help,
-                           default=None if required else spec.default)
+                           required=spec.default is REQUIRED, help=spec.help)
     return parser
 
 
@@ -786,35 +786,41 @@ _parser = cache(build_parser)
 
 
 @cache
-def _reader(command: str):
-    """What :func:`_plain_parse` reads of a subcommand, built once per
-    process: ``(lookup, values, required)``.  ``lookup`` maps each flag that
-    takes a value to its attribute, type and choices; ``values`` holds each
-    attribute at its default; ``required`` the required attributes."""
-    lookup, values, required = {}, {}, set()
+def _table(command: str):
+    """What a subcommand's readers take from :data:`_GRAMMAR`, once per
+    process: ``lookup`` maps each flag that takes a value to its attribute,
+    type and choices; ``values`` holds the command and each attribute as an
+    absent flag leaves it; ``required`` the required attributes; and
+    ``settings`` ``(attribute, convert, env, section, default)`` of each
+    flag with a section or a default."""
+    lookup, values, required, settings = {}, {"command": command}, [], []
     for flag, spec in _GRAMMAR[command][1].items():
         dest = flag[2:].replace("-", "_")
+        values[dest] = False if spec.type is bool else None
         if spec.type is not bool:
             lookup[flag] = dest, spec.type, spec.choices
         if spec.default is REQUIRED:
-            required.add(dest)
-        values[dest] = None if spec.default is REQUIRED else spec.default
-    return lookup, values, frozenset(required)
+            required.append(dest)
+        elif spec.section is not None or spec.default is not None:
+            settings.append((dest, spec.convert or spec.type, spec.env,
+                             spec.section, spec.default))
+    return lookup, values, required, settings
 
 
 def _plain_parse(argv):
     """The Namespace that ``build_parser().parse_args(argv)`` gives a request
     of the form ``COMMAND (--flag VALUE)*``, each flag spelled in full,
-    read from :data:`_GRAMMAR`, whose defaults are copied as they are.  None
+    read from :data:`_GRAMMAR`, with no default applied.  None
     for every other request, and for any that argparse would reject: an
     unknown or abbreviated flag, ``--flag=value``, ``--``, ``-h``, a flag
     without a value, a value that is empty or starts with ``-``, a failed
     conversion, a bad choice or a missing required flag."""
     if len(argv) % 2 == 0 or argv[0] not in _GRAMMAR:
         return None
-    lookup, values, required = _reader(argv[0])
-    values = dict(values)
-    seen = set()
+    lookup, start, required, _ = _table(argv[0])
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(start)
     pairs = iter(argv[1:])
     for flag, value in zip(pairs, pairs):
         entry = lookup.get(flag)
@@ -828,22 +834,7 @@ def _plain_parse(argv):
         if choices is not None and value not in choices:
             return None
         values[dest] = value
-        seen.add(dest)
-    if not required <= seen:
-        return None
-    args = argparse.Namespace(**values)
-    args.command = argv[0]
-    return args
-
-
-_DISPATCH = {
-    "fixed-point": _cmd_fixed_point,
-    "scan": _cmd_scan,
-    "bounds": _cmd_bounds,
-    "steering-audit": _cmd_steering_audit,
-    "montecarlo": _cmd_montecarlo,
-    "trace": _cmd_trace,
-}
+    return None if any(values[dest] is None for dest in required) else args
 
 
 def run(argv=None) -> int:
@@ -854,7 +845,9 @@ def run(argv=None) -> int:
     VALUE)*`` is read from the table directly, which gives the Namespace
     argparse would (:func:`_plain_parse`); any other request goes to the
     argparse parser built from the table, which also prints its usage,
-    help and errors."""
+    help and errors.  Neither applies a default; :func:`_dispatch` fills
+    in each setting left out (flag, then DISTILL_SEED for the seed, then
+    ``[section] option``, then the grammar default)."""
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_parse(argv)
     if args is None:
@@ -866,13 +859,20 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run the parsed request ``args``; returns its exit code.  The seed
-    is resolved into ``args.seed`` before any command runs, so a bad seed
-    stops every command before it writes anything."""
+    """Run the parsed request ``args``; returns its exit code.  First each
+    setting its flag left out is filled in: from DISTILL_SEED (the seed
+    only), then its ``[section] option`` in the config file, then its
+    grammar default.  Each is converted as a flag's value is, so a bad
+    one stops every command before it writes anything.  ``args.given``
+    keeps the attributes the request gave."""
     try:
         cfg = _load_config(args.config)
-        args.seed = resolve_seed(args, cfg)
-        return _DISPATCH[args.command](args, cfg)
+        args.given = {name for name, value in vars(args).items()
+                      if value is not None and value is not False}
+        for name, convert, env, section, default in _table(args.command)[3]:
+            value = _setting(args, cfg, section, name, convert, env)
+            setattr(args, name, default if value is None else value)
+        return _GRAMMAR[args.command][2](args, cfg)
     except (fp.NonConvergenceError, rec.DegenerateStepError) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3

@@ -208,12 +208,31 @@ def reference_namespace(parser, argv):
 
 
 def test_grammar_defaults_need_no_conversion():
-    # argparse converts a string default through its flag's type, but the
-    # plain-request reader copies each default as it is
-    for command, (_help, flags) in cli._GRAMMAR.items():
+    # the resolution pass copies a default as it is, where a flag's value
+    # or config option goes through its conversion, so each default must
+    # already be a value of its flag's type
+    for command, (_help, flags, _run) in cli._GRAMMAR.items():
         for flag, spec in flags.items():
             assert (spec.default is None or spec.default is cli.REQUIRED
                     or type(spec.default) is spec.type), (command, flag)
+
+
+#: The required flags of each subcommand, and no other.
+BARE = {"fixed-point": ["--protocol", "dejmps"],
+        "scan": ["--protocol", "bbpssw", "--noise-grid", "0.9:1:0.1"],
+        "bounds": ["--chain", "leak"], "steering-audit": [],
+        "montecarlo": [], "trace": []}
+
+
+@pytest.mark.parametrize("command", BARE)
+def test_parsers_apply_no_default(command):
+    # a parsed request tells a flag that was given from one that was not
+    argv = [command] + BARE[command]
+    for args in (cli.build_parser().parse_args(argv), cli._plain_parse(argv)):
+        for flag, spec in cli._GRAMMAR[command][1].items():
+            if flag not in argv:
+                want = False if spec.type is bool else None
+                assert getattr(args, flag[2:].replace("-", "_")) is want
 
 
 def test_cli_reads_no_private_argparse_attribute():
@@ -1214,7 +1233,9 @@ BAD_SETTINGS = {
                      ["trace", "--figure", "gfix", "--rounds", "-1"],
                      ["trace", "--figure", "gfix", "--p0", "1,2"],
                      ["trace", "--figure", "gfix", "--noise", "white:2"],
-                     ["trace", "--figure", "gfix", "--full"]],
+                     ["trace", "--figure", "gfix", "--full"],
+                     ["trace", "--figure", "gfix", "--rounds", "3"],
+                     ["trace", "--figure", "gfix", "--protocol", "binary"]],
 }
 
 
@@ -1238,6 +1259,64 @@ def test_bad_seed_stops_every_command_before_its_output(name, tmp_path,
     assert cli.run(argv + ["--out", str(out)]) == 0
     assert out.exists()
     capsys.readouterr()
+
+
+def resolved(argv, monkeypatch):
+    """The request ``argv`` as its command receives it, every setting
+    resolved."""
+    seen = []
+    help_line, flags, _run = cli._GRAMMAR[argv[0]]
+    monkeypatch.setitem(cli._GRAMMAR, argv[0], (
+        help_line, flags, lambda args, cfg: seen.append(args) or 0))
+    assert cli.run(argv) == 0
+    return seen[0]
+
+
+#: A flag value and a config value of each setting a config section may
+#: also give, both unlike its grammar default.
+PRECEDENCE = {"--seed": (5, 42), "--n-pairs": (256, 4096),
+              "--beta": (0.5, 0.9), "--rounds": (1, 2),
+              "--f-min": (0.5, 0.25), "--delta": (0.05, 0.02),
+              "--trials": (100, 120)}
+
+CONFIG_SETTINGS = [(command, flag, spec)
+                   for command, (_help, flags, _run) in cli._GRAMMAR.items()
+                   for flag, spec in flags.items() if spec.section]
+
+
+def test_precedence_covers_every_config_setting():
+    assert {flag for _c, flag, _s in CONFIG_SETTINGS} == set(PRECEDENCE)
+
+
+@pytest.mark.parametrize("command,flag,spec", CONFIG_SETTINGS,
+                         ids=[f"{c}{f}" for c, f, _s in CONFIG_SETTINGS])
+def test_flag_beats_config_beats_default(command, flag, spec, tmp_path,
+                                         monkeypatch):
+    name = flag[2:].replace("-", "_")
+    by_flag, by_config = PRECEDENCE[flag]
+    argv = [command] + BARE[command]
+    ini = given_by("config", spec.section, name, by_config, tmp_path,
+                   monkeypatch)
+    assert getattr(resolved(argv, monkeypatch), name) == spec.default
+    assert getattr(resolved(argv + ini, monkeypatch), name) == by_config
+    assert getattr(resolved(argv + ini + [flag, str(by_flag)], monkeypatch),
+                   name) == by_flag
+    if flag == "--seed":
+        # DISTILL_SEED sits between the flag and the config
+        monkeypatch.setenv("DISTILL_SEED", "777")
+        assert resolved(argv + ini, monkeypatch).seed == 777
+        assert resolved(argv + ini + ["--seed", "5"], monkeypatch).seed == 5
+
+
+@pytest.mark.parametrize("argv,section,name,default", [
+    (["bounds", "--chain", "leak"], "montecarlo", "beta", None),
+    (["fixed-point", "--protocol", "dejmps"], "run", "tol", 1e-12),
+    (["montecarlo"], "montecarlo", "emit", "json"),
+])
+def test_config_gives_only_the_settings_the_grammar_marks(
+        argv, section, name, default, tmp_path, monkeypatch):
+    ini = given_by("config", section, name, "0.5", tmp_path, monkeypatch)
+    assert getattr(resolved(argv + ini, monkeypatch), name) == default
 
 
 def test_missing_config_file_is_validation_error(capsys):
@@ -1353,6 +1432,12 @@ def test_trace_rounds_must_be_nonnegative(capsys):
     err = usage_error(["trace", "--protocol", "dejmps", "--noise",
                        "white:0.99", "--rounds", "-3"], capsys)
     assert "--rounds" in err
+
+
+def test_figure_names_the_trace_flags_it_ignores(capsys):
+    err = usage_error(["trace", "--figure", "gfix", "--rounds", "3",
+                       "--protocol", "binary"], capsys)
+    assert err == "error: --figure takes no --protocol, --rounds\n"
 
 
 def test_every_figure_emits_rows(capsys):
